@@ -201,10 +201,8 @@ def cmd_dirac(args) -> int:
     cloud = cloud_from_csv(args.cloud)
     max_dim = args.max_dim if args.max_dim is not None else max(2, args.k + 1)
     filtration = vr_filtration(cloud, eps_max=None, max_dim=max_dim)
-    operator = _dirac.dirac_operator(filtration, args.k, args.eps, args.eps2, xi=args.xi)
-    eigenvalues = _dirac.spectrum(operator.matrix)
-    lap = _dirac.persistent_laplacian(filtration, args.k, args.eps, args.eps2)
-    kernel = _dirac.betti_from_laplacian(lap, rank_tol=args.rank_tol)
+    eigenvalues, kernel = _dirac.dirac_spectrum(filtration, args.k, args.eps, args.eps2,
+                                                xi=args.xi, rank_tol=args.rank_tol)
     _atomic_write(args.out, _dirac.spectrum_to_json(args.k, args.eps, args.eps2, args.xi, eigenvalues))
     print(f"kernel dimension: {kernel}")
     return EXIT_OK

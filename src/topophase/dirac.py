@@ -1,10 +1,31 @@
-"""Persistent boundary restrictions, Dirac operators, and Laplacian spectra.
+"""Persistent Laplacians and Dirac spectra, computed from the Laplacian alone.
 
 All spectral objects use real coefficients.  The persistent Laplacian of a
 scale pair (eps, eps') is L_k = d_k^T d_k + M M^T, where d_k is the boundary
 operator at scale eps and M is the boundary of (k+1)-chains at eps' restricted
 to those whose boundary lies in the scale-eps complex; its kernel dimension is
 the persistent Betti number.
+
+Two identities keep that computation small:
+
+- Schur complement (Memoli, Wan, Wang, "Persistent Laplacians", arXiv
+  2012.02808).  Split the rows of the scale-eps' boundary into those of the
+  k-simplices of K_eps (R1) and the rest (R2).  The restricted domain is
+  null(R2), so with V_r an orthonormal basis of the row space of R2,
+  M M^T = R1 R1^T - (R1 V_r)(R1 V_r)^T.  A thin SVD of R2 gives V_r; the
+  null-space basis is never formed.
+- Bipartite Dirac spectrum.  The Dirac operator couples C_{k-1} (+) the
+  restricted (k+1)-domain (size p = n_{k-1} + d) with C_k (size q = n_k)
+  through X = [d_k; M^T], and X^T X = L_k.  With mu the eigenvalues of L_k,
+  its spectrum is +-sqrt(xi^2 + mu) over min(p, q) of them, plus -xi with
+  multiplicity p - q or +xi with multiplicity q - p (the q - p smallest mu
+  are then structural zeros).  ``dirac_spectrum`` returns it, with the
+  kernel dimension, from one eigensolve of the order-q Laplacian.
+
+``restricted_boundary`` (the dense null-space basis) and ``dirac_operator``
+(the full three-block matrix) still assemble dense matrices; with
+``spectrum`` they are the reference the tests check the Schur and
+closed-form paths against.
 """
 
 from __future__ import annotations
@@ -86,9 +107,7 @@ def restricted_boundary(complex_: FilteredComplex, k_plus_1: int, eps: float,
         basis = np.eye(n_cols)
     else:
         _, svals, vh = np.linalg.svd(r2)
-        cutoff = null_tol * (svals[0] if svals.size else 0.0)
-        rank = int(np.sum(svals > cutoff))
-        basis = vh[rank:].conj().T
+        basis = vh[_numerical_rank(svals, null_tol):].conj().T
     return PersistentBoundary(
         k=k_plus_1,
         eps=float(eps),
@@ -98,22 +117,43 @@ def restricted_boundary(complex_: FilteredComplex, k_plus_1: int, eps: float,
     )
 
 
+def _numerical_rank(svals: np.ndarray, null_tol: float) -> int:
+    """Number of singular values (descending) above ``null_tol`` times the largest."""
+    cutoff = null_tol * (svals[0] if svals.size else 0.0)
+    return int(np.sum(svals > cutoff))
+
+
+def _schur_laplacian(complex_: FilteredComplex, k: int, eps: float, eps_prime: float,
+                     null_tol: float) -> tuple:
+    """L_k through the Schur identity, and the restricted-domain dimension d."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    n_k = complex_.count_at(k, eps)
+    if k == 0:
+        lap = np.zeros((n_k, n_k))
+    else:
+        bk = boundary_dense_at(complex_, k, eps)
+        lap = bk.T @ bk
+    domain_dim = 0
+    if k < complex_.max_dim:
+        full = boundary_dense_at(complex_, k + 1, eps_prime)
+        r1 = full[:n_k, :]
+        _, svals, vh = np.linalg.svd(full[n_k:, :], full_matrices=False)
+        rank = _numerical_rank(svals, null_tol)
+        w = r1 @ vh[:rank].T
+        lap = lap + r1 @ r1.T - w @ w.T
+        domain_dim = full.shape[1] - rank
+    return 0.5 * (lap + lap.T), domain_dim
+
+
 def persistent_laplacian(complex_: FilteredComplex, k: int, eps: float, eps_prime: float,
                          null_tol: float = NULLSPACE_TOL) -> np.ndarray:
     """Positive-semidefinite persistent Laplacian on k-chains of K_eps."""
     if eps > eps_prime:
         raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
-    n_k = complex_.count_at(k, eps)
-    if n_k == 0:
+    if complex_.count_at(k, eps) == 0:
         return np.zeros((0, 0))
-    if k == 0:
-        down = np.zeros((n_k, n_k))
-    else:
-        bk = boundary_dense_at(complex_, k, eps)
-        down = bk.T @ bk
-    up_map = restricted_boundary(complex_, k + 1, eps, eps_prime, null_tol=null_tol).matrix
-    lap = down + up_map @ up_map.T
-    return 0.5 * (lap + lap.T)
+    return _schur_laplacian(complex_, k, eps, eps_prime, null_tol)[0]
 
 
 def dirac_operator(complex_: FilteredComplex, k: int, eps: float, eps_prime: float,
@@ -153,6 +193,34 @@ def dirac_operator(complex_: FilteredComplex, k: int, eps: float, eps_prime: flo
     )
 
 
+def dirac_spectrum(complex_: FilteredComplex, k: int, eps: float, eps_prime: float,
+                   xi: float = 0.0, rank_tol: float = DEFAULT_RANK_TOL,
+                   null_tol: float = NULLSPACE_TOL) -> tuple:
+    """Ascending Dirac spectrum and Laplacian kernel dimension, one eigensolve.
+
+    Equals ``spectrum(dirac_operator(...).matrix)`` and
+    ``betti_from_laplacian(persistent_laplacian(...))`` without assembling
+    either dense operator: the spectrum follows from the eigenvalues of L_k
+    in closed form (see the module docstring).
+    """
+    if eps > eps_prime:
+        raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
+    lap, domain_dim = _schur_laplacian(complex_, k, eps, eps_prime, null_tol)
+    evals = np.linalg.eigvalsh(lap)
+    kernel = _kernel_dim(evals, rank_tol)
+    mu = np.clip(evals, 0.0, None)
+    p = complex_.count_at(k - 1, eps) + domain_dim
+    q = mu.size
+    if p >= q:
+        flat = np.full(p - q, -xi)
+    else:
+        # rank L_k <= p: the q - p smallest eigenvalues are structural zeros
+        flat = np.full(q - p, xi)
+        mu = mu[q - p:]
+    pairs = np.sqrt(xi * xi + mu)
+    return np.sort(np.concatenate([-pairs, flat, pairs])), kernel
+
+
 def spectrum(matrix, sym_tol: float = SYMMETRY_TOL) -> np.ndarray:
     """Ascending eigenvalues (full multiplicity) of a real symmetric matrix."""
     m = np.asarray(matrix, dtype=float)
@@ -165,16 +233,22 @@ def spectrum(matrix, sym_tol: float = SYMMETRY_TOL) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
+def _kernel_dim(evals: np.ndarray, rank_tol: float) -> int:
+    """Eigenvalues (ascending, of a PSD matrix) below ``rank_tol`` times the top one."""
+    if evals.size == 0:
+        return 0
+    top = max(1.0, float(evals[-1]))
+    if float(evals[0]) < -1e-8 * top:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {evals[0]:.3e}")
+    return int(np.sum(evals < rank_tol * top))
+
+
 def betti_from_laplacian(laplacian, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Kernel dimension of a PSD matrix: eigenvalues below a relative cutoff."""
     lap = np.asarray(laplacian, dtype=float)
     if lap.size == 0:
         return 0
-    evals = np.linalg.eigvalsh(lap)
-    top = max(1.0, float(evals[-1]))
-    if float(evals[0]) < -1e-8 * top:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {evals[0]:.3e}")
-    return int(np.sum(evals < rank_tol * top))
+    return _kernel_dim(np.linalg.eigvalsh(lap), rank_tol)
 
 
 def qpe_distribution(eigenvalues, l: int, m_register: int, p: int) -> float:

@@ -137,11 +137,13 @@ def _probe_cloud(points: np.ndarray, config: ScanConfig):
     for k, e1, e2 in config.intervals:
         key = probe_key(k, e1, e2)
         betti[key] = _persistence.persistent_betti(diagram, k, e1, e2)
-        lap = _dirac.persistent_laplacian(filtration, k, e1, e2)
-        kernels[key] = _dirac.betti_from_laplacian(lap, rank_tol=config.rank_tol)
-        if spectra is not None:
-            op = _dirac.dirac_operator(filtration, k, e1, e2, xi=config.xi)
-            spectra[key] = [float(x) for x in _dirac.spectrum(op.matrix)]
+        if spectra is None:
+            lap = _dirac.persistent_laplacian(filtration, k, e1, e2)
+            kernels[key] = _dirac.betti_from_laplacian(lap, rank_tol=config.rank_tol)
+        else:
+            evals, kernels[key] = _dirac.dirac_spectrum(filtration, k, e1, e2, xi=config.xi,
+                                                        rank_tol=config.rank_tol)
+            spectra[key] = [float(x) for x in evals]
     return betti, kernels, diagram, spectra
 
 

@@ -8,7 +8,6 @@ diameter.  Filtration order is (birth, dimension, lexicographic vertices).
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +38,7 @@ class FilteredComplex:
     distance_matrix: np.ndarray
     eps_max: float
     _by_dim: tuple = field(repr=False, default=())
+    _births: np.ndarray = field(repr=False, default=None)
     _births_by_dim: tuple = field(repr=False, default=())
     _index_in_dim: tuple = field(repr=False, default=())
 
@@ -46,10 +46,11 @@ class FilteredComplex:
         by_dim = [[] for _ in range(self.max_dim + 1)]
         for gi, s in enumerate(self.simplices):
             by_dim[s.dim].append(gi)
-        births = tuple(np.array([self.simplices[gi].birth for gi in idx]) for idx in by_dim)
+        births = np.array([s.birth for s in self.simplices], dtype=float)
         index = tuple({self.simplices[gi].vertices: j for j, gi in enumerate(idx)} for idx in by_dim)
         object.__setattr__(self, "_by_dim", tuple(tuple(idx) for idx in by_dim))
-        object.__setattr__(self, "_births_by_dim", births)
+        object.__setattr__(self, "_births", births)
+        object.__setattr__(self, "_births_by_dim", tuple(births[np.array(idx, dtype=int)] for idx in by_dim))
         object.__setattr__(self, "_index_in_dim", index)
 
     def __len__(self) -> int:
@@ -63,7 +64,7 @@ class FilteredComplex:
         """Number of k-simplices with birth <= eps (a prefix in dimension k)."""
         if not 0 <= k <= self.max_dim:
             return 0
-        return int(bisect_right(self._births_by_dim[k].tolist(), eps))
+        return int(np.searchsorted(self._births_by_dim[k], eps, side="right"))
 
     def simplices_of_dim(self, k: int) -> list:
         return [self.simplices[gi] for gi in self._by_dim[k]]
@@ -89,6 +90,8 @@ def vr_filtration(cloud, eps_max: float | None = None, max_dim: int = 2) -> Filt
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("cloud must contain at least one point")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("cloud coordinates must be finite")
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
     n = pts.shape[0]
@@ -126,8 +129,7 @@ def complex_at_scale(complex_: FilteredComplex, eps: float) -> list:
     """Global indices of all simplices with birth <= eps (monotone in eps)."""
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    births = [s.birth for s in complex_.simplices]
-    return list(range(bisect_right(births, eps)))
+    return list(range(int(np.searchsorted(complex_._births, eps, side="right"))))
 
 
 @dataclass(frozen=True)
@@ -189,12 +191,17 @@ def boundary_dense_at(complex_: FilteredComplex, k: int, eps: float) -> np.ndarr
     """Real boundary matrix of the subcomplex at scale eps.
 
     Because same-dimension simplices are ordered by birth, the scale-eps
-    operator is the leading block of the full one.
+    operator is the leading block of the full one; only that block is
+    filled (a k-simplex born by eps has all its facets born by eps).
     """
     n_rows = complex_.count_at(k - 1, eps)
     n_cols = complex_.count_at(k, eps)
-    full = boundary_matrix(complex_, k, REAL).dense() if complex_.count_dim(k) else np.zeros((n_rows, 0))
-    return np.asarray(full[:n_rows, :n_cols], dtype=float)
+    out = np.zeros((n_rows, n_cols))
+    if n_cols:
+        bm = boundary_matrix(complex_, k, REAL)
+        rows = np.array(bm.rows[:n_cols])
+        out[rows, np.arange(n_cols)[:, None]] = np.array(bm.signs[:n_cols], dtype=float)
+    return out
 
 
 def filtration_jsonl(complex_: FilteredComplex) -> str:

@@ -141,6 +141,10 @@ class StateCloud:
             raise ValueError("points must be a non-empty (n, m) array")
         if par.shape != (pts.shape[0],):
             raise ValueError("params length must match the number of points")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
+        if not np.all(np.isfinite(par)):
+            raise ValueError("params must be finite")
         if np.any(np.diff(par) <= 0):
             raise ValueError("params must be strictly increasing")
         labels = tuple(str(s) for s in self.labels)

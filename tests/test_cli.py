@@ -142,6 +142,16 @@ class TestBarcode:
         diagram = tp.diagram_from_json(out.read_text())
         assert diagram.as_multiset() == ((0, 0.0, math.inf),)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_exits_2(self, bad, tmp_path, capsys):
+        src = tmp_path / "bad.csv"
+        src.write_text(f"lambda,x,y\n0,0,0\n1,{bad},0\n2,1,1\n")
+        out = tmp_path / "d.json"
+        rc = main(["barcode", "--cloud", str(src), "--out", str(out)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_bytes(self, square_csv, tmp_path):
         out1 = tmp_path / "d1.json"
         out2 = tmp_path / "d2.json"
@@ -170,6 +180,29 @@ class TestDirac:
         rc = main(["dirac", "--cloud", square_csv, "--k", "1", "--eps", "0.7",
                    "--eps2", "0.6", "--out", str(tmp_path / "s.json")])
         assert rc == 2
+
+    def test_nan_lambda_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "nan.csv"
+        src.write_text(SQUARE_CSV.replace("\n0,", "\nnan,", 1))
+        out = tmp_path / "s.json"
+        rc = main(["dirac", "--cloud", str(src), "--k", "0", "--eps", "0.1",
+                   "--eps2", "0.2", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "params must be finite" in captured.err
+        assert "kernel dimension" not in captured.out
+        assert not out.exists()
+
+    def test_spectrum_matches_assembled_operator(self, square_csv, tmp_path):
+        out = tmp_path / "s.json"
+        rc = main(["dirac", "--cloud", square_csv, "--k", "1", "--eps", "0.55",
+                   "--eps2", "0.75", "--xi", "0.3", "--out", str(out)])
+        assert rc == 0
+        fc = tp.vr_filtration(tp.cloud_from_csv(square_csv), max_dim=2)
+        dense = tp.spectrum(tp.dirac_operator(fc, 1, 0.55, 0.75, xi=0.3).matrix)
+        got = json.loads(out.read_text())["eigenvalues"]
+        assert len(got) == len(dense)
+        assert np.allclose(got, dense, atol=1e-12)
 
     def test_component_count_at_large_scale(self, square_csv, tmp_path, capsys):
         rc = main(["dirac", "--cloud", square_csv, "--k", "0", "--eps", "2.0",

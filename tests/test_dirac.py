@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import topophase as tp
 from helpers import components_at_scale, random_cloud
+from topophase.simplicial import boundary_dense_at
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -180,6 +184,110 @@ class TestDiracOperator:
     def test_scale_order_enforced(self):
         with pytest.raises(ValueError):
             tp.dirac_operator(square_complex(), 1, 0.8, 0.2)
+
+
+def dense_reference(fc, k, eps, eps_prime, xi):
+    """Eigenvalues of the assembled Dirac operator and d_k^T d_k + M M^T from its blocks.
+
+    The blocks are the scale-eps boundary and the ``restricted_boundary``
+    matrix M, so the Laplacian is built from the dense null-space basis.
+    """
+    op = tp.dirac_operator(fc, k, eps, eps_prime, xi=xi)
+    n1, n2, _ = op.block_dims
+    down = op.matrix[:n1, n1:n1 + n2]
+    up = op.matrix[n1:n1 + n2, n1 + n2:]
+    return np.linalg.eigvalsh(op.matrix), down.T @ down + up @ up.T, op.block_dims
+
+
+def assert_matches_dense(fc, k, eps, eps_prime, xis=(0.0, 0.3, -0.7)):
+    """Schur Laplacian, closed-form spectrum and kernel against the dense reference."""
+    lap = tp.persistent_laplacian(fc, k, eps, eps_prime)
+    for xi in xis:
+        dense, dense_lap, dims = dense_reference(fc, k, eps, eps_prime, xi)
+        assert lap.shape == dense_lap.shape
+        if lap.size:
+            assert np.max(np.abs(lap - dense_lap)) <= 1e-10
+        got, kernel = tp.dirac_spectrum(fc, k, eps, eps_prime, xi=xi)
+        assert got.shape == dense.shape
+        assert np.all(np.diff(got) >= 0)
+        scale = max(1.0, float(np.max(dense ** 2))) if dense.size else 1.0
+        assert np.all(np.abs(got ** 2 - dense ** 2) <= 1e-10 * scale)
+        assert np.allclose(got, dense, rtol=0.0, atol=1e-6)
+        assert kernel == tp.betti_from_laplacian(dense_lap)
+    return dims, kernel
+
+
+class TestDiracSpectrum:
+    """Schur Laplacian and closed-form spectrum against the dense reference."""
+
+    def test_more_coupled_chains_than_k_chains(self):
+        # square at (0.55, 0.75): p = 4 vertices + 2 restricted triangle sums > q = 4 edges
+        dims, kernel = assert_matches_dense(square_complex(), 1, 0.55, 0.75)
+        assert dims == (4, 4, 2) and kernel == 0
+
+    def test_fewer_coupled_chains_than_k_chains(self):
+        # complete graph on 4 points with no triangles: p = 4 < q = 6, kernel = 3 cycles
+        fc = tp.vr_filtration(SQUARE, max_dim=1)
+        eps = fc.eps_max
+        (n1, n2, d), kernel = assert_matches_dense(fc, 1, eps, eps)
+        assert (n1 + d, n2, kernel) == (4, 6, 3)
+        got, _ = tp.dirac_spectrum(fc, 1, eps, eps, xi=0.3)
+        assert np.sum(got == 0.3) >= 2  # q - p structural +xi, emitted exactly
+
+    def test_degree_zero_isolated_points(self):
+        pts = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+        fc = tp.vr_filtration(pts, eps_max=6.0, max_dim=2)
+        got, kernel = tp.dirac_spectrum(fc, 0, 0.1, 0.2, xi=0.7)
+        assert np.allclose(got, [0.7, 0.7, 0.7], atol=1e-14)
+        assert kernel == 3
+
+    def test_top_dimension_has_no_up_part(self):
+        (_, _, d), _ = assert_matches_dense(square_complex(), 2, 0.8, 0.9)
+        assert d == 0
+
+    def test_equal_scales(self):
+        rng = np.random.default_rng(71)
+        for _ in range(5):
+            fc = tp.vr_filtration(random_cloud(rng), max_dim=2)
+            eps = float(rng.uniform(0.0, fc.eps_max))
+            for k in (0, 1, 2):
+                assert_matches_dense(fc, k, eps, eps)
+
+    def test_empty_lower_complex(self):
+        # no triangles at 0.5: the spectrum is -xi on edges plus restricted triangles
+        fc = square_complex()
+        (n1, n2, d), kernel = assert_matches_dense(fc, 2, 0.5, 0.75)
+        assert n2 == 0 and kernel == 0
+        got, _ = tp.dirac_spectrum(fc, 2, 0.5, 0.75, xi=0.3)
+        assert np.allclose(got, np.full(n1 + d, -0.3), atol=1e-14)
+
+    def test_scale_order_and_degree_enforced(self):
+        with pytest.raises(ValueError):
+            tp.dirac_spectrum(square_complex(), 1, 0.8, 0.2)
+        with pytest.raises(ValueError):
+            tp.dirac_spectrum(square_complex(), -1, 0.2, 0.8)
+
+    def test_noisy_circle_n40(self):
+        rng = np.random.default_rng(2024)
+        theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=40))
+        pts = np.column_stack([np.cos(theta), np.sin(theta)]) + rng.normal(0.0, 0.05, size=(40, 2))
+        fc = tp.vr_filtration(pts, max_dim=2)
+        _, kernel = assert_matches_dense(fc, 1, 0.6, 0.75, xis=(0.0,))
+        assert kernel == 1 == tp.persistent_betti(tp.reduce(fc), 1, 0.6, 0.75)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_random_clouds_match_dense_reference(self, data):
+        n = data.draw(st.integers(4, 12), label="n")
+        dim = data.draw(st.integers(1, 3), label="dim")
+        pts = data.draw(arrays(np.float64, (n, dim), elements=st.floats(0.0, 1.0)), label="points")
+        max_dim = data.draw(st.integers(2, 3), label="max_dim")
+        fc = tp.vr_filtration(pts, max_dim=max_dim)
+        births = sorted({s.birth for s in fc.simplices})
+        scale = st.one_of(st.sampled_from(births), st.floats(0.0, 1.1 * fc.eps_max))
+        eps, eps_prime = sorted(data.draw(st.tuples(scale, scale), label="scales"))
+        k = data.draw(st.integers(0, max_dim), label="k")
+        assert_matches_dense(fc, k, eps, eps_prime)
 
 
 class TestSpectrum:

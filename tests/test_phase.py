@@ -53,6 +53,18 @@ class TestSweep:
         assert len(report.betti) == 20
         assert len(report.kernel_dims) == 20
 
+    def test_kept_spectra_match_assembled_operator(self):
+        cfg = clean_config(lambda_min=-0.3, lambda_max=0.3, xi=0.3, keep_spectra=True)
+        report = tp.sweep(cfg)
+        assert report.kernel_dims == tp.sweep(dataclasses.replace(cfg, keep_spectra=False)).kernel_dims
+        cloud = tp.build_cloud(cfg.lambdas(), tp.SSHChain(4), tp.ssh_observables(4))
+        fc = tp.vr_filtration(cloud.points[0:4], max_dim=cfg.max_dim)  # window of the first lambda
+        for k, e1, e2 in cfg.intervals:
+            dense = tp.spectrum(tp.dirac_operator(fc, k, e1, e2, xi=0.3).matrix)
+            got = report.spectra[0][probe_key(k, e1, e2)]
+            assert len(got) == len(dense)
+            assert np.allclose(got, dense, atol=1e-10)
+
     def test_degenerate_lambda_fails_with_name(self):
         cfg = tp.ScanConfig(lambda_min=-1.0, lambda_max=1.0, step=0.1)
         with pytest.raises(tp.DegenerateGroundStateError, match="lambda=-1"):

@@ -1,10 +1,12 @@
 import json
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 import topophase as tp
 from helpers import random_cloud
+from topophase.simplicial import boundary_dense_at
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 HALF_DIAG = np.sqrt(2.0) / 2.0
@@ -113,6 +115,52 @@ def test_complex_at_scale_monotone():
         assert small <= large
     with pytest.raises(ValueError):
         tp.complex_at_scale(fc, -0.1)
+
+
+def test_exact_tie_counts_include_the_birth():
+    # a probe endpoint equal to a birth counts that simplex (birth <= eps)
+    fc = tp.vr_filtration(SQUARE, eps_max=1.0, max_dim=2)
+    side = fc.births_of_dim(1)[0]
+    diag = fc.births_of_dim(1)[-1]
+    assert (fc.count_at(1, side), fc.count_at(1, diag), fc.count_at(2, diag)) == (4, 6, 4)
+    assert fc.count_at(1, np.nextafter(side, 0.0)) == 0
+    assert fc.count_at(2, np.nextafter(diag, 0.0)) == 0
+    assert len(tp.complex_at_scale(fc, side)) == 8
+    assert len(tp.complex_at_scale(fc, diag)) == len(fc)
+    # every stored birth, probed exactly, agrees with a bisection over the births
+    for k in range(fc.max_dim + 1):
+        births = [s.birth for s in fc.simplices_of_dim(k)]
+        for b in births:
+            assert fc.count_at(k, b) == bisect_right(births, b)
+    all_births = [s.birth for s in fc.simplices]
+    for b in all_births:
+        assert len(tp.complex_at_scale(fc, b)) == bisect_right(all_births, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinates_rejected(bad):
+    pts = SQUARE.copy()
+    pts[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        tp.vr_filtration(pts, max_dim=2)
+
+
+def test_boundary_dense_at_is_prefix_of_full_boundary():
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        fc = tp.vr_filtration(random_cloud(rng), max_dim=3)
+        scales = [0.0, fc.eps_max, 2.0 * fc.eps_max, *rng.uniform(0.0, fc.eps_max, size=3)]
+        scales += list(fc.births_of_dim(1)[:2])  # exact ties
+        for k in range(1, fc.max_dim + 1):
+            full = tp.boundary_matrix(fc, k, "real").dense() if fc.count_dim(k) else None
+            for eps in scales:
+                got = boundary_dense_at(fc, k, eps)
+                shape = (fc.count_at(k - 1, eps), fc.count_at(k, eps))
+                assert got.shape == shape and got.dtype == np.float64
+                if full is not None:
+                    assert np.array_equal(got, full[:shape[0], :shape[1]])
+                else:
+                    assert not got.any()
 
 
 def test_boundary_triangle_signs():

@@ -203,6 +203,21 @@ class TestBuildCloud:
         with pytest.raises(ValueError):
             tp.build_cloud([], tp.SSHChain(4), tp.ssh_observables(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.zeros((3, 2))
+        pts[1, 0] = bad
+        with pytest.raises(ValueError, match="points must be finite"):
+            tp.StateCloud(pts, np.arange(3.0), ("x", "y"))
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_param_rejected(self, position):
+        # NaN compares false, so the increasing-order check alone lets it pass
+        params = np.arange(3.0)
+        params[position] = np.nan
+        with pytest.raises(ValueError, match="params must be finite"):
+            tp.StateCloud(np.zeros((3, 2)), params, ("x", "y"))
+
 
 class TestDistances:
     def test_trace_distance_identical(self):
