@@ -20,7 +20,9 @@ Two identities keep that computation small:
   its spectrum is +-sqrt(xi^2 + mu) over min(p, q) of them, plus -xi with
   multiplicity p - q or +xi with multiplicity q - p (the q - p smallest mu
   are then structural zeros).  ``dirac_spectrum`` returns it, with the
-  kernel dimension, from one eigensolve of the order-q Laplacian.
+  kernel dimension, from one eigensolve of the order-q Laplacian; the mu
+  it counts as kernel are set to 0, so those modes come out as exactly
+  +-xi.
 
 ``restricted_boundary`` (the dense null-space basis) and ``dirac_operator``
 (the full three-block matrix) still assemble dense matrices; with
@@ -194,8 +196,7 @@ def dirac_operator(complex_: FilteredComplex, k: int, eps: float, eps_prime: flo
 
 
 def dirac_spectrum(complex_: FilteredComplex, k: int, eps: float, eps_prime: float,
-                   xi: float = 0.0, rank_tol: float = DEFAULT_RANK_TOL,
-                   null_tol: float = NULLSPACE_TOL) -> tuple:
+                   xi: float = 0.0, rank_tol: float = DEFAULT_RANK_TOL) -> tuple:
     """Ascending Dirac spectrum and Laplacian kernel dimension, one eigensolve.
 
     Equals ``spectrum(dirac_operator(...).matrix)`` and
@@ -205,10 +206,12 @@ def dirac_spectrum(complex_: FilteredComplex, k: int, eps: float, eps_prime: flo
     """
     if eps > eps_prime:
         raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
-    lap, domain_dim = _schur_laplacian(complex_, k, eps, eps_prime, null_tol)
+    lap, domain_dim = _schur_laplacian(complex_, k, eps, eps_prime, NULLSPACE_TOL)
     evals = np.linalg.eigvalsh(lap)
     kernel = _kernel_dim(evals, rank_tol)
+    # kernel modes are zero, not round-off: they come out as exactly +-xi
     mu = np.clip(evals, 0.0, None)
+    mu[:kernel] = 0.0
     p = complex_.count_at(k - 1, eps) + domain_dim
     q = mu.size
     if p >= q:

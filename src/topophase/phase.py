@@ -137,12 +137,9 @@ def _probe_cloud(points: np.ndarray, config: ScanConfig):
     for k, e1, e2 in config.intervals:
         key = probe_key(k, e1, e2)
         betti[key] = _persistence.persistent_betti(diagram, k, e1, e2)
-        if spectra is None:
-            lap = _dirac.persistent_laplacian(filtration, k, e1, e2)
-            kernels[key] = _dirac.betti_from_laplacian(lap, rank_tol=config.rank_tol)
-        else:
-            evals, kernels[key] = _dirac.dirac_spectrum(filtration, k, e1, e2, xi=config.xi,
-                                                        rank_tol=config.rank_tol)
+        evals, kernels[key] = _dirac.dirac_spectrum(filtration, k, e1, e2, xi=config.xi,
+                                                    rank_tol=config.rank_tol)
+        if spectra is not None:
             spectra[key] = [float(x) for x in evals]
     return betti, kernels, diagram, spectra
 

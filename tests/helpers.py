@@ -2,10 +2,14 @@
 
 Everything here is deliberately independent of the library code paths it is
 used to check: closed-form eigenpairs, union-find component counting, and
-brute-force GF(2) ranks.
+brute-force GF(2) ranks.  The exception is ``assert_matches_dense``, which
+checks the Schur Laplacian and the closed-form Dirac spectrum against the
+dense assembled operator that the library keeps as their reference.
 """
 
 import numpy as np
+
+import topophase as tp
 
 
 def random_cloud(rng, n_min=4, n_max=8, dim_min=1, dim_max=3, scale=1.0):
@@ -112,3 +116,34 @@ def gf2_matrix_rank(rows):
         pivot_row += 1
         rank += 1
     return rank
+
+
+def dense_reference(fc, k, eps, eps_prime, xi):
+    """Eigenvalues of the assembled Dirac operator and d_k^T d_k + M M^T from its blocks.
+
+    The blocks are the scale-eps boundary and the ``restricted_boundary``
+    matrix M, so the Laplacian is built from the dense null-space basis.
+    """
+    op = tp.dirac_operator(fc, k, eps, eps_prime, xi=xi)
+    n1, n2, _ = op.block_dims
+    down = op.matrix[:n1, n1:n1 + n2]
+    up = op.matrix[n1:n1 + n2, n1 + n2:]
+    return np.linalg.eigvalsh(op.matrix), down.T @ down + up @ up.T, op.block_dims
+
+
+def assert_matches_dense(fc, k, eps, eps_prime, xis=(0.0, 0.3, -0.7)):
+    """Schur Laplacian, closed-form spectrum and kernel against the dense reference."""
+    lap = tp.persistent_laplacian(fc, k, eps, eps_prime)
+    for xi in xis:
+        dense, dense_lap, dims = dense_reference(fc, k, eps, eps_prime, xi)
+        assert lap.shape == dense_lap.shape
+        if lap.size:
+            assert np.max(np.abs(lap - dense_lap)) <= 1e-10
+        got, kernel = tp.dirac_spectrum(fc, k, eps, eps_prime, xi=xi)
+        assert got.shape == dense.shape
+        assert np.all(np.diff(got) >= 0)
+        scale = max(1.0, float(np.max(dense ** 2))) if dense.size else 1.0
+        assert np.all(np.abs(got ** 2 - dense ** 2) <= 1e-10 * scale)
+        assert np.allclose(got, dense, rtol=0.0, atol=1e-10)
+        assert kernel == tp.betti_from_laplacian(dense_lap)
+    return dims, kernel

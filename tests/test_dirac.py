@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import topophase as tp
-from helpers import components_at_scale, random_cloud
-from topophase.simplicial import boundary_dense_at
+from helpers import assert_matches_dense, components_at_scale, random_cloud
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -186,37 +182,6 @@ class TestDiracOperator:
             tp.dirac_operator(square_complex(), 1, 0.8, 0.2)
 
 
-def dense_reference(fc, k, eps, eps_prime, xi):
-    """Eigenvalues of the assembled Dirac operator and d_k^T d_k + M M^T from its blocks.
-
-    The blocks are the scale-eps boundary and the ``restricted_boundary``
-    matrix M, so the Laplacian is built from the dense null-space basis.
-    """
-    op = tp.dirac_operator(fc, k, eps, eps_prime, xi=xi)
-    n1, n2, _ = op.block_dims
-    down = op.matrix[:n1, n1:n1 + n2]
-    up = op.matrix[n1:n1 + n2, n1 + n2:]
-    return np.linalg.eigvalsh(op.matrix), down.T @ down + up @ up.T, op.block_dims
-
-
-def assert_matches_dense(fc, k, eps, eps_prime, xis=(0.0, 0.3, -0.7)):
-    """Schur Laplacian, closed-form spectrum and kernel against the dense reference."""
-    lap = tp.persistent_laplacian(fc, k, eps, eps_prime)
-    for xi in xis:
-        dense, dense_lap, dims = dense_reference(fc, k, eps, eps_prime, xi)
-        assert lap.shape == dense_lap.shape
-        if lap.size:
-            assert np.max(np.abs(lap - dense_lap)) <= 1e-10
-        got, kernel = tp.dirac_spectrum(fc, k, eps, eps_prime, xi=xi)
-        assert got.shape == dense.shape
-        assert np.all(np.diff(got) >= 0)
-        scale = max(1.0, float(np.max(dense ** 2))) if dense.size else 1.0
-        assert np.all(np.abs(got ** 2 - dense ** 2) <= 1e-10 * scale)
-        assert np.allclose(got, dense, rtol=0.0, atol=1e-6)
-        assert kernel == tp.betti_from_laplacian(dense_lap)
-    return dims, kernel
-
-
 class TestDiracSpectrum:
     """Schur Laplacian and closed-form spectrum against the dense reference."""
 
@@ -274,20 +239,6 @@ class TestDiracSpectrum:
         fc = tp.vr_filtration(pts, max_dim=2)
         _, kernel = assert_matches_dense(fc, 1, 0.6, 0.75, xis=(0.0,))
         assert kernel == 1 == tp.persistent_betti(tp.reduce(fc), 1, 0.6, 0.75)
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_random_clouds_match_dense_reference(self, data):
-        n = data.draw(st.integers(4, 12), label="n")
-        dim = data.draw(st.integers(1, 3), label="dim")
-        pts = data.draw(arrays(np.float64, (n, dim), elements=st.floats(0.0, 1.0)), label="points")
-        max_dim = data.draw(st.integers(2, 3), label="max_dim")
-        fc = tp.vr_filtration(pts, max_dim=max_dim)
-        births = sorted({s.birth for s in fc.simplices})
-        scale = st.one_of(st.sampled_from(births), st.floats(0.0, 1.1 * fc.eps_max))
-        eps, eps_prime = sorted(data.draw(st.tuples(scale, scale), label="scales"))
-        k = data.draw(st.integers(0, max_dim), label="k")
-        assert_matches_dense(fc, k, eps, eps_prime)
 
 
 class TestSpectrum:
