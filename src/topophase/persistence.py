@@ -3,6 +3,10 @@
 Produces barcodes / persistence diagrams with half-open [birth, death) bars,
 an independent rank-based persistent-Betti oracle for cross-checking, and an
 exact bottleneck distance between diagrams.
+
+The reduction and the oracle read the complex's facet arrays through
+``boundary_matrix`` and turn each facet row, when they reach it, into a Z2
+column held as an int bitset (bit r set for facet row r).
 """
 
 from __future__ import annotations
@@ -61,6 +65,14 @@ class PersistenceDiagram:
         return tuple(sorted((b.dim, b.birth, b.death) for b in self.bars))
 
 
+def _z2_column(facets) -> int:
+    """One boundary column over Z2 as an int bitset: bit r set per facet row r."""
+    bits = 0
+    for r in facets.tolist():
+        bits |= 1 << r
+    return bits
+
+
 def reduce(complex_: FilteredComplex) -> PersistenceDiagram:
     """Standard column reduction with the clearing (twist) optimization.
 
@@ -75,23 +87,18 @@ def reduce(complex_: FilteredComplex) -> PersistenceDiagram:
     cleared = [set() for _ in range(max_dim + 1)]
 
     for k in range(max_dim, 0, -1):
-        n_cols = complex_.count_dim(k)
-        if n_cols == 0:
-            continue
-        bm = boundary_matrix(complex_, k, Z2)
         pivots: dict = {}
-        for j in range(n_cols):
+        for j, row in enumerate(boundary_matrix(complex_, k, Z2).rows):
             if j in cleared[k]:
                 continue
-            col = set(bm.rows[j])
+            col = _z2_column(row)
             while col:
-                piv = max(col)
+                piv = col.bit_length() - 1
                 other = pivots.get(piv)
                 if other is None:
                     break
                 col ^= other
             if col:
-                piv = max(col)
                 pivots[piv] = col
                 cleared[k - 1].add(piv)
                 birth = float(births[k - 1][piv])
@@ -160,18 +167,12 @@ def _gf2_nullspace(columns) -> list:
     return null
 
 
-def _boundary_columns_bits(complex_: FilteredComplex, k: int, eps: float) -> list:
-    n_cols = complex_.count_at(k, eps)
-    if k > complex_.max_dim or n_cols == 0:
+def _z2_columns(complex_: FilteredComplex, k: int, eps: float) -> list:
+    """Z2 bitset columns of the k-boundary of the subcomplex at scale eps."""
+    if not 1 <= k <= complex_.max_dim:
         return []
-    bm = boundary_matrix(complex_, k, Z2)
-    cols = []
-    for j in range(n_cols):
-        bits = 0
-        for r in bm.rows[j]:
-            bits ^= 1 << r
-        cols.append(bits)
-    return cols
+    facets = boundary_matrix(complex_, k, Z2).rows[:complex_.count_at(k, eps)]
+    return [_z2_column(row) for row in facets]
 
 
 def betti_oracle(complex_: FilteredComplex, k: int, eps1: float, eps2: float) -> int:
@@ -189,9 +190,9 @@ def betti_oracle(complex_: FilteredComplex, k: int, eps1: float, eps2: float) ->
     if k == 0:
         cycles = [1 << j for j in range(n_k_eps1)]
     else:
-        cycles = _gf2_nullspace(_boundary_columns_bits(complex_, k, eps1))
+        cycles = _gf2_nullspace(_z2_columns(complex_, k, eps1))
     dim_z = len(cycles)
-    boundaries = _boundary_columns_bits(complex_, k + 1, eps2)
+    boundaries = _z2_columns(complex_, k + 1, eps2)
     dim_b = _gf2_rank(list(boundaries))
     dim_zb = _gf2_rank(cycles + boundaries)
     return dim_z - (dim_z + dim_b - dim_zb)
@@ -204,22 +205,33 @@ def _linf(p, q) -> float:
 
 
 def _matchable(n1, n2, adj, limit) -> bool:
-    """Kuhn's augmenting paths: does a perfect matching of size ``limit`` exist?"""
+    """Kuhn's augmenting paths: does a perfect matching of size ``limit`` exist?
+
+    Each path is searched depth-first on an explicit stack, so it may be as long as the graph.
+    """
     match_v = [-1] * n2
-
-    def try_augment(u, seen):
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_v[v] == -1 or try_augment(match_v[v], seen):
-                    match_v[v] = u
-                    return True
-        return False
-
     matched = 0
-    for u in range(n1):
-        if try_augment(u, [False] * n2):
-            matched += 1
+    for root in range(n1):
+        seen = [False] * n2
+        stack, path = [iter(adj[root])], []
+        while stack:
+            for v in stack[-1]:
+                if not seen[v]:
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            seen[v] = True
+            path.append(v)
+            if match_v[v] == -1:
+                u = root
+                for pv in path:
+                    match_v[pv], u = u, match_v[pv]
+                matched += 1
+                break
+            stack.append(iter(adj[match_v[v]]))
     return matched == limit
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -153,6 +153,17 @@ def _detect(lambdas, betti_dicts, keys):
     return tuple(transitions)
 
 
+def _check_agreement(lambdas, betti_dicts, kernel_dicts, keys) -> None:
+    """Raise ``ConsistencyError`` at the first barcode/kernel disagreement."""
+    for lam, b, kd in zip(lambdas, betti_dicts, kernel_dicts):
+        for key in keys:
+            if b[key] != kd[key]:
+                raise ConsistencyError(
+                    f"barcode/spectral disagreement at lambda={lam!r}, probe {key}: "
+                    f"persistent Betti {b[key]} vs Laplacian kernel {kd[key]}"
+                )
+
+
 def sweep(config: ScanConfig, unitary=None) -> PhaseScanReport:
     """Run the scan; raises naming the offending lambda on degeneracy.
 
@@ -187,13 +198,7 @@ def sweep(config: ScanConfig, unitary=None) -> PhaseScanReport:
 
     betti = tuple(r[0] for r in results)
     kernels = tuple(r[1] for r in results)
-    for lam, b, kd in zip(entry_lambdas, betti, kernels):
-        for key in config.probe_keys():
-            if b[key] != kd[key]:
-                raise ConsistencyError(
-                    f"barcode/spectral disagreement at lambda={lam!r}, probe {key}: "
-                    f"persistent Betti {b[key]} vs Laplacian kernel {kd[key]}"
-                )
+    _check_agreement(entry_lambdas, betti, kernels, config.probe_keys())
     transitions = _detect(entry_lambdas, betti, config.probe_keys())
     return PhaseScanReport(
         config=config,
@@ -208,13 +213,8 @@ def sweep(config: ScanConfig, unitary=None) -> PhaseScanReport:
 
 def detect_transitions(report: PhaseScanReport) -> list:
     """Adjacent lambda pairs whose Betti vector differs in any probe."""
-    lams = report.entry_lambdas()
     keys = report.config.probe_keys()
-    out = []
-    for i in range(len(report.betti) - 1):
-        if any(report.betti[i][key] != report.betti[i + 1][key] for key in keys):
-            out.append((lams[i], lams[i + 1]))
-    return out
+    return [(lo, hi) for lo, hi, _ in _detect(report.entry_lambdas(), report.betti, keys)]
 
 
 def spectral_discontinuity(report: PhaseScanReport) -> list:
@@ -225,18 +225,8 @@ def spectral_discontinuity(report: PhaseScanReport) -> list:
     """
     keys = report.config.probe_keys()
     lams = report.entry_lambdas()
-    for lam, b, kd in zip(lams, report.betti, report.kernel_dims):
-        for key in keys:
-            if b[key] != kd[key]:
-                raise ConsistencyError(
-                    f"report defect at lambda={lam!r}, probe {key}: "
-                    f"Betti {b[key]} != kernel dim {kd[key]}"
-                )
-    out = []
-    for i in range(len(report.kernel_dims) - 1):
-        if any(report.kernel_dims[i][key] != report.kernel_dims[i + 1][key] for key in keys):
-            out.append((lams[i], lams[i + 1]))
-    return out
+    _check_agreement(lams, report.betti, report.kernel_dims, keys)
+    return [(lo, hi) for lo, hi, _ in _detect(lams, report.kernel_dims, keys)]
 
 
 def continuity_check(report: PhaseScanReport, exclude=None) -> bool:
@@ -290,11 +280,7 @@ def _config_to_dict(config: ScanConfig) -> dict:
 
 
 def config_from_dict(payload: dict) -> ScanConfig:
-    known = {
-        "model", "n_sites", "v", "w", "lambda_min", "lambda_max", "step",
-        "cloud_mode", "window_halfwidth", "intervals", "max_dim", "xi",
-        "rank_tol", "gap_tol", "jobs", "keep_diagrams", "keep_spectra",
-    }
+    known = {f.name for f in fields(ScanConfig)}
     unknown = sorted(set(payload) - known)
     if unknown:
         raise ValueError(f"unknown config field {unknown[0]!r}")

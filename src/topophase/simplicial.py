@@ -3,6 +3,12 @@
 Scale convention: a simplex is present at scale eps when all pairwise vertex
 distances are at most 2*eps, so the stored birth equals half the simplex
 diameter.  Filtration order is (birth, dimension, lexicographic vertices).
+
+Boundary core: a ``FilteredComplex`` maps facets to indices once, at
+construction, into one (n_k, k+1) integer array per dimension k >= 1; entry
+[j, i] is the dimension-(k-1) index of the facet of k-simplex j that omits
+vertex position i.  ``boundary_matrix`` and ``boundary_dense_at`` read it;
+the sign, (-1)^i over the reals and 1 over Z2, follows from the position.
 """
 
 from __future__ import annotations
@@ -40,18 +46,20 @@ class FilteredComplex:
     _by_dim: tuple = field(repr=False, default=())
     _births: np.ndarray = field(repr=False, default=None)
     _births_by_dim: tuple = field(repr=False, default=())
-    _index_in_dim: tuple = field(repr=False, default=())
+    _facets: tuple = field(repr=False, default=())
 
     def __post_init__(self):
         by_dim = [[] for _ in range(self.max_dim + 1)]
         for gi, s in enumerate(self.simplices):
             by_dim[s.dim].append(gi)
         births = np.array([s.birth for s in self.simplices], dtype=float)
-        index = tuple({self.simplices[gi].vertices: j for j, gi in enumerate(idx)} for idx in by_dim)
+        verts = [np.array([self.simplices[gi].vertices for gi in idx], dtype=np.int64).reshape(len(idx), k + 1)
+                 for k, idx in enumerate(by_dim)]
+        facets = [None] + [_facet_indices(lo, hi, self.n_points) for lo, hi in zip(verts, verts[1:])]
         object.__setattr__(self, "_by_dim", tuple(tuple(idx) for idx in by_dim))
         object.__setattr__(self, "_births", births)
         object.__setattr__(self, "_births_by_dim", tuple(births[np.array(idx, dtype=int)] for idx in by_dim))
-        object.__setattr__(self, "_index_in_dim", index)
+        object.__setattr__(self, "_facets", tuple(facets))
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -72,9 +80,27 @@ class FilteredComplex:
     def births_of_dim(self, k: int) -> np.ndarray:
         return self._births_by_dim[k]
 
-    def index_in_dim(self, vertices: tuple) -> int:
-        """Position of a simplex among same-dimension simplices, filtration order."""
-        return self._index_in_dim[len(vertices) - 1][tuple(vertices)]
+
+def _facet_indices(lower: np.ndarray, upper: np.ndarray, n_points: int) -> np.ndarray:
+    """Entry [j, i]: row of ``lower`` equal to row j of ``upper`` without column i.
+
+    Rows match through base-``n_points`` keys, Python integers where int64 could overflow.
+    """
+    k = lower.shape[1]
+    dtype = np.int64 if n_points ** k < 2 ** 63 else object
+    place = np.array([n_points ** p for p in range(k - 1, -1, -1)], dtype=dtype)
+    keys = lower.astype(dtype) @ place
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = np.append(keys[order], n_points ** k)  # sentinel above every key
+    out = np.empty(upper.shape, dtype=np.intp)
+    for i in range(k + 1):
+        facet_keys = np.delete(upper, i, axis=1).astype(dtype) @ place
+        pos = np.searchsorted(sorted_keys, facet_keys)
+        if np.any(sorted_keys[pos] != facet_keys):
+            raise ValueError(f"a {k}-simplex has a facet that is not in the complex")
+        out[:, i] = order[pos]
+    out.flags.writeable = False
+    return out
 
 
 def vr_filtration(cloud, eps_max: float | None = None, max_dim: int = 2) -> FilteredComplex:
@@ -132,58 +158,40 @@ def complex_at_scale(complex_: FilteredComplex, eps: float) -> list:
     return list(range(int(np.searchsorted(complex_._births, eps, side="right"))))
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Sparse boundary operator: one column per k-simplex, rows its facets.
+def _dense(rows: np.ndarray, n_rows: int, field: str) -> np.ndarray:
+    """Column j holds the facets ``rows[j]``, signed (-1)^i over the reals, 1 over Z2."""
+    signs = (-1) ** np.arange(rows.shape[1]) if field == REAL else 1
+    out = np.zeros((n_rows, len(rows)), dtype=float if field == REAL else np.int8)
+    out[rows, np.arange(len(rows))[:, None]] = signs
+    return out
 
-    ``rows[j]`` lists the (k-1)-dimension indices of the facets of column j;
-    ``signs[j]`` carries the alternating orientation signs, all +1 over Z2.
-    """
+
+@dataclass(frozen=True, eq=False)
+class BoundaryMatrix:
+    """Boundary operator as the complex's read-only facet array ``rows`` (see the module docstring)."""
 
     k: int
     field: str
     n_rows: int
     n_cols: int
-    rows: tuple
-    signs: tuple
+    rows: np.ndarray
 
     def dense(self) -> np.ndarray:
-        dtype = float if self.field == REAL else np.int8
-        out = np.zeros((self.n_rows, self.n_cols), dtype=dtype)
-        for j, (rr, ss) in enumerate(zip(self.rows, self.signs)):
-            for r, s in zip(rr, ss):
-                out[r, j] = s
-        return out
+        return _dense(self.rows, self.n_rows, self.field)
 
 
 def boundary_matrix(complex_: FilteredComplex, k: int, field: str = Z2) -> BoundaryMatrix:
-    """Boundary operator from k-chains to (k-1)-chains, filtration order.
-
-    Over the reals a facet omitting vertex position i carries sign (-1)^i;
-    over Z2 every entry is 1.
-    """
+    """Boundary operator from k-chains to (k-1)-chains: a view of the complex's facet array."""
     if field not in (Z2, REAL):
         raise ValueError(f"field must be {Z2!r} or {REAL!r}")
     if not 1 <= k <= complex_.max_dim:
         raise ValueError(f"k must satisfy 1 <= k <= max_dim ({complex_.max_dim}), got {k}")
-    rows = []
-    signs = []
-    for s in complex_.simplices_of_dim(k):
-        rr = []
-        ss = []
-        for i in range(len(s.vertices)):
-            facet = s.vertices[:i] + s.vertices[i + 1:]
-            rr.append(complex_.index_in_dim(facet))
-            ss.append(1 if (field == Z2 or i % 2 == 0) else -1)
-        rows.append(tuple(rr))
-        signs.append(tuple(ss))
     return BoundaryMatrix(
         k=k,
         field=field,
         n_rows=complex_.count_dim(k - 1),
         n_cols=complex_.count_dim(k),
-        rows=tuple(rows),
-        signs=tuple(signs),
+        rows=complex_._facets[k],
     )
 
 
@@ -196,12 +204,9 @@ def boundary_dense_at(complex_: FilteredComplex, k: int, eps: float) -> np.ndarr
     """
     n_rows = complex_.count_at(k - 1, eps)
     n_cols = complex_.count_at(k, eps)
-    out = np.zeros((n_rows, n_cols))
-    if n_cols:
-        bm = boundary_matrix(complex_, k, REAL)
-        rows = np.array(bm.rows[:n_cols])
-        out[rows, np.arange(n_cols)[:, None]] = np.array(bm.signs[:n_cols], dtype=float)
-    return out
+    if not n_cols:
+        return np.zeros((n_rows, 0))
+    return _dense(boundary_matrix(complex_, k, REAL).rows[:n_cols], n_rows, REAL)
 
 
 def filtration_jsonl(complex_: FilteredComplex) -> str:

@@ -164,13 +164,6 @@ class StateCloud:
     def ambient_dim(self) -> int:
         return self.points.shape[1]
 
-    def distance_matrix(self) -> np.ndarray:
-        diff = self.points[:, None, :] - self.points[None, :, :]
-        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        d = 0.5 * (d + d.T)
-        np.fill_diagonal(d, 0.0)
-        return d
-
 
 @dataclass(frozen=True)
 class SSHChain:

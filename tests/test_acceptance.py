@@ -5,6 +5,8 @@ to ``acceptance_log.txt`` in the repository root.  Two criteria encode
 previously reported reference behavior for the 4-site staggered chain that
 exact diagonalization does not reproduce; those tests record the computed
 values and then fail honestly rather than asserting the irreproducible claim.
+Runtimes are checked against their bounds but not logged, so a rerun on an
+unchanged tree leaves the log byte-identical.
 """
 
 import math
@@ -57,7 +59,7 @@ def test_c01_square_oracle():
         and h0 == [(0.0, 0.5), (0.0, 0.5), (0.0, 0.5), (0.0, INF)]
         and elapsed < 0.1
     )
-    verdict("1 (square oracle)", ok, f"runtime {elapsed * 1e3:.1f} ms")
+    verdict("1 (square oracle)", ok, f"runtime < 0.1 s: {'yes' if elapsed < 0.1 else 'NO'}")
     assert ok
 
 
@@ -81,7 +83,8 @@ def test_c02_reduction_oracle_spectral_agreement():
             checked += 1
     elapsed = time.perf_counter() - start
     ok = elapsed < 60.0
-    verdict("2 (triple agreement)", ok, f"{checked} probes on 200 clouds in {elapsed:.1f} s")
+    verdict("2 (triple agreement)", ok,
+            f"{checked} probes on 200 clouds, runtime < 60 s: {'yes' if ok else 'NO'}")
     assert ok
 
 
@@ -212,7 +215,7 @@ def test_c07_ssh_end_to_end():
     record(f"  reported beta_1 change {REPORTED_BETTI_CHANGE[0]} -> {REPORTED_BETTI_CHANGE[1]} "
            f"not reproduced: window clouds lie on a circular arc spanning < 180 degrees, "
            f"whose Vietoris-Rips complexes carry no 1-cycles at any scale")
-    record(f"  runtime {elapsed:.2f} s (< 10 s: {'yes' if elapsed < 10 else 'NO'})")
+    record(f"  runtime < 10 s: {'yes' if elapsed < 10 else 'NO'}")
     assert elapsed < 10.0
 
     brackets = [(left, right) for left, right, _ in diagnostic.transitions]

@@ -1,7 +1,8 @@
-"""Property tests: Schur Laplacian and closed-form Dirac spectrum on random clouds."""
+"""Property tests on random clouds: the Schur Laplacian and closed-form Dirac
+spectrum against the dense reference, and the three Betti detectors."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,3 +23,26 @@ def test_random_clouds_match_dense_reference(data):
     eps, eps_prime = sorted(data.draw(st.tuples(scale, scale), label="scales"))
     k = data.draw(st.integers(0, max_dim), label="k")
     assert_matches_dense(fc, k, eps, eps_prime)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bars_oracle_and_kernel_agree(data):
+    n = data.draw(st.integers(1, 40), label="n")
+    # no fill value: duplicates come from explicit copies, not from a constant fill
+    pts = data.draw(arrays(np.float64, (n, 2), elements=st.floats(0.0, 1.0), fill=st.nothing()),
+                    label="points")
+    copies = data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="duplicated")
+    pts = np.vstack([pts, pts[copies]])
+    eps_max = data.draw(st.floats(0.0, 0.15), label="eps_max")
+    fc = tp.vr_filtration(pts, eps_max=eps_max, max_dim=2)
+    assume(len(fc) <= 1500)  # the dense spectral path is cubic in the simplex count
+    diagram = tp.reduce(fc)
+    births = sorted({s.birth for s in fc.simplices})
+    scale = st.one_of(st.sampled_from(births), st.floats(0.0, 1.1 * eps_max))
+    eps, eps_prime = sorted(data.draw(st.tuples(scale, scale), label="scales"))
+    for k in (0, 1, 2):
+        bars = tp.persistent_betti(diagram, k, eps, eps_prime)
+        oracle = tp.betti_oracle(fc, k, eps, eps_prime)
+        kernel = tp.dirac_spectrum(fc, k, eps, eps_prime)[1]
+        assert bars == oracle == kernel, (k, eps, eps_prime, bars, oracle, kernel)

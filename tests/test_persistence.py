@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import topophase as tp
-from topophase.persistence import Bar, PersistenceDiagram
+from topophase.persistence import Bar, PersistenceDiagram, _matchable
 from helpers import components_at_scale, gf2_matrix_rank, random_cloud
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -155,6 +155,14 @@ def test_reduce_deterministic():
 
 
 class TestBottleneck:
+    def test_matching_augments_along_a_path_of_every_vertex(self):
+        # each left vertex i < n takes right vertex i; left vertex n can only
+        # take right vertex 0, so its augmenting path shifts all n matches
+        n = 2000
+        adj = [[i, i + 1] for i in range(n)] + [[0]]
+        assert _matchable(n + 1, n + 1, adj, n + 1)
+        assert not _matchable(n + 1, n + 1, adj[:n] + [[]], n + 1)
+
     def test_identical(self):
         dg = diagram_of(SQUARE)
         for k in (0, 1, 2):

@@ -238,6 +238,11 @@ class TestReportJson:
         assert back.betti == report.betti
         assert back.entry_lambdas() == (None,)
 
+    def test_every_config_field_accepted(self):
+        cfg = clean_config(jobs=2, keep_spectra=True)
+        payload = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+        assert tp.phase.config_from_dict(payload) == cfg
+
     def test_unknown_config_field_rejected(self):
         with pytest.raises(ValueError, match="unknown config field 'windows'"):
             tp.phase.config_from_dict({"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1, "windows": 3})

@@ -6,7 +6,7 @@ import pytest
 
 import topophase as tp
 from helpers import random_cloud
-from topophase.simplicial import boundary_dense_at
+from topophase.simplicial import _facet_indices, boundary_dense_at
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 HALF_DIAG = np.sqrt(2.0) / 2.0
@@ -188,6 +188,35 @@ def test_boundary_column_entry_count():
         bm = tp.boundary_matrix(fc, k, "Z2")
         for rows in bm.rows:
             assert len(rows) == k + 1
+
+
+def test_boundary_rows_are_facet_indices_brute_force():
+    rng = np.random.default_rng(23)
+    for _ in range(6):
+        pts = random_cloud(rng, n_min=5, n_max=9)
+        pts[1] = pts[0]  # duplicated point
+        fc = tp.vr_filtration(pts, max_dim=3)
+        for k in range(1, 4):
+            lower = [s.vertices for s in fc.simplices_of_dim(k - 1)]
+            bm = tp.boundary_matrix(fc, k)
+            assert bm.rows.shape == (fc.count_dim(k), k + 1) and not bm.rows.flags.writeable
+            for j, s in enumerate(fc.simplices_of_dim(k)):
+                for i in range(k + 1):
+                    assert bm.rows[j][i] == lower.index(s.vertices[:i] + s.vertices[i + 1:])
+
+
+def test_facet_keys_do_not_overflow():
+    # with 2**40 points the keys of triangles reach 2**120, far beyond int64
+    fc = tp.vr_filtration(random_cloud(np.random.default_rng(29), n_min=8), max_dim=3)
+    for k in (1, 2, 3):
+        lower, upper = (np.array([s.vertices for s in fc.simplices_of_dim(d)]) for d in (k - 1, k))
+        assert np.array_equal(_facet_indices(lower, upper, 2 ** 40), tp.boundary_matrix(fc, k).rows)
+
+
+def test_complex_missing_a_facet_rejected():
+    simplices = tuple(tp.Simplex(v, 0.0) for v in [(0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)])
+    with pytest.raises(ValueError, match="facet that is not in the complex"):
+        tp.FilteredComplex(simplices, 3, 2, np.zeros((3, 3)), 0.0)
 
 
 def test_boundary_k_out_of_range():
