@@ -83,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--xi", type=float, default=0.0)
     scan.add_argument("--rank-tol", type=float, default=1e-9)
     scan.add_argument("--gap-tol", type=float, default=DEFAULT_GAP_TOL)
-    scan.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    scan.add_argument("--jobs", type=int, default=1,
+                      help="accepted for compatibility (must be >= 1); sweeps run serially")
     scan.add_argument("--out", required=True)
 
     cloud = sub.add_parser("cloud", help="export an expectation cloud as CSV")

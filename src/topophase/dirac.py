@@ -42,6 +42,7 @@ from .simplicial import FilteredComplex, boundary_dense_at
 NULLSPACE_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-9
 SYMMETRY_TOL = 1e-10
+DENSE_LIMIT_BYTES = 2 ** 28  # largest dense float64 matrix _schur_laplacian will allocate
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,12 +126,27 @@ def _numerical_rank(svals: np.ndarray, null_tol: float) -> int:
     return int(np.sum(svals > cutoff))
 
 
+def _check_dense(n_rows: int, n_cols: int) -> None:
+    """Refuse a dense float64 matrix larger than ``DENSE_LIMIT_BYTES``."""
+    if n_rows * n_cols * 8 > DENSE_LIMIT_BYTES:
+        raise ValueError(f"a dense {n_rows}x{n_cols} matrix ({n_rows * n_cols * 8 / 2 ** 20:.0f} MB) "
+                         f"exceeds the {DENSE_LIMIT_BYTES // 2 ** 20} MB limit of the spectral layer")
+
+
 def _schur_laplacian(complex_: FilteredComplex, k: int, eps: float, eps_prime: float,
                      null_tol: float) -> tuple:
-    """L_k through the Schur identity, and the restricted-domain dimension d."""
+    """L_k through the Schur identity, and the restricted-domain dimension d.
+
+    Raises ``ValueError`` before allocating if the Laplacian or a boundary
+    would exceed ``DENSE_LIMIT_BYTES``.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     n_k = complex_.count_at(k, eps)
+    _check_dense(n_k, n_k)
+    _check_dense(complex_.count_at(k - 1, eps), n_k)
+    if k < complex_.max_dim:
+        _check_dense(complex_.count_at(k, eps_prime), complex_.count_at(k + 1, eps_prime))
     if k == 0:
         lap = np.zeros((n_k, n_k))
     else:

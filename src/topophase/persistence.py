@@ -81,7 +81,7 @@ def reduce(complex_: FilteredComplex) -> PersistenceDiagram:
     Output is deterministic given the filtration order.
     """
     max_dim = complex_.max_dim
-    births = [complex_.births_of_dim(k) for k in range(max_dim + 1)]
+    births = complex_.births
     bars = []
     dropped: dict = {}
     cleared = [set() for _ in range(max_dim + 1)]

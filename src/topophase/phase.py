@@ -10,7 +10,6 @@ lambda pair where any probe value changes.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -40,7 +39,11 @@ def probe_key(k: int, eps1: float, eps2: float) -> str:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Sweep definition: model, lambda grid, windowing, and probe intervals."""
+    """Sweep definition: model, lambda grid, windowing, and probe intervals.
+
+    ``jobs`` is validated (>= 1) and kept for compatibility; sweeps run
+    serially whatever its value.
+    """
 
     lambda_min: float
     lambda_max: float
@@ -180,21 +183,17 @@ def sweep(config: ScanConfig, unitary=None) -> PhaseScanReport:
     cloud = build_cloud(lambdas, model, observables, gap_tol=config.gap_tol, unitary=unitary)
 
     if config.cloud_mode == GLOBAL:
-        jobs_points = [cloud.points]
+        point_sets = [cloud.points]
         entry_lambdas = [None]
     else:
         n = cloud.n_points
-        jobs_points = []
+        point_sets = []
         for i in range(n):
             lo, hi = _window_bounds(i, config.window_halfwidth, n)
-            jobs_points.append(cloud.points[lo:hi])
+            point_sets.append(cloud.points[lo:hi])
         entry_lambdas = [float(x) for x in lambdas]
 
-    if config.jobs > 1 and len(jobs_points) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(lambda pts: _probe_cloud(pts, config), jobs_points))
-    else:
-        results = [_probe_cloud(pts, config) for pts in jobs_points]
+    results = [_probe_cloud(pts, config) for pts in point_sets]
 
     betti = tuple(r[0] for r in results)
     kernels = tuple(r[1] for r in results)

@@ -4,6 +4,14 @@ Scale convention: a simplex is present at scale eps when all pairwise vertex
 distances are at most 2*eps, so the stored birth equals half the simplex
 diameter.  Filtration order is (birth, dimension, lexicographic vertices).
 
+Array-backed complex: a ``FilteredComplex`` stores, per dimension k, one
+(n_k, k+1) vertex array and one births array, each ordered by (birth,
+vertices).  ``vr_filtration`` fills them one dimension at a time: the
+(k+1)-simplices are the nonzero entries of the AND of the upper-triangular
+adjacency rows of each k-simplex's vertices.  The tuple of ``Simplex``
+objects in global order (``FilteredComplex.simplices``) is built only when
+first read; reduction, the rank oracle and the spectral layer never read it.
+
 Boundary core: a ``FilteredComplex`` maps facets to indices once, at
 construction, into one (n_k, k+1) integer array per dimension k >= 1; entry
 [j, i] is the dimension-(k-1) index of the facet of k-simplex j that omits
@@ -15,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,51 +43,75 @@ class Simplex:
         return len(self.vertices) - 1
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True, eq=False)
 class FilteredComplex:
-    """Simplices in filtration order plus the metric data that produced them."""
+    """Per-dimension vertex and births arrays plus the metric data that produced them.
 
-    simplices: tuple
+    ``vertices[k]`` is an (n_k, k+1) integer array of strictly increasing
+    vertex rows and ``births[k]`` their births, both ordered by (birth,
+    vertices); ``max_dim`` is ``len(vertices) - 1``.
+    """
+
+    vertices: tuple
+    births: tuple
     n_points: int
-    max_dim: int
     distance_matrix: np.ndarray
     eps_max: float
-    _by_dim: tuple = field(repr=False, default=())
-    _births: np.ndarray = field(repr=False, default=None)
-    _births_by_dim: tuple = field(repr=False, default=())
     _facets: tuple = field(repr=False, default=())
 
     def __post_init__(self):
-        by_dim = [[] for _ in range(self.max_dim + 1)]
-        for gi, s in enumerate(self.simplices):
-            by_dim[s.dim].append(gi)
-        births = np.array([s.birth for s in self.simplices], dtype=float)
-        verts = [np.array([self.simplices[gi].vertices for gi in idx], dtype=np.int64).reshape(len(idx), k + 1)
-                 for k, idx in enumerate(by_dim)]
+        if len(self.vertices) != len(self.births) or not self.vertices:
+            raise ValueError("need one vertex array and one births array per dimension, from 0")
+        verts = tuple(_read_only(np.asarray(v, dtype=np.intp).reshape(len(v), k + 1))
+                      for k, v in enumerate(self.vertices))
+        births = tuple(_read_only(np.asarray(b, dtype=float)) for b in self.births)
+        if any(len(v) != len(b) for v, b in zip(verts, births)):
+            raise ValueError("each dimension needs one birth per simplex")
         facets = [None] + [_facet_indices(lo, hi, self.n_points) for lo, hi in zip(verts, verts[1:])]
-        object.__setattr__(self, "_by_dim", tuple(tuple(idx) for idx in by_dim))
-        object.__setattr__(self, "_births", births)
-        object.__setattr__(self, "_births_by_dim", tuple(births[np.array(idx, dtype=int)] for idx in by_dim))
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "births", births)
         object.__setattr__(self, "_facets", tuple(facets))
 
+    @property
+    def max_dim(self) -> int:
+        return len(self.vertices) - 1
+
     def __len__(self) -> int:
-        return len(self.simplices)
+        return sum(len(b) for b in self.births)
+
+    def _ordered(self):
+        """(vertex list, birth) of every simplex in filtration order."""
+        dims = np.repeat(np.arange(self.max_dim + 1), [len(b) for b in self.births])
+        rows = np.concatenate([np.arange(len(b)) for b in self.births])
+        order = np.lexsort((rows, dims, np.concatenate(self.births)))
+        verts = [v.tolist() for v in self.vertices]
+        births = [b.tolist() for b in self.births]
+        for d, r in zip(dims[order].tolist(), rows[order].tolist()):
+            yield verts[d][r], births[d][r]
+
+    @cached_property
+    def simplices(self) -> tuple:
+        """Every simplex in filtration order, built on first access."""
+        return tuple(Simplex(tuple(v), b) for v, b in self._ordered())
 
     def count_dim(self, k: int) -> int:
         """Number of k-simplices in the whole filtration."""
-        return len(self._by_dim[k]) if 0 <= k <= self.max_dim else 0
+        return len(self.births[k]) if 0 <= k <= self.max_dim else 0
 
     def count_at(self, k: int, eps: float) -> int:
         """Number of k-simplices with birth <= eps (a prefix in dimension k)."""
         if not 0 <= k <= self.max_dim:
             return 0
-        return int(np.searchsorted(self._births_by_dim[k], eps, side="right"))
+        return int(np.searchsorted(self.births[k], eps, side="right"))
 
     def simplices_of_dim(self, k: int) -> list:
-        return [self.simplices[gi] for gi in self._by_dim[k]]
-
-    def births_of_dim(self, k: int) -> np.ndarray:
-        return self._births_by_dim[k]
+        return [Simplex(tuple(v), b) for v, b in zip(self.vertices[k].tolist(), self.births[k].tolist())]
 
 
 def _facet_indices(lower: np.ndarray, upper: np.ndarray, n_points: int) -> np.ndarray:
@@ -129,33 +162,31 @@ def vr_filtration(cloud, eps_max: float | None = None, max_dim: int = 2) -> Filt
         eps_max = float(dist.max()) / 2.0
     elif eps_max < 0:
         raise ValueError("eps_max must be >= 0")
-    thresh = 2.0 * eps_max
-
-    neighbors = [[j for j in range(i + 1, n) if dist[i, j] <= thresh] for i in range(n)]
-    found = []
-
-    def expand(verts, cand, birth):
-        found.append((birth, verts))
-        if len(verts) == max_dim + 1:
-            return
-        for pos, v in enumerate(cand):
-            b = max(birth, max(dist[u, v] for u in verts) / 2.0)
-            expand(verts + (v,), [w for w in cand[pos + 1:] if dist[v, w] <= thresh], b)
-
-    for i in range(n):
-        expand((i,), neighbors[i], 0.0)
-
-    found.sort(key=lambda item: (item[0], len(item[1]), item[1]))
-    simplices = tuple(Simplex(verts, birth) for birth, verts in found)
+    adjacency = np.triu(dist <= 2.0 * eps_max, k=1)
+    verts = [np.arange(n, dtype=np.intp)[:, None]]
+    births = [np.zeros(n)]
+    for k in range(max_dim):
+        lower = verts[-1]
+        # candidates adjacent to every vertex of a k-simplex and above its last one
+        common = adjacency[lower[:, 0]]
+        for c in range(1, k + 1):
+            common &= adjacency[lower[:, c]]
+        rows, top = np.nonzero(common)
+        parents = lower[rows]
+        upper = np.column_stack([parents, top])
+        birth = np.maximum(births[-1][rows], dist[parents, top[:, None]].max(axis=1) / 2.0)
+        order = np.lexsort((*upper.T[::-1], birth))
+        verts.append(upper[order])
+        births.append(birth[order])
     dist.flags.writeable = False
-    return FilteredComplex(simplices, n, max_dim, dist, float(eps_max))
+    return FilteredComplex(tuple(verts), tuple(births), n, dist, float(eps_max))
 
 
 def complex_at_scale(complex_: FilteredComplex, eps: float) -> list:
     """Global indices of all simplices with birth <= eps (monotone in eps)."""
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    return list(range(int(np.searchsorted(complex_._births, eps, side="right"))))
+    return list(range(sum(complex_.count_at(k, eps) for k in range(complex_.max_dim + 1))))
 
 
 def _dense(rows: np.ndarray, n_rows: int, field: str) -> np.ndarray:
@@ -211,8 +242,5 @@ def boundary_dense_at(complex_: FilteredComplex, k: int, eps: float) -> np.ndarr
 
 def filtration_jsonl(complex_: FilteredComplex) -> str:
     """One JSON object per simplex, in filtration order, for cross-tool diffs."""
-    lines = [
-        json.dumps({"vertices": list(s.vertices), "birth": s.birth})
-        for s in complex_.simplices
-    ]
+    lines = [json.dumps({"vertices": v, "birth": b}) for v, b in complex_._ordered()]
     return "\n".join(lines) + "\n"

@@ -210,6 +210,18 @@ class TestDirac:
         assert rc == 0
         assert "kernel dimension: 1" in capsys.readouterr().out
 
+    def test_oversized_problem_exits_2(self, tmp_path, capsys):
+        pts = np.random.default_rng(0).random((60, 2))
+        src = tmp_path / "uniform.csv"
+        rows = "".join(f"{i},{x:.17g},{y:.17g}\n" for i, (x, y) in enumerate(pts))
+        src.write_text("lambda,x,y\n" + rows)
+        out = tmp_path / "s.json"
+        rc = main(["dirac", "--cloud", str(src), "--k", "2", "--eps", "0.3", "--eps2", "0.3",
+                   "--max-dim", "3", "--out", str(out)])
+        assert rc == 2
+        assert "exceeds" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBottleneck:
     def test_file_vs_itself(self, square_csv, tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 import topophase as tp
 from helpers import assert_matches_dense, components_at_scale, random_cloud
+from topophase.dirac import DENSE_LIMIT_BYTES
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -239,6 +240,16 @@ class TestDiracSpectrum:
         fc = tp.vr_filtration(pts, max_dim=2)
         _, kernel = assert_matches_dense(fc, 1, 0.6, 0.75, xis=(0.0,))
         assert kernel == 1 == tp.persistent_betti(tp.reduce(fc), 1, 0.6, 0.75)
+
+    def test_oversized_laplacian_refused(self):
+        # 60 uniform points at eps 0.3 hold about 9,000 triangles: L_2 alone needs ~600 MB
+        fc = tp.vr_filtration(np.random.default_rng(0).random((60, 2)), eps_max=0.3, max_dim=3)
+        n_2 = fc.count_at(2, 0.3)
+        assert n_2 * n_2 * 8 > DENSE_LIMIT_BYTES
+        with pytest.raises(ValueError, match=f"dense {n_2}x{n_2} matrix"):
+            tp.dirac_spectrum(fc, 2, 0.3, 0.3)
+        with pytest.raises(ValueError, match="exceeds"):
+            tp.persistent_laplacian(fc, 2, 0.3, 0.3)
 
 
 class TestSpectrum:

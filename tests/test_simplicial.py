@@ -120,8 +120,8 @@ def test_complex_at_scale_monotone():
 def test_exact_tie_counts_include_the_birth():
     # a probe endpoint equal to a birth counts that simplex (birth <= eps)
     fc = tp.vr_filtration(SQUARE, eps_max=1.0, max_dim=2)
-    side = fc.births_of_dim(1)[0]
-    diag = fc.births_of_dim(1)[-1]
+    side = fc.births[1][0]
+    diag = fc.births[1][-1]
     assert (fc.count_at(1, side), fc.count_at(1, diag), fc.count_at(2, diag)) == (4, 6, 4)
     assert fc.count_at(1, np.nextafter(side, 0.0)) == 0
     assert fc.count_at(2, np.nextafter(diag, 0.0)) == 0
@@ -150,7 +150,7 @@ def test_boundary_dense_at_is_prefix_of_full_boundary():
     for _ in range(10):
         fc = tp.vr_filtration(random_cloud(rng), max_dim=3)
         scales = [0.0, fc.eps_max, 2.0 * fc.eps_max, *rng.uniform(0.0, fc.eps_max, size=3)]
-        scales += list(fc.births_of_dim(1)[:2])  # exact ties
+        scales += list(fc.births[1][:2])  # exact ties
         for k in range(1, fc.max_dim + 1):
             full = tp.boundary_matrix(fc, k, "real").dense() if fc.count_dim(k) else None
             for eps in scales:
@@ -214,9 +214,10 @@ def test_facet_keys_do_not_overflow():
 
 
 def test_complex_missing_a_facet_rejected():
-    simplices = tuple(tp.Simplex(v, 0.0) for v in [(0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)])
+    vertices = (np.array([[0], [1], [2]]), np.array([[0, 1], [1, 2]]), np.array([[0, 1, 2]]))
+    births = tuple(np.zeros(len(v)) for v in vertices)
     with pytest.raises(ValueError, match="facet that is not in the complex"):
-        tp.FilteredComplex(simplices, 3, 2, np.zeros((3, 3)), 0.0)
+        tp.FilteredComplex(vertices, births, 3, np.zeros((3, 3)), 0.0)
 
 
 def test_boundary_k_out_of_range():

@@ -1,0 +1,84 @@
+"""Property tests of the Vietoris-Rips construction against brute force, and
+of the lazily built simplex tuple."""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import topophase as tp
+from topophase import simplicial
+
+
+def brute_force_simplices(fc, max_dim):
+    """Every vertex subset of size <= max_dim + 1 born by eps_max, in filtration order."""
+    dist = fc.distance_matrix
+    found = []
+    for size in range(1, max_dim + 2):
+        for verts in combinations(range(fc.n_points), size):
+            birth = max((dist[u, v] for u, v in combinations(verts, 2)), default=0.0) / 2.0
+            if birth <= fc.eps_max:
+                found.append(tp.Simplex(verts, birth))
+    return sorted(found, key=lambda s: (s.birth, s.dim, s.vertices))
+
+
+@st.composite
+def clouds(draw):
+    n = draw(st.integers(1, 20), label="n")
+    dim = draw(st.integers(1, 3), label="dim")
+    if draw(st.booleans(), label="lattice"):
+        # small integer coordinates: many exact distance ties and repeated points
+        pts = draw(arrays(np.int64, (n, dim), elements=st.integers(0, 3)), label="points")
+    else:
+        pts = draw(arrays(np.float64, (n, dim), elements=st.floats(0.0, 1.0), fill=st.nothing()),
+                   label="points")
+    copies = draw(st.lists(st.integers(0, n - 1), max_size=3), label="duplicated")
+    return np.vstack([pts, pts[copies]]).astype(float)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pts=clouds(), data=st.data())
+def test_vr_matches_brute_force(pts, data):
+    max_dim = data.draw(st.integers(0, 3), label="max_dim")
+    full = tp.vr_filtration(pts, max_dim=max_dim)
+    half_distances = sorted({float(d) / 2.0 for d in full.distance_matrix[np.triu_indices(len(pts), 1)]})
+    eps_max = data.draw(st.one_of(st.none(), st.floats(0.0, 1.1 * full.eps_max),
+                                  st.sampled_from(half_distances or [0.0])), label="eps_max")
+    fc = tp.vr_filtration(pts, eps_max=eps_max, max_dim=max_dim)
+    reference = brute_force_simplices(fc, max_dim)
+    assert fc.simplices == tuple(reference)
+    assert len(fc) == len(reference)
+    for k in range(max_dim + 1):
+        assert fc.simplices_of_dim(k) == [s for s in reference if s.dim == k]
+
+
+def _raise_if_built(*args, **kwargs):
+    raise AssertionError("a Simplex object was built")
+
+
+def test_consumers_leave_simplex_tuple_unbuilt(monkeypatch):
+    rng = np.random.default_rng(3)
+    fc = tp.vr_filtration(rng.random((15, 2)), eps_max=0.3, max_dim=2)
+    monkeypatch.setattr(simplicial, "Simplex", _raise_if_built)
+    tp.reduce(fc)
+    for k in range(3):
+        tp.betti_oracle(fc, k, 0.1, 0.2)
+        tp.dirac_spectrum(fc, k, 0.1, 0.2)
+    tp.filtration_jsonl(fc)
+    tp.complex_at_scale(fc, 0.15)
+    len(fc)
+    tp.sweep(tp.ScanConfig(lambda_min=-0.5, lambda_max=0.5, step=0.1))
+    assert "simplices" not in vars(fc)
+    monkeypatch.undo()
+    assert len(fc.simplices) == len(fc)
+    assert "simplices" in vars(fc)
+
+
+def test_complex_arrays_are_read_only():
+    fc = tp.vr_filtration(np.random.default_rng(4).random((8, 2)), max_dim=2)
+    for array in (*fc.vertices, *fc.births):
+        with pytest.raises(ValueError):
+            array[0] = 0
