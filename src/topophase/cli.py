@@ -196,12 +196,13 @@ def cmd_barcode(args) -> int:
 
 
 def cmd_dirac(args) -> int:
-    if args.eps > args.eps2:
-        print(f"error: --eps ({args.eps}) must not exceed --eps2 ({args.eps2})", file=sys.stderr)
+    if not 0.0 <= args.eps <= args.eps2:
+        print(f"error: need 0 <= --eps ({args.eps}) <= --eps2 ({args.eps2})", file=sys.stderr)
         return EXIT_USAGE
     cloud = cloud_from_csv(args.cloud)
     max_dim = args.max_dim if args.max_dim is not None else max(2, args.k + 1)
-    filtration = vr_filtration(cloud, eps_max=None, max_dim=max_dim)
+    # the spectrum reads only simplices born by eps2, a prefix of the full filtration
+    filtration = vr_filtration(cloud, eps_max=args.eps2, max_dim=max_dim)
     eigenvalues, kernel = _dirac.dirac_spectrum(filtration, args.k, args.eps, args.eps2,
                                                 xi=args.xi, rank_tol=args.rank_tol)
     _atomic_write(args.out, _dirac.spectrum_to_json(args.k, args.eps, args.eps2, args.xi, eigenvalues))

@@ -1,19 +1,39 @@
-"""Persistent homology via boundary-matrix reduction over Z2.
+"""Persistent homology via persistent cohomology with clearing over Z2.
 
 Produces barcodes / persistence diagrams with half-open [birth, death) bars,
 an independent rank-based persistent-Betti oracle for cross-checking, and an
 exact bottleneck distance between diagrams.
 
-The reduction and the oracle read the complex's facet arrays through
-``boundary_matrix`` and turn each facet row, when they reach it, into a Z2
-column held as an int bitset (bit r set for facet row r).
+Reduction: for k = 0 .. max_dim - 1 the coboundary columns of the
+k-simplices are reduced last simplex first; a column's pivot is its earliest
+cofacet.  A k-simplex that was a pivot row in dimension k - 1 is cleared:
+its column is never built.  By the duality of de Silva, Morozov and
+Vejdemo-Johansson ("Dualities in persistent (co)homology", 2011) the pairs
+equal those of the boundary-matrix reduction, and the top simplices that are
+never a pivot are the essential top-degree bars, so no top-dimension column
+is reduced.  The cofacet lists come from inverting the (k+1)-simplices'
+facet array (read through ``boundary_matrix``) with one stable argsort.  A
+column is held as an int bitset (bit n - 1 - r for cofacet row r, so the
+pivot is ``n - bit_length()``), and only when its first pivot is already
+taken.
+
+Diagram: a ``PersistenceDiagram`` stores its bars as three read-only arrays
+(``dims``, ``births``, ``deaths``) ordered by (dim, birth, death); the tuple
+of ``Bar`` objects is built only when ``bars`` is first read.  Persistent
+Betti numbers, the bottleneck distance and JSON output read the arrays.
+
+The rank oracle turns each facet row of ``boundary_matrix`` into a Z2
+boundary column held as an int bitset (bit r set for facet row r).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .simplicial import Z2, FilteredComplex, boundary_matrix
 
@@ -41,28 +61,70 @@ class Bar:
         return self.death - self.birth
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PersistenceDiagram:
-    """Multiset of bars grouped by dimension, plus reduction bookkeeping.
+    """Bars as read-only ``dims``, ``births`` and ``deaths`` arrays, plus reduction bookkeeping.
 
-    Zero-length pairs are dropped from ``bars`` but tallied per dimension in
+    The arrays hold one entry per bar, ordered by (dim, birth, death); an
+    essential bar has death ``inf``.  Pass either the three arrays (any
+    order) or a tuple of ``Bar`` as ``bars``.  A NaN value, a non-finite or
+    negative birth, or a death below its birth raises ``ValueError``.
+    Zero-length pairs are dropped from the bars but tallied per dimension in
     ``dropped_zero_bars`` so creator/destroyer counts stay auditable.
     """
 
-    bars: tuple
-    field: str = Z2
-    max_dim: int = 0
-    n_points: int = 0
-    dropped_zero_bars: dict = dataclass_field(default_factory=dict)
+    dims: np.ndarray
+    births: np.ndarray
+    deaths: np.ndarray
+    field: str
+    max_dim: int
+    n_points: int
+    dropped_zero_bars: dict
+
+    def __init__(self, bars=(), field=Z2, max_dim=0, n_points=0, dropped_zero_bars=None, *,
+                 dims=(), births=(), deaths=()):
+        if bars:
+            dims, births, deaths = zip(*((b.dim, b.birth, b.death) for b in bars))
+        dims = np.asarray(dims, dtype=np.intp)
+        births = np.asarray(births, dtype=float)
+        deaths = np.asarray(deaths, dtype=float)
+        if not dims.ndim == 1 or not dims.shape == births.shape == deaths.shape:
+            raise ValueError("dims, births and deaths must be 1-d arrays of one length")
+        invalid = ~np.isfinite(births) | (births < 0) | np.isnan(deaths) | (deaths < births)
+        if invalid.any():
+            i = int(np.argmax(invalid))
+            raise ValueError(f"invalid bar [{births[i]}, {deaths[i]}) in dim {dims[i]}: a birth "
+                             "must be finite and >= 0, a death not NaN and >= its birth")
+        order = np.lexsort((deaths, births, dims))
+        for name, values in (("dims", dims), ("births", births), ("deaths", deaths)):
+            values = values[order]
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "max_dim", max_dim)
+        object.__setattr__(self, "n_points", n_points)
+        object.__setattr__(self, "dropped_zero_bars", dict(dropped_zero_bars or {}))
+
+    @cached_property
+    def bars(self) -> tuple:
+        """Every bar as a ``Bar``, in (dim, birth, death) order, built on first access."""
+        return tuple(map(Bar, self.dims.tolist(), self.births.tolist(), self.deaths.tolist()))
+
+    def _in_dim(self, k: int):
+        """Births and deaths of the degree-k bars (views, ordered by birth)."""
+        lo, hi = np.searchsorted(self.dims, (k, k + 1))
+        return self.births[lo:hi], self.deaths[lo:hi]
 
     def bars_in_dim(self, k: int) -> list:
-        return [b for b in self.bars if b.dim == k]
+        births, deaths = self._in_dim(k)
+        return [Bar(k, b, d) for b, d in zip(births.tolist(), deaths.tolist())]
 
     def infinite_bars(self, k: int) -> list:
-        return [b for b in self.bars if b.dim == k and not b.finite]
+        births, deaths = self._in_dim(k)
+        return [Bar(k, b, INF) for b in births[deaths == INF].tolist()]
 
     def as_multiset(self) -> tuple:
-        return tuple(sorted((b.dim, b.birth, b.death) for b in self.bars))
+        return tuple(zip(self.dims.tolist(), self.births.tolist(), self.deaths.tolist()))
 
 
 def _z2_column(facets) -> int:
@@ -73,54 +135,104 @@ def _z2_column(facets) -> int:
     return bits
 
 
-def reduce(complex_: FilteredComplex) -> PersistenceDiagram:
-    """Standard column reduction with the clearing (twist) optimization.
+def _cofacets(complex_: FilteredComplex, k: int):
+    """Cofacet rows of every k-simplex: those of simplex j are ``rows[starts[j]:starts[j + 1]]``.
 
-    Dimensions are processed top-down; a simplex paired as a pivot row while
-    reducing dimension k+1 is a known creator, so its own column is skipped.
-    Output is deterministic given the filtration order.
+    One stable argsort of the (k+1)-simplices' facet array groups its entries
+    by facet and keeps each group in ascending cofacet order.
+    """
+    facets = boundary_matrix(complex_, k + 1, Z2).rows
+    flat = facets.ravel()
+    starts = np.zeros(complex_.count_dim(k) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(flat, minlength=len(starts) - 1), out=starts[1:])
+    return starts, np.argsort(flat, kind="stable") // facets.shape[1]
+
+
+def _reduce_coboundaries(starts, rows, n_rows: int, cleared):
+    """Reduce one dimension's coboundary columns, last simplex first, skipping ``cleared``.
+
+    Returns the paired columns, their pivot rows and the columns that reduce
+    to zero.  A column whose earliest cofacet is no other column's pivot
+    pairs with it at once, and its bitset is built only if a later column
+    needs it.
+    """
+    starts, rows = starts.tolist(), rows.tolist()
+    owner: dict = {}  # pivot row -> column
+    reduced: dict = {}  # column -> reduced bitset, for columns that have been built
+
+    def column(j):
+        bits = 0
+        for r in rows[starts[j]:starts[j + 1]]:
+            bits |= 1 << (n_rows - 1 - r)
+        return bits
+
+    paired, pivots, zero = [], [], []
+    for j in range(len(cleared) - 1, -1, -1):
+        if cleared[j]:
+            continue
+        if starts[j] == starts[j + 1]:
+            zero.append(j)
+            continue
+        piv = rows[starts[j]]
+        if piv in owner:
+            col = column(j)
+            while col:
+                piv = n_rows - col.bit_length()
+                other = owner.get(piv)
+                if other is None:
+                    break
+                if other not in reduced:
+                    reduced[other] = column(other)
+                col ^= reduced[other]
+            if not col:
+                zero.append(j)
+                continue
+            reduced[j] = col
+        owner[piv] = j
+        paired.append(j)
+        pivots.append(piv)
+    return paired, pivots, zero
+
+
+def reduce(complex_: FilteredComplex) -> PersistenceDiagram:
+    """Persistent cohomology with clearing (see the module docstring).
+
+    The diagram equals that of the standard boundary-matrix reduction of
+    the same filtration order.  Output is deterministic given that order.
     """
     max_dim = complex_.max_dim
     births = complex_.births
-    bars = []
+    dims, bar_births, bar_deaths = [], [], []
     dropped: dict = {}
-    cleared = [set() for _ in range(max_dim + 1)]
+    cleared = np.zeros(complex_.count_dim(0), dtype=bool)
 
-    for k in range(max_dim, 0, -1):
-        pivots: dict = {}
-        for j, row in enumerate(boundary_matrix(complex_, k, Z2).rows):
-            if j in cleared[k]:
-                continue
-            col = _z2_column(row)
-            while col:
-                piv = col.bit_length() - 1
-                other = pivots.get(piv)
-                if other is None:
-                    break
-                col ^= other
-            if col:
-                pivots[piv] = col
-                cleared[k - 1].add(piv)
-                birth = float(births[k - 1][piv])
-                death = float(births[k][j])
-                if death > birth:
-                    bars.append(Bar(k - 1, birth, death))
-                else:
-                    dropped[k - 1] = dropped.get(k - 1, 0) + 1
-            else:
-                bars.append(Bar(k, float(births[k][j]), INF))
+    for k in range(max_dim):
+        starts, rows = _cofacets(complex_, k)
+        paired, pivots, zero = _reduce_coboundaries(starts, rows, complex_.count_dim(k + 1),
+                                                    cleared.tolist())
+        birth = births[k][paired]
+        death = births[k + 1][pivots]
+        kept = death > birth
+        if not kept.all():
+            dropped[k] = int(np.count_nonzero(~kept))
+        bar_births += [birth[kept], births[k][zero]]
+        bar_deaths += [death[kept], np.full(len(zero), INF)]
+        dims.append(np.full(np.count_nonzero(kept) + len(zero), k))
+        cleared = np.zeros(complex_.count_dim(k + 1), dtype=bool)
+        cleared[pivots] = True
 
-    for i in range(complex_.count_dim(0)):
-        if i not in cleared[0]:
-            bars.append(Bar(0, float(births[0][i]), INF))
-
-    bars.sort()
+    essential = births[max_dim][~cleared]
+    bar_births.append(essential)
+    bar_deaths.append(np.full(len(essential), INF))
+    dims.append(np.full(len(essential), max_dim))
     return PersistenceDiagram(
-        bars=tuple(bars),
         field=Z2,
         max_dim=max_dim,
         n_points=complex_.n_points,
         dropped_zero_bars=dropped,
+        dims=np.concatenate(dims),
+        births=np.concatenate(bar_births),
+        deaths=np.concatenate(bar_deaths),
     )
 
 
@@ -128,7 +240,8 @@ def persistent_betti(diagram: PersistenceDiagram, k: int, eps1: float, eps2: flo
     """Bars of degree k spanning [eps1, eps2]: birth <= eps1 and death > eps2."""
     if eps1 > eps2:
         raise ValueError(f"eps1 ({eps1}) must be <= eps2 ({eps2})")
-    return sum(1 for b in diagram.bars if b.dim == k and b.birth <= eps1 and b.death > eps2)
+    births, deaths = diagram._in_dim(k)
+    return int(np.count_nonzero((births <= eps1) & (deaths > eps2)))
 
 
 # -- independent oracle: persistent Betti numbers by Z2 rank computations ----
@@ -200,10 +313,6 @@ def betti_oracle(complex_: FilteredComplex, k: int, eps1: float, eps2: float) ->
 
 # -- bottleneck distance ------------------------------------------------------
 
-def _linf(p, q) -> float:
-    return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
-
-
 def _matchable(n1, n2, adj, limit) -> bool:
     """Kuhn's augmenting paths: does a perfect matching of size ``limit`` exist?
 
@@ -235,37 +344,24 @@ def _matchable(n1, n2, adj, limit) -> bool:
     return matched == limit
 
 
-def _finite_bottleneck(p1, p2) -> float:
-    """Exact bottleneck between finite-point diagrams, diagonal allowed."""
+def _finite_bottleneck(p1: np.ndarray, p2: np.ndarray) -> float:
+    """Exact bottleneck between finite-point diagrams, given as (n, 2) [birth, death] arrays."""
     n1, n2 = len(p1), len(p2)
     if n1 == 0 and n2 == 0:
         return 0.0
-    diag1 = [(p[1] - p[0]) / 2.0 for p in p1]
-    diag2 = [(q[1] - q[0]) / 2.0 for q in p2]
-    candidates = {0.0}
-    candidates.update(diag1)
-    candidates.update(diag2)
-    for p in p1:
-        for q in p2:
-            candidates.add(_linf(p, q))
-    grid = sorted(candidates)
-
-    size = n1 + n2  # U = p1 + dummies(p2), V = p2 + dummies(p1)
+    diag1 = (p1[:, 1] - p1[:, 0]) / 2.0
+    diag2 = (p2[:, 1] - p2[:, 0]) / 2.0
+    cost = np.abs(p1[:, None, :] - p2[None, :, :]).max(axis=2)  # L-infinity, n1 x n2
+    grid = np.unique(np.concatenate(([0.0], diag1, diag2, cost.ravel())))
+    free = list(range(n2, n2 + n1))  # dummy-dummy matches are free
 
     def feasible(delta):
-        adj = [[] for _ in range(size)]
-        for i, p in enumerate(p1):
-            for j, q in enumerate(p2):
-                if _linf(p, q) <= delta:
-                    adj[i].append(j)
-            if diag1[i] <= delta:
-                adj[i].append(n2 + i)
-        for j in range(n2):
-            u = n1 + j
-            if diag2[j] <= delta:
-                adj[u].append(j)
-            adj[u].extend(range(n2, n2 + n1))  # dummy-dummy matches are free
-        return _matchable(size, size, adj, size)
+        # U = p1 + dummies(p2), V = p2 + dummies(p1)
+        adj = [np.flatnonzero(row).tolist() for row in cost <= delta]
+        for i in np.flatnonzero(diag1 <= delta).tolist():
+            adj[i].append(n2 + i)
+        adj += [[j, *free] if near else free for j, near in enumerate((diag2 <= delta).tolist())]
+        return _matchable(n1 + n2, n1 + n2, adj, n1 + n2)
 
     lo, hi = 0, len(grid) - 1
     while lo < hi:
@@ -274,7 +370,7 @@ def _finite_bottleneck(p1, p2) -> float:
             hi = mid
         else:
             lo = mid + 1
-    return grid[lo]
+    return float(grid[lo])
 
 
 def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram, k: int) -> float:
@@ -283,15 +379,13 @@ def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram, k: int) -> float:
     Infinite bars must match infinite bars (on birth); diagrams with unequal
     infinite-bar counts are infinitely far apart.
     """
-    bars1 = d1.bars_in_dim(k)
-    bars2 = d2.bars_in_dim(k)
-    inf1 = sorted(b.birth for b in bars1 if not b.finite)
-    inf2 = sorted(b.birth for b in bars2 if not b.finite)
-    if len(inf1) != len(inf2):
+    (births1, deaths1), (births2, deaths2) = d1._in_dim(k), d2._in_dim(k)
+    inf1, inf2 = deaths1 == INF, deaths2 == INF
+    if np.count_nonzero(inf1) != np.count_nonzero(inf2):
         return INF
-    inf_part = max((abs(a - b) for a, b in zip(inf1, inf2)), default=0.0)
-    fin1 = [(b.birth, b.death) for b in bars1 if b.finite]
-    fin2 = [(b.birth, b.death) for b in bars2 if b.finite]
+    inf_part = float(np.max(np.abs(births1[inf1] - births2[inf2]), initial=0.0))
+    fin1 = np.column_stack([births1[~inf1], deaths1[~inf1]])
+    fin2 = np.column_stack([births2[~inf2], deaths2[~inf2]])
     return max(inf_part, _finite_bottleneck(fin1, fin2))
 
 
@@ -301,8 +395,8 @@ def diagram_to_json(diagram: PersistenceDiagram) -> str:
     payload = {
         "field": diagram.field,
         "bars": [
-            {"dim": b.dim, "birth": b.birth, "death": (None if not b.finite else b.death)}
-            for b in diagram.bars
+            {"dim": k, "birth": b, "death": (None if d == INF else d)}
+            for k, b, d in diagram.as_multiset()
         ],
         "metadata": {
             "max_dim": diagram.max_dim,
@@ -314,35 +408,33 @@ def diagram_to_json(diagram: PersistenceDiagram) -> str:
 
 
 def diagram_from_json(text: str) -> PersistenceDiagram:
+    """Parse ``diagram_to_json`` output; invalid bar values raise ``ValueError``."""
     payload = json.loads(text)
-    bars = tuple(
-        sorted(
-            Bar(int(b["dim"]), float(b["birth"]), INF if b["death"] is None else float(b["death"]))
-            for b in payload["bars"]
-        )
-    )
+    dims = [int(b["dim"]) for b in payload["bars"]]
     meta = payload.get("metadata", {})
     return PersistenceDiagram(
-        bars=bars,
         field=payload.get("field", Z2),
-        max_dim=int(meta.get("max_dim", max((b.dim for b in bars), default=0))),
+        max_dim=int(meta.get("max_dim", max(dims, default=0))),
         n_points=int(meta.get("n_points", 0)),
         dropped_zero_bars={int(k): int(v) for k, v in meta.get("dropped_zero_bars", {}).items()},
+        dims=dims,
+        births=[float(b["birth"]) for b in payload["bars"]],
+        deaths=[INF if b["death"] is None else float(b["death"]) for b in payload["bars"]],
     )
 
 
 def render_text(diagram: PersistenceDiagram) -> str:
     """One line per bar, ``dim k: [b, d)``, sorted by (dim, birth)."""
     lines = []
-    for b in sorted(diagram.bars):
-        death = "inf" if not b.finite else f"{b.death:.12g}"
-        lines.append(f"dim {b.dim}: [{b.birth:.12g}, {death})")
+    for k, b, d in diagram.as_multiset():
+        death = "inf" if d == INF else f"{d:.12g}"
+        lines.append(f"dim {k}: [{b:.12g}, {death})")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def render_svg(diagram: PersistenceDiagram, width: int = 720) -> str:
     """Static barcode rendering: horizontal bars grouped by dimension."""
-    bars = sorted(diagram.bars)
+    bars = diagram.bars
     finite_ends = [b.death for b in bars if b.finite] + [b.birth for b in bars]
     x_max = max(finite_ends, default=1.0)
     x_max = x_max * 1.1 if x_max > 0 else 1.0

@@ -2,14 +2,18 @@
 
 Everything here is deliberately independent of the library code paths it is
 used to check: closed-form eigenpairs, union-find component counting, and
-brute-force GF(2) ranks.  The exception is ``assert_matches_dense``, which
+brute-force GF(2) ranks.  The exceptions are ``assert_matches_dense``, which
 checks the Schur Laplacian and the closed-form Dirac spectrum against the
-dense assembled operator that the library keeps as their reference.
+dense assembled operator that the library keeps as their reference, and
+``homology_reduce``, the boundary-matrix reduction that the cohomology
+reduction in ``topophase.persistence`` replaced.
 """
 
 import numpy as np
 
 import topophase as tp
+from topophase.persistence import INF, Bar, PersistenceDiagram, _z2_column
+from topophase.simplicial import Z2, boundary_matrix
 
 
 def random_cloud(rng, n_min=4, n_max=8, dim_min=1, dim_max=3, scale=1.0):
@@ -147,3 +151,54 @@ def assert_matches_dense(fc, k, eps, eps_prime, xis=(0.0, 0.3, -0.7)):
         assert np.allclose(got, dense, rtol=0.0, atol=1e-10)
         assert kernel == tp.betti_from_laplacian(dense_lap)
     return dims, kernel
+
+
+def homology_reduce(complex_):
+    """Standard column reduction with the clearing (twist) optimization.
+
+    Dimensions are processed top-down; a simplex paired as a pivot row while
+    reducing dimension k+1 is a known creator, so its own column is skipped.
+    Output is deterministic given the filtration order.
+    """
+    max_dim = complex_.max_dim
+    births = complex_.births
+    bars = []
+    dropped: dict = {}
+    cleared = [set() for _ in range(max_dim + 1)]
+
+    for k in range(max_dim, 0, -1):
+        pivots: dict = {}
+        for j, row in enumerate(boundary_matrix(complex_, k, Z2).rows):
+            if j in cleared[k]:
+                continue
+            col = _z2_column(row)
+            while col:
+                piv = col.bit_length() - 1
+                other = pivots.get(piv)
+                if other is None:
+                    break
+                col ^= other
+            if col:
+                pivots[piv] = col
+                cleared[k - 1].add(piv)
+                birth = float(births[k - 1][piv])
+                death = float(births[k][j])
+                if death > birth:
+                    bars.append(Bar(k - 1, birth, death))
+                else:
+                    dropped[k - 1] = dropped.get(k - 1, 0) + 1
+            else:
+                bars.append(Bar(k, float(births[k][j]), INF))
+
+    for i in range(complex_.count_dim(0)):
+        if i not in cleared[0]:
+            bars.append(Bar(0, float(births[0][i]), INF))
+
+    bars.sort()
+    return PersistenceDiagram(
+        bars=tuple(bars),
+        field=Z2,
+        max_dim=max_dim,
+        n_points=complex_.n_points,
+        dropped_zero_bars=dropped,
+    )

@@ -210,6 +210,29 @@ class TestDirac:
         assert rc == 0
         assert "kernel dimension: 1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("eps, eps2", [(-0.1, 0.5), (0.1, float("nan"))])
+    def test_negative_or_nan_scale_exits_2(self, square_csv, tmp_path, eps, eps2):
+        out = tmp_path / "s.json"
+        rc = main(["dirac", "--cloud", square_csv, "--k", "1", "--eps", str(eps),
+                   "--eps2", str(eps2), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    def test_truncated_filtration_matches_full(self, tmp_path, capsys):
+        pts = np.random.default_rng(5).random((30, 2))
+        src = tmp_path / "uniform.csv"
+        src.write_text("lambda,x,y\n" + "".join(f"{i},{x:.17g},{y:.17g}\n" for i, (x, y) in enumerate(pts)))
+        cloud = tp.cloud_from_csv(str(src))
+        full = tp.vr_filtration(cloud, max_dim=2)
+        for k, eps, eps2 in ((0, 0.05, 0.1), (1, 0.12, 0.2), (1, 0.2, 0.2)):
+            out = tmp_path / f"s{k}.json"
+            rc = main(["dirac", "--cloud", str(src), "--k", str(k), "--eps", str(eps),
+                       "--eps2", str(eps2), "--xi", "0.3", "--out", str(out)])
+            assert rc == 0
+            eigenvalues, kernel = tp.dirac_spectrum(full, k, eps, eps2, xi=0.3)
+            assert capsys.readouterr().out == f"kernel dimension: {kernel}\n"
+            assert out.read_text() == tp.spectrum_to_json(k, eps, eps2, 0.3, eigenvalues)
+
     def test_oversized_problem_exits_2(self, tmp_path, capsys):
         pts = np.random.default_rng(0).random((60, 2))
         src = tmp_path / "uniform.csv"
@@ -262,3 +285,18 @@ class TestBottleneck:
         rc = main(["bottleneck", str(out), str(reparsed), "--dim", "1"])
         assert rc == 0
         assert float(capsys.readouterr().out) == 0.0
+
+    def test_nan_birth_exits_2(self, square_csv, tmp_path, capsys):
+        good = tmp_path / "d.json"
+        main(["barcode", "--cloud", square_csv, "--out", str(good)])
+        payload = json.loads(good.read_text())
+        payload["bars"][0]["birth"] = math.nan
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(payload))
+        assert '"birth": NaN' in bad.read_text()
+        capsys.readouterr()
+        rc = main(["bottleneck", str(bad), str(good), "--dim", "0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "invalid bar" in captured.err
+        assert captured.out == ""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import topophase as tp
+from topophase import persistence
 from topophase.persistence import Bar, PersistenceDiagram, _matchable
 from helpers import components_at_scale, gf2_matrix_rank, random_cloud
 
@@ -154,6 +155,42 @@ def test_reduce_deterministic():
     assert a.dropped_zero_bars == b.dropped_zero_bars
 
 
+def _raise_if_built(*args, **kwargs):
+    raise AssertionError("a Bar object was built")
+
+
+def test_consumers_leave_bar_tuple_unbuilt(monkeypatch):
+    rng = np.random.default_rng(5)
+    fcs = [tp.vr_filtration(rng.random((15, 2)), eps_max=0.4, max_dim=2) for _ in range(2)]
+    monkeypatch.setattr(persistence, "Bar", _raise_if_built)
+    diagrams = [tp.reduce(fc) for fc in fcs]
+    for k in range(3):
+        tp.persistent_betti(diagrams[0], k, 0.1, 0.2)
+        tp.bottleneck(diagrams[0], diagrams[1], k)
+    tp.diagram_from_json(tp.diagram_to_json(diagrams[0]))
+    tp.sweep(tp.ScanConfig(lambda_min=-0.5, lambda_max=0.5, step=0.1))
+    assert all("bars" not in vars(d) for d in diagrams)
+    monkeypatch.undo()
+    assert len(diagrams[0].bars) == len(diagrams[0].dims)
+    assert "bars" in vars(diagrams[0])
+
+
+def test_diagram_arrays_are_read_only():
+    dg = diagram_of(SQUARE)
+    for array in (dg.dims, dg.births, dg.deaths):
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+def test_diagram_orders_bars_and_keeps_bar_views():
+    dg = PersistenceDiagram(dims=[1, 0, 0, 1], births=[0.5, 0.2, 0.0, 0.5], deaths=[INF, 0.3, INF, 0.6])
+    assert dg.as_multiset() == ((0, 0.0, INF), (0, 0.2, 0.3), (1, 0.5, 0.6), (1, 0.5, INF))
+    assert dg.bars == tuple(sorted(Bar(*b) for b in dg.as_multiset()))
+    assert dg.bars_in_dim(1) == [Bar(1, 0.5, 0.6), Bar(1, 0.5, INF)]
+    assert dg.infinite_bars(0) == [Bar(0, 0.0, INF)]
+    assert dg.bars_in_dim(2) == []
+
+
 class TestBottleneck:
     def test_matching_augments_along_a_path_of_every_vertex(self):
         # each left vertex i < n takes right vertex i; left vertex n can only
@@ -251,6 +288,14 @@ class TestSerialization:
         assert payload["field"] == "Z2"
         assert {"dim", "birth", "death"} == set(payload["bars"][0])
         assert any(b["death"] is None for b in payload["bars"])
+
+    @pytest.mark.parametrize("birth, death", [
+        ("NaN", "1.0"), ("0.5", "NaN"), ("Infinity", "null"), ("-0.25", "1.0"), ("0.5", "0.25"),
+    ])
+    def test_invalid_bar_rejected(self, birth, death):
+        text = f'{{"field": "Z2", "bars": [{{"dim": 0, "birth": {birth}, "death": {death}}}]}}'
+        with pytest.raises(ValueError, match="invalid bar"):
+            tp.diagram_from_json(text)
 
     def test_render_text(self):
         text = tp.render_text(diagram_of(SQUARE))
