@@ -135,7 +135,8 @@ def cmd_scan(args) -> int:
         except json.JSONDecodeError as err:
             print(f"error: config is not valid JSON: {err}", file=sys.stderr)
             return EXIT_USAGE
-        payload.setdefault("jobs", args.jobs)
+        if isinstance(payload, dict):
+            payload.setdefault("jobs", args.jobs)
         config = _phase.config_from_dict(payload)
     else:
         missing = [flag for flag, value in (("--lmin", args.lmin), ("--lmax", args.lmax), ("--step", args.step))

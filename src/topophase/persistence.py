@@ -22,8 +22,26 @@ Diagram: a ``PersistenceDiagram`` stores its bars as three read-only arrays
 of ``Bar`` objects is built only when ``bars`` is first read.  Persistent
 Betti numbers, the bottleneck distance and JSON output read the arrays.
 
-The rank oracle turns each facet row of ``boundary_matrix`` into a Z2
-boundary column held as an int bitset (bit r set for facet row r).
+Rank oracle: each facet row of ``boundary_matrix`` becomes a Z2 boundary
+column held as an int bitset (bit r set for facet row r).  With n1 the
+k-simplices born by eps1, the rows of the (k+1)-boundary at eps2 split into
+R1, those n1 rows (the low bits), and R2, the later k-simplices
+(``col >> n1``), as in the Schur Laplacian.  A boundary lying in
+C_k(K_eps1) is a cycle there, so Z_k(K_eps1) meets B_k(K_eps2) in the
+boundaries whose R2 part is zero, of dimension rank d_{k+1}(eps2) - rank R2.
+Hence beta = n1 - rank d_k(eps1) - rank d_{k+1}(eps2) + rank R2: three GF(2)
+ranks and no null-space basis.
+
+Bottleneck: at a candidate delta a point is far when its half-length (its
+L-infinity distance to the diagonal) exceeds delta.  The two diagrams, each
+with the other's diagonal copies, match perfectly at cost <= delta exactly
+when some matching of P1 to P2 along edges of cost <= delta covers every far
+point of both: a near point left over goes to the diagonal, and the leftover
+diagonal copies pair with each other.  By the Mendelsohn-Dulmage theorem
+(1958) such a matching exists iff the far points of P1 can all be matched
+into P2 and the far points of P2 into P1, so each step of the binary search
+over the candidate costs is two saturation checks on the rows and columns of
+``cost <= delta``, with no diagonal vertices.
 """
 
 from __future__ import annotations
@@ -261,25 +279,6 @@ def _gf2_rank(vectors) -> int:
     return rank
 
 
-def _gf2_nullspace(columns) -> list:
-    """Combinations (bitmasks over column indices) spanning the null space."""
-    pivots: dict = {}
-    null = []
-    for j, v in enumerate(columns):
-        combo = 1 << j
-        while v:
-            h = v.bit_length() - 1
-            entry = pivots.get(h)
-            if entry is None:
-                pivots[h] = (v, combo)
-                break
-            v ^= entry[0]
-            combo ^= entry[1]
-        else:
-            null.append(combo)
-    return null
-
-
 def _z2_columns(complex_: FilteredComplex, k: int, eps: float) -> list:
     """Z2 bitset columns of the k-boundary of the subcomplex at scale eps."""
     if not 1 <= k <= complex_.max_dim:
@@ -291,37 +290,31 @@ def _z2_columns(complex_: FilteredComplex, k: int, eps: float) -> list:
 def betti_oracle(complex_: FilteredComplex, k: int, eps1: float, eps2: float) -> int:
     """Rank-based persistent Betti number over Z2 (no reduction involved).
 
-    Computes dim Z_k(K_eps1) - dim(Z_k(K_eps1) intersect B_k(K_eps2)) by
-    Gaussian elimination, with dim(A intersect B) = dim A + dim B - dim(A+B).
-    Intended for small complexes.
+    With n1 the k-simplices born by eps1 and R2 the rows of the (k+1)-boundary
+    at eps2 on the later k-simplices, beta = n1 - rank d_k(eps1)
+    - rank d_{k+1}(eps2) + rank R2 (see the module docstring).  Intended for
+    small complexes.
     """
     if eps1 > eps2:
         raise ValueError(f"eps1 ({eps1}) must be <= eps2 ({eps2})")
-    n_k_eps1 = complex_.count_at(k, eps1)
-    if n_k_eps1 == 0:
-        return 0
-    if k == 0:
-        cycles = [1 << j for j in range(n_k_eps1)]
-    else:
-        cycles = _gf2_nullspace(_z2_columns(complex_, k, eps1))
-    dim_z = len(cycles)
+    n1 = complex_.count_at(k, eps1)
     boundaries = _z2_columns(complex_, k + 1, eps2)
-    dim_b = _gf2_rank(list(boundaries))
-    dim_zb = _gf2_rank(cycles + boundaries)
-    return dim_z - (dim_z + dim_b - dim_zb)
+    return (n1 - _gf2_rank(_z2_columns(complex_, k, eps1)) - _gf2_rank(boundaries)
+            + _gf2_rank(col >> n1 for col in boundaries))
 
 
 # -- bottleneck distance ------------------------------------------------------
 
-def _matchable(n1, n2, adj, limit) -> bool:
-    """Kuhn's augmenting paths: does a perfect matching of size ``limit`` exist?
+def _saturates(adj, n_right) -> bool:
+    """Kuhn's augmenting paths: can every left vertex ``i`` be matched into ``adj[i]``?
 
-    Each path is searched depth-first on an explicit stack, so it may be as long as the graph.
+    Each path is searched depth-first on an explicit stack, so it may be as
+    long as the graph.  A left vertex with no augmenting path never gains one
+    later, so the first such vertex answers no.
     """
-    match_v = [-1] * n2
-    matched = 0
-    for root in range(n1):
-        seen = [False] * n2
+    match_v = [-1] * n_right
+    for root in range(len(adj)):
+        seen = [False] * n_right
         stack, path = [iter(adj[root])], []
         while stack:
             for v in stack[-1]:
@@ -338,30 +331,28 @@ def _matchable(n1, n2, adj, limit) -> bool:
                 u = root
                 for pv in path:
                     match_v[pv], u = u, match_v[pv]
-                matched += 1
                 break
             stack.append(iter(adj[match_v[v]]))
-    return matched == limit
+        else:
+            return False
+    return True
 
 
 def _finite_bottleneck(p1: np.ndarray, p2: np.ndarray) -> float:
-    """Exact bottleneck between finite-point diagrams, given as (n, 2) [birth, death] arrays."""
+    """Exact bottleneck between finite-point diagrams, given as (n, 2) [birth, death] arrays.
+
+    The least candidate delta at which both far sets saturate (see the module docstring).
+    """
     n1, n2 = len(p1), len(p2)
-    if n1 == 0 and n2 == 0:
-        return 0.0
     diag1 = (p1[:, 1] - p1[:, 0]) / 2.0
     diag2 = (p2[:, 1] - p2[:, 0]) / 2.0
     cost = np.abs(p1[:, None, :] - p2[None, :, :]).max(axis=2)  # L-infinity, n1 x n2
     grid = np.unique(np.concatenate(([0.0], diag1, diag2, cost.ravel())))
-    free = list(range(n2, n2 + n1))  # dummy-dummy matches are free
 
     def feasible(delta):
-        # U = p1 + dummies(p2), V = p2 + dummies(p1)
-        adj = [np.flatnonzero(row).tolist() for row in cost <= delta]
-        for i in np.flatnonzero(diag1 <= delta).tolist():
-            adj[i].append(n2 + i)
-        adj += [[j, *free] if near else free for j, near in enumerate((diag2 <= delta).tolist())]
-        return _matchable(n1 + n2, n1 + n2, adj, n1 + n2)
+        near = cost <= delta
+        return (_saturates([np.flatnonzero(row).tolist() for row in near[diag1 > delta]], n2)
+                and _saturates([np.flatnonzero(col).tolist() for col in near.T[diag2 > delta]], n1))
 
     lo, hi = 0, len(grid) - 1
     while lo < hi:
@@ -408,19 +399,20 @@ def diagram_to_json(diagram: PersistenceDiagram) -> str:
 
 
 def diagram_from_json(text: str) -> PersistenceDiagram:
-    """Parse ``diagram_to_json`` output; invalid bar values raise ``ValueError``."""
+    """Parse ``diagram_to_json`` output; malformed structure or invalid bar values raise ``ValueError``."""
     payload = json.loads(text)
-    dims = [int(b["dim"]) for b in payload["bars"]]
-    meta = payload.get("metadata", {})
-    return PersistenceDiagram(
-        field=payload.get("field", Z2),
-        max_dim=int(meta.get("max_dim", max(dims, default=0))),
-        n_points=int(meta.get("n_points", 0)),
-        dropped_zero_bars={int(k): int(v) for k, v in meta.get("dropped_zero_bars", {}).items()},
-        dims=dims,
-        births=[float(b["birth"]) for b in payload["bars"]],
-        deaths=[INF if b["death"] is None else float(b["death"]) for b in payload["bars"]],
-    )
+    try:
+        bars, meta = payload["bars"], payload.get("metadata", {})
+        dims = [int(b["dim"]) for b in bars]
+        births = [float(b["birth"]) for b in bars]
+        deaths = [INF if b["death"] is None else float(b["death"]) for b in bars]
+        max_dim = int(meta.get("max_dim", max(dims, default=0)))
+        n_points = int(meta.get("n_points", 0))
+        dropped = {int(k): int(v) for k, v in meta.get("dropped_zero_bars", {}).items()}
+    except (KeyError, TypeError, AttributeError) as err:
+        raise ValueError(f"malformed diagram ({type(err).__name__}: {err})") from None
+    return PersistenceDiagram(field=payload.get("field", Z2), max_dim=max_dim, n_points=n_points,
+                              dropped_zero_bars=dropped, dims=dims, births=births, deaths=deaths)
 
 
 def render_text(diagram: PersistenceDiagram) -> str:

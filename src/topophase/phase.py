@@ -278,16 +278,32 @@ def _config_to_dict(config: ScanConfig) -> dict:
     }
 
 
+# accepted JSON values per ScanConfig annotation, and their name in error messages
+_JSON_TYPES = {"float": ((int, float), "a number"), "int": (int, "an integer"), "str": (str, "a string"),
+               "bool": (bool, "true or false"), "tuple": ((list, tuple), "a list")}
+
+
 def config_from_dict(payload: dict) -> ScanConfig:
-    known = {f.name for f in fields(ScanConfig)}
-    unknown = sorted(set(payload) - known)
+    """Build a ``ScanConfig`` from parsed JSON; a malformed payload raises ``ValueError`` naming the field."""
+    if not isinstance(payload, dict):
+        raise ValueError("config must be a JSON object")
+    types = {f.name: f.type for f in fields(ScanConfig)}
+    unknown = sorted(set(payload) - set(types))
     if unknown:
         raise ValueError(f"unknown config field {unknown[0]!r}")
     for required in ("lambda_min", "lambda_max", "step"):
         if required not in payload:
             raise ValueError(f"missing config field {required!r}")
+    for name, value in payload.items():
+        accepted, wanted = _JSON_TYPES[types[name]]
+        if not isinstance(value, accepted) or (isinstance(value, bool) and accepted is not bool):
+            raise ValueError(f"config field {name!r} must be {wanted}, got {value!r}")
     payload = dict(payload)
     if "intervals" in payload:
+        if not all(isinstance(x, (list, tuple)) and len(x) == 3
+                   and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)
+                   for x in payload["intervals"]):
+            raise ValueError("config field 'intervals' must be a list of [k, eps1, eps2] numbers")
         payload["intervals"] = tuple(tuple(x) for x in payload["intervals"])
     return ScanConfig(**payload)
 

@@ -1,13 +1,16 @@
 """Shared oracles and generators for the test suite.
 
 Everything here is deliberately independent of the library code paths it is
-used to check: closed-form eigenpairs, union-find component counting, and
-brute-force GF(2) ranks.  The exceptions are ``assert_matches_dense``, which
-checks the Schur Laplacian and the closed-form Dirac spectrum against the
-dense assembled operator that the library keeps as their reference, and
-``homology_reduce``, the boundary-matrix reduction that the cohomology
-reduction in ``topophase.persistence`` replaced.
+used to check: closed-form eigenpairs, union-find component counting,
+brute-force GF(2) ranks and brute-force bottleneck matchings.  The exceptions
+are ``assert_matches_dense``, which checks the Schur Laplacian and the
+closed-form Dirac spectrum against the dense assembled operator that the
+library keeps as their reference, and ``homology_reduce``, the
+boundary-matrix reduction that the cohomology reduction in
+``topophase.persistence`` replaced.
 """
+
+import itertools
 
 import numpy as np
 
@@ -120,6 +123,28 @@ def gf2_matrix_rank(rows):
         pivot_row += 1
         rank += 1
     return rank
+
+
+def brute_force_bottleneck(p1, p2):
+    """Bottleneck distance between finite diagrams by trying every bijection.
+
+    ``p1`` and ``p2`` are lists of (birth, death) pairs, at most 4 each.  The
+    left side is p1 plus one diagonal copy per point of p2, the right side p2
+    plus one diagonal copy per point of p1; a point matched to any diagonal
+    copy costs its half-length, and two diagonal copies cost 0.
+    """
+    assert len(p1) <= 4 and len(p2) <= 4
+    n1, n2 = len(p1), len(p2)
+    size = n1 + n2
+    cost = np.zeros((size, size))
+    for i, (b1, d1) in enumerate(p1):
+        for j, (b2, d2) in enumerate(p2):
+            cost[i, j] = max(abs(b1 - b2), abs(d1 - d2))
+        cost[i, n2:] = (d1 - b1) / 2.0
+    for j, (b2, d2) in enumerate(p2):
+        cost[n1:, j] = (d2 - b2) / 2.0
+    perms = np.array(list(itertools.permutations(range(size))), dtype=np.intp)
+    return float(cost[np.arange(size), perms].max(axis=1, initial=0.0).min())
 
 
 def dense_reference(fc, k, eps, eps_prime, xi):

@@ -69,6 +69,19 @@ class TestScan:
         assert rc == 2
         assert "wndow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, named", [
+        ([{"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1}], "JSON object"),
+        ({"lambda_min": "a", "lambda_max": 1.0, "step": 0.1}, "'lambda_min'"),
+        ({"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1, "intervals": 5}, "'intervals'"),
+    ], ids=["list", "lambda_min", "intervals"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, payload, named):
+        cfg = tmp_path / "scan.json"
+        cfg.write_text(json.dumps(payload))
+        rc = main(["scan", "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_unreadable_config(self, tmp_path, capsys):
         rc = main(["scan", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "r.json")])
         assert rc == 2
@@ -300,3 +313,22 @@ class TestBottleneck:
         captured = capsys.readouterr()
         assert "invalid bar" in captured.err
         assert captured.out == ""
+
+    def test_malformed_diagram_files_exit_2(self, square_csv, tmp_path, capsys):
+        good = tmp_path / "d.json"
+        main(["barcode", "--cloud", square_csv, "--out", str(good)])
+        payload = json.loads(good.read_text())
+        null_birth = json.loads(good.read_text())
+        null_birth["bars"][0]["birth"] = None
+        no_birth = json.loads(good.read_text())
+        del no_birth["bars"][0]["birth"]
+        for name, bad in (("null.json", null_birth), ("nokey.json", no_birth),
+                          ("list.json", payload["bars"])):
+            path = tmp_path / name
+            path.write_text(json.dumps(bad))
+            capsys.readouterr()
+            rc = main(["bottleneck", str(path), str(good), "--dim", "0"])
+            assert rc == 2, name
+            captured = capsys.readouterr()
+            assert "malformed diagram" in captured.err, name
+            assert captured.out == "", name

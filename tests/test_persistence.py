@@ -5,8 +5,8 @@ import pytest
 
 import topophase as tp
 from topophase import persistence
-from topophase.persistence import Bar, PersistenceDiagram, _matchable
-from helpers import components_at_scale, gf2_matrix_rank, random_cloud
+from topophase.persistence import Bar, PersistenceDiagram, _saturates
+from helpers import brute_force_bottleneck, components_at_scale, gf2_matrix_rank, random_cloud
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 HALF_DIAG = np.sqrt(2.0) / 2.0
@@ -197,8 +197,30 @@ class TestBottleneck:
         # take right vertex 0, so its augmenting path shifts all n matches
         n = 2000
         adj = [[i, i + 1] for i in range(n)] + [[0]]
-        assert _matchable(n + 1, n + 1, adj, n + 1)
-        assert not _matchable(n + 1, n + 1, adj[:n] + [[]], n + 1)
+        assert _saturates(adj, n + 1)
+        assert not _saturates(adj[:n] + [[]], n + 1)
+
+    def test_equals_brute_force_on_small_diagrams(self):
+        rng = np.random.default_rng(7)
+        for trial in range(150):
+            sides = []
+            for _ in range(2):
+                n = int(rng.integers(0, 5))
+                if trial % 2:  # lattice: exact cost ties and equal bars
+                    births = rng.integers(0, 4, n) / 4.0
+                    deaths = births + rng.integers(0, 4, n) / 4.0
+                else:
+                    births = rng.uniform(0.0, 1.0, n)
+                    deaths = births + rng.uniform(0.0, 0.5, n)
+                sides.append(list(zip(births.tolist(), deaths.tolist())))
+            p1, p2 = sides
+            if trial % 3 == 0 and p1:  # a bar shared by both sides, and repeated in one
+                p2 = (p2 + [p1[0]])[-4:]
+                p1 = (p1 + [p1[0]])[-4:]
+            d1, d2 = (PersistenceDiagram(bars=tuple(Bar(1, b, d) for b, d in p)) for p in (p1, p2))
+            expected = brute_force_bottleneck(p1, p2)
+            assert tp.bottleneck(d1, d2, 1) == expected, (p1, p2)
+            assert tp.bottleneck(d2, d1, 1) == expected, (p1, p2)
 
     def test_identical(self):
         dg = diagram_of(SQUARE)

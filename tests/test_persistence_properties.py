@@ -1,5 +1,6 @@
 """Property test of the cohomology reduction against the boundary-matrix
-reduction it replaced: the serialized diagrams must be byte-identical."""
+reduction it replaced: the serialized diagrams must be byte-identical, and
+the bar counts must equal the rank oracle at exact simplex births."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -33,4 +34,11 @@ def test_cohomology_matches_homology_reduction(pts, data):
     eps_max = data.draw(st.one_of(st.none(), st.sampled_from(half_distances or [0.0])),
                         label="eps_max")
     fc = tp.vr_filtration(pts, eps_max=eps_max, max_dim=max_dim)
-    assert tp.diagram_to_json(tp.reduce(fc)) == tp.diagram_to_json(homology_reduce(fc))
+    diagram = tp.reduce(fc)
+    assert tp.diagram_to_json(diagram) == tp.diagram_to_json(homology_reduce(fc))
+    births = np.unique(np.concatenate(fc.births)).tolist()
+    for _ in range(2):
+        eps1, eps2 = sorted(data.draw(st.lists(st.sampled_from(births), min_size=2, max_size=2),
+                                      label="probe"))
+        for k in range(max_dim + 1):
+            assert tp.persistent_betti(diagram, k, eps1, eps2) == tp.betti_oracle(fc, k, eps1, eps2)
