@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="probe interval k:eps1:eps2 (repeatable)")
     scan.add_argument("--max-dim", type=int, default=2)
     scan.add_argument("--xi", type=float, default=0.0)
-    scan.add_argument("--rank-tol", type=float, default=1e-9)
     scan.add_argument("--gap-tol", type=float, default=DEFAULT_GAP_TOL)
     scan.add_argument("--jobs", type=int, default=1,
                       help="accepted for compatibility (must be >= 1); sweeps run serially")
@@ -113,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dirac.add_argument("--eps2", type=float, required=True)
     dirac.add_argument("--xi", type=float, default=0.0)
     dirac.add_argument("--max-dim", type=int, default=None)
-    dirac.add_argument("--rank-tol", type=float, default=1e-9)
     dirac.add_argument("--out", required=True)
 
     bottle = sub.add_parser("bottleneck", help="bottleneck distance between two diagram files")
@@ -157,7 +155,6 @@ def cmd_scan(args) -> int:
             intervals=tuple(args.probe) if args.probe else ((1, 0.4, 0.8),),
             max_dim=args.max_dim,
             xi=args.xi,
-            rank_tol=args.rank_tol,
             gap_tol=args.gap_tol,
             jobs=args.jobs,
         )
@@ -204,8 +201,7 @@ def cmd_dirac(args) -> int:
     max_dim = args.max_dim if args.max_dim is not None else max(2, args.k + 1)
     # the spectrum reads only simplices born by eps2, a prefix of the full filtration
     filtration = vr_filtration(cloud, eps_max=args.eps2, max_dim=max_dim)
-    eigenvalues, kernel = _dirac.dirac_spectrum(filtration, args.k, args.eps, args.eps2,
-                                                xi=args.xi, rank_tol=args.rank_tol)
+    eigenvalues, kernel = _dirac.dirac_spectrum(filtration, args.k, args.eps, args.eps2, xi=args.xi)
     _atomic_write(args.out, _dirac.spectrum_to_json(args.k, args.eps, args.eps2, args.xi, eigenvalues))
     print(f"kernel dimension: {kernel}")
     return EXIT_OK

@@ -9,11 +9,15 @@ the persistent Betti number.
 Two identities keep that computation small:
 
 - Schur complement (Memoli, Wan, Wang, "Persistent Laplacians", arXiv
-  2012.02808).  Split the rows of the scale-eps' boundary into those of the
-  k-simplices of K_eps (R1) and the rest (R2).  The restricted domain is
-  null(R2), so with V_r an orthonormal basis of the row space of R2,
-  M M^T = R1 R1^T - (R1 V_r)(R1 V_r)^T.  A thin SVD of R2 gives V_r; the
-  null-space basis is never formed.
+  2012.02808).  Split the rows of the scale-eps' boundary B into those of
+  the k-simplices of K_eps (R1) and the rest (R2).  The restricted domain is
+  null(R2), so M M^T = R1 R1^T - R1 R2^T (R2 R2^T)^+ R2 R1^T: the Schur
+  complement U_KK - U_KR U_RR^+ U_RK of the Gram matrix U = B B^T, of order
+  n_k(eps').  U is scattered from the (k+1)-simplices' facet array with one
+  ``np.bincount`` (entry (i, j) sums (-1)^(a+b) over the simplices with facet
+  i at position a and facet j at position b), U_RR^+ comes from one ``eigh``
+  and d = n_{k+1}(eps') - rank U_RR.  Neither B nor a null-space basis is
+  formed.
 - Bipartite Dirac spectrum.  The Dirac operator couples C_{k-1} (+) the
   restricted (k+1)-domain (size p = n_{k-1} + d) with C_k (size q = n_k)
   through X = [d_k; M^T], and X^T X = L_k.  With mu the eigenvalues of L_k,
@@ -24,10 +28,16 @@ Two identities keep that computation small:
   it counts as kernel are set to 0, so those modes come out as exactly
   +-xi.
 
-``restricted_boundary`` (the dense null-space basis) and ``dirac_operator``
-(the full three-block matrix) still assemble dense matrices; with
-``spectrum`` they are the reference the tests check the Schur and
-closed-form paths against.
+``restricted_boundary`` (the dense null-space basis, from an SVD) and
+``dirac_operator`` (the full three-block matrix) still assemble dense
+matrices; with ``spectrum`` they are the independent reference the tests
+check the Schur and closed-form paths against.
+
+Tolerances are module constants: ``NULLSPACE_TOL`` is the relative cutoff
+for the rank of R2 (on its singular values in ``restricted_boundary``, on
+the eigenvalues of U_RR in the Schur path), ``RANK_TOL`` the relative
+kernel cutoff on Laplacian eigenvalues and ``SYMMETRY_TOL`` the symmetry
+check of ``spectrum``.
 """
 
 from __future__ import annotations
@@ -37,12 +47,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplicial import FilteredComplex, boundary_dense_at
+from .simplicial import DENSE_LIMIT_BYTES  # noqa: F401  (re-exported: the limit of the spectral layer too)
+from .simplicial import FilteredComplex, _check_dense, boundary_dense_at
 
 NULLSPACE_TOL = 1e-10
-DEFAULT_RANK_TOL = 1e-9
+RANK_TOL = 1e-9
 SYMMETRY_TOL = 1e-10
-DENSE_LIMIT_BYTES = 2 ** 28  # largest dense float64 matrix _schur_laplacian will allocate
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +94,7 @@ class DiracOperator:
 
 
 def restricted_boundary(complex_: FilteredComplex, k_plus_1: int, eps: float,
-                        eps_prime: float, null_tol: float = NULLSPACE_TOL) -> PersistentBoundary:
+                        eps_prime: float) -> PersistentBoundary:
     """Restrict the (k+1)-boundary at eps' to chains with boundary inside K_eps.
 
     Rows of the scale-eps' boundary are split into those indexing k-simplices
@@ -110,7 +120,7 @@ def restricted_boundary(complex_: FilteredComplex, k_plus_1: int, eps: float,
         basis = np.eye(n_cols)
     else:
         _, svals, vh = np.linalg.svd(r2)
-        basis = vh[_numerical_rank(svals, null_tol):].conj().T
+        basis = vh[int(np.sum(svals > NULLSPACE_TOL * svals[0])):].conj().T
     return PersistentBoundary(
         k=k_plus_1,
         eps=float(eps),
@@ -120,62 +130,54 @@ def restricted_boundary(complex_: FilteredComplex, k_plus_1: int, eps: float,
     )
 
 
-def _numerical_rank(svals: np.ndarray, null_tol: float) -> int:
-    """Number of singular values (descending) above ``null_tol`` times the largest."""
-    cutoff = null_tol * (svals[0] if svals.size else 0.0)
-    return int(np.sum(svals > cutoff))
+def _schur_laplacian(complex_: FilteredComplex, k: int, eps: float, eps_prime: float) -> tuple:
+    """L_k through the Schur complement of U = B B^T, and the restricted-domain dimension d.
 
-
-def _check_dense(n_rows: int, n_cols: int) -> None:
-    """Refuse a dense float64 matrix larger than ``DENSE_LIMIT_BYTES``."""
-    if n_rows * n_cols * 8 > DENSE_LIMIT_BYTES:
-        raise ValueError(f"a dense {n_rows}x{n_cols} matrix ({n_rows * n_cols * 8 / 2 ** 20:.0f} MB) "
-                         f"exceeds the {DENSE_LIMIT_BYTES // 2 ** 20} MB limit of the spectral layer")
-
-
-def _schur_laplacian(complex_: FilteredComplex, k: int, eps: float, eps_prime: float,
-                     null_tol: float) -> tuple:
-    """L_k through the Schur identity, and the restricted-domain dimension d.
-
-    Raises ``ValueError`` before allocating if the Laplacian or a boundary
-    would exceed ``DENSE_LIMIT_BYTES``.
+    Raises ``ValueError`` before allocating if U, the Laplacian or the
+    down boundary would exceed ``DENSE_LIMIT_BYTES``.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     n_k = complex_.count_at(k, eps)
-    _check_dense(n_k, n_k)
+    has_up = k < complex_.max_dim
+    n_up = complex_.count_at(k, eps_prime) if has_up else n_k
+    _check_dense(n_up, n_up)
     _check_dense(complex_.count_at(k - 1, eps), n_k)
-    if k < complex_.max_dim:
-        _check_dense(complex_.count_at(k, eps_prime), complex_.count_at(k + 1, eps_prime))
-    if k == 0:
-        lap = np.zeros((n_k, n_k))
-    else:
-        bk = boundary_dense_at(complex_, k, eps)
-        lap = bk.T @ bk
     domain_dim = 0
-    if k < complex_.max_dim:
-        full = boundary_dense_at(complex_, k + 1, eps_prime)
-        r1 = full[:n_k, :]
-        _, svals, vh = np.linalg.svd(full[n_k:, :], full_matrices=False)
-        rank = _numerical_rank(svals, null_tol)
-        w = r1 @ vh[:rank].T
-        lap = lap + r1 @ r1.T - w @ w.T
-        domain_dim = full.shape[1] - rank
-    return 0.5 * (lap + lap.T), domain_dim
+    if has_up:
+        facets = complex_._facets[k + 1][:complex_.count_at(k + 1, eps_prime)]
+        signs = (-1.0) ** np.add.outer(np.arange(k + 2), np.arange(k + 2))
+        pairs = facets[:, :, None] * n_up + facets[:, None, :]
+        gram = np.bincount(pairs.ravel(), weights=np.tile(signs.ravel(), len(facets)),
+                           minlength=n_up * n_up).reshape(n_up, n_up)
+        gram = gram.astype(float, copy=False)  # bincount gives int64 when there are no facets
+        evals, evecs = np.linalg.eigh(gram[n_k:, n_k:])
+        keep = evals > NULLSPACE_TOL * evals.max(initial=0.0)
+        w = gram[:n_k, n_k:] @ (evecs[:, keep] / np.sqrt(evals[keep]))
+        lap = gram[:n_k, :n_k]  # updated in place: U is not needed again
+        lap -= w @ w.T
+        domain_dim = len(facets) - int(np.count_nonzero(keep))
+    else:
+        lap = np.zeros((n_k, n_k))
+    if k > 0:
+        bk = boundary_dense_at(complex_, k, eps)
+        lap += bk.T @ bk
+    sym = lap + lap.T
+    sym *= 0.5
+    return sym, domain_dim
 
 
-def persistent_laplacian(complex_: FilteredComplex, k: int, eps: float, eps_prime: float,
-                         null_tol: float = NULLSPACE_TOL) -> np.ndarray:
+def persistent_laplacian(complex_: FilteredComplex, k: int, eps: float, eps_prime: float) -> np.ndarray:
     """Positive-semidefinite persistent Laplacian on k-chains of K_eps."""
     if eps > eps_prime:
         raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
     if complex_.count_at(k, eps) == 0:
         return np.zeros((0, 0))
-    return _schur_laplacian(complex_, k, eps, eps_prime, null_tol)[0]
+    return _schur_laplacian(complex_, k, eps, eps_prime)[0]
 
 
 def dirac_operator(complex_: FilteredComplex, k: int, eps: float, eps_prime: float,
-                   xi: float = 0.0, null_tol: float = NULLSPACE_TOL) -> DiracOperator:
+                   xi: float = 0.0) -> DiracOperator:
     """Assemble the three-block symmetric operator for the (eps, eps') pair.
 
     Off-diagonal blocks are the scale-eps k-boundary and the restricted
@@ -191,7 +193,7 @@ def dirac_operator(complex_: FilteredComplex, k: int, eps: float, eps_prime: flo
     else:
         down = boundary_dense_at(complex_, k, eps)
         n1 = down.shape[0]
-    up = restricted_boundary(complex_, k + 1, eps, eps_prime, null_tol=null_tol)
+    up = restricted_boundary(complex_, k + 1, eps, eps_prime)
     d = up.domain_dim
     size = n1 + n2 + d
     mat = np.zeros((size, size))
@@ -212,7 +214,7 @@ def dirac_operator(complex_: FilteredComplex, k: int, eps: float, eps_prime: flo
 
 
 def dirac_spectrum(complex_: FilteredComplex, k: int, eps: float, eps_prime: float,
-                   xi: float = 0.0, rank_tol: float = DEFAULT_RANK_TOL) -> tuple:
+                   xi: float = 0.0) -> tuple:
     """Ascending Dirac spectrum and Laplacian kernel dimension, one eigensolve.
 
     Equals ``spectrum(dirac_operator(...).matrix)`` and
@@ -222,9 +224,9 @@ def dirac_spectrum(complex_: FilteredComplex, k: int, eps: float, eps_prime: flo
     """
     if eps > eps_prime:
         raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
-    lap, domain_dim = _schur_laplacian(complex_, k, eps, eps_prime, NULLSPACE_TOL)
+    lap, domain_dim = _schur_laplacian(complex_, k, eps, eps_prime)
     evals = np.linalg.eigvalsh(lap)
-    kernel = _kernel_dim(evals, rank_tol)
+    kernel = _kernel_dim(evals)
     # kernel modes are zero, not round-off: they come out as exactly +-xi
     mu = np.clip(evals, 0.0, None)
     mu[:kernel] = 0.0
@@ -240,34 +242,34 @@ def dirac_spectrum(complex_: FilteredComplex, k: int, eps: float, eps_prime: flo
     return np.sort(np.concatenate([-pairs, flat, pairs])), kernel
 
 
-def spectrum(matrix, sym_tol: float = SYMMETRY_TOL) -> np.ndarray:
+def spectrum(matrix) -> np.ndarray:
     """Ascending eigenvalues (full multiplicity) of a real symmetric matrix."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("spectrum requires a square matrix")
     if m.size:
         scale = max(1.0, float(np.max(np.abs(m))))
-        if float(np.max(np.abs(m - m.T))) > sym_tol * scale:
+        if float(np.max(np.abs(m - m.T))) > SYMMETRY_TOL * scale:
             raise ValueError("matrix is not symmetric within tolerance")
     return np.linalg.eigvalsh(m)
 
 
-def _kernel_dim(evals: np.ndarray, rank_tol: float) -> int:
-    """Eigenvalues (ascending, of a PSD matrix) below ``rank_tol`` times the top one."""
+def _kernel_dim(evals: np.ndarray) -> int:
+    """Eigenvalues (ascending, of a PSD matrix) below ``RANK_TOL`` times the top one."""
     if evals.size == 0:
         return 0
     top = max(1.0, float(evals[-1]))
     if float(evals[0]) < -1e-8 * top:
         raise ValueError(f"matrix is not PSD: min eigenvalue {evals[0]:.3e}")
-    return int(np.sum(evals < rank_tol * top))
+    return int(np.sum(evals < RANK_TOL * top))
 
 
-def betti_from_laplacian(laplacian, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+def betti_from_laplacian(laplacian) -> int:
     """Kernel dimension of a PSD matrix: eigenvalues below a relative cutoff."""
     lap = np.asarray(laplacian, dtype=float)
     if lap.size == 0:
         return 0
-    return _kernel_dim(np.linalg.eigvalsh(lap), rank_tol)
+    return _kernel_dim(np.linalg.eigvalsh(lap))
 
 
 def qpe_distribution(eigenvalues, l: int, m_register: int, p: int) -> float:

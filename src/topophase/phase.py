@@ -10,7 +10,7 @@ lambda pair where any probe value changes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class ScanConfig:
     intervals: tuple = ((1, 0.4, 0.8),)
     max_dim: int = 2
     xi: float = 0.0
-    rank_tol: float = 1e-9
     gap_tol: float = DEFAULT_GAP_TOL
     jobs: int = 1
     keep_diagrams: bool = False
@@ -140,8 +139,7 @@ def _probe_cloud(points: np.ndarray, config: ScanConfig):
     for k, e1, e2 in config.intervals:
         key = probe_key(k, e1, e2)
         betti[key] = _persistence.persistent_betti(diagram, k, e1, e2)
-        evals, kernels[key] = _dirac.dirac_spectrum(filtration, k, e1, e2, xi=config.xi,
-                                                    rank_tol=config.rank_tol)
+        evals, kernels[key] = _dirac.dirac_spectrum(filtration, k, e1, e2, xi=config.xi)
         if spectra is not None:
             spectra[key] = [float(x) for x in evals]
     return betti, kernels, diagram, spectra
@@ -259,25 +257,6 @@ def unitary_conjugate_scan(config: ScanConfig, seed) -> PhaseScanReport:
 
 # -- report serialization ------------------------------------------------------
 
-def _config_to_dict(config: ScanConfig) -> dict:
-    return {
-        "model": config.model,
-        "n_sites": config.n_sites,
-        "v": config.v,
-        "w": config.w,
-        "lambda_min": config.lambda_min,
-        "lambda_max": config.lambda_max,
-        "step": config.step,
-        "cloud_mode": config.cloud_mode,
-        "window_halfwidth": config.window_halfwidth,
-        "intervals": [list(probe) for probe in config.intervals],
-        "max_dim": config.max_dim,
-        "xi": config.xi,
-        "rank_tol": config.rank_tol,
-        "gap_tol": config.gap_tol,
-    }
-
-
 # accepted JSON values per ScanConfig annotation, and their name in error messages
 _JSON_TYPES = {"float": ((int, float), "a number"), "int": (int, "an integer"), "str": (str, "a string"),
                "bool": (bool, "true or false"), "tuple": ((list, tuple), "a list")}
@@ -317,7 +296,7 @@ def report_to_json(report: PhaseScanReport) -> str:
             "kernel_dims": dict(sorted(kd.items())),
         })
     payload = {
-        "config": _config_to_dict(report.config),
+        "config": asdict(report.config),
         "entries": entries,
         "transitions": [
             {"left": left, "right": right, "probes": list(probes)}

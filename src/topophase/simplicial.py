@@ -29,6 +29,15 @@ import numpy as np
 
 Z2 = "Z2"
 REAL = "real"
+DENSE_LIMIT_BYTES = 2 ** 28  # largest dense array vr_filtration or the spectral layer will allocate
+
+
+def _check_dense(n_rows: int, n_cols: int, what: str = "matrix", itemsize: int = 8) -> None:
+    """Refuse a dense ``n_rows`` x ``n_cols`` array larger than ``DENSE_LIMIT_BYTES``."""
+    size = n_rows * n_cols * itemsize
+    if size > DENSE_LIMIT_BYTES:
+        raise ValueError(f"a dense {n_rows}x{n_cols} {what} ({size / 2 ** 20:.0f} MB) "
+                         f"exceeds the {DENSE_LIMIT_BYTES // 2 ** 20} MB limit")
 
 
 @dataclass(frozen=True)
@@ -142,7 +151,8 @@ def vr_filtration(cloud, eps_max: float | None = None, max_dim: int = 2) -> Filt
     Contains every simplex of dimension <= ``max_dim`` whose birth (half its
     diameter) is at most ``eps_max``; the default ``eps_max`` is half the
     cloud diameter, at which the complex is a full simplex up to ``max_dim``.
-    Duplicate points are legal (zero distances allowed).
+    Duplicate points are legal (zero distances allowed).  Raises
+    ``ValueError`` before allocating an array above ``DENSE_LIMIT_BYTES``.
     """
     pts = np.asarray(getattr(cloud, "points", cloud), dtype=float)
     if pts.ndim == 1:
@@ -154,6 +164,8 @@ def vr_filtration(cloud, eps_max: float | None = None, max_dim: int = 2) -> Filt
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
     n = pts.shape[0]
+    _check_dense(n * n, pts.shape[1], "array of pairwise differences")
+    _check_dense(n, n, "distance matrix")
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     dist = 0.5 * (dist + dist.T)
@@ -168,9 +180,11 @@ def vr_filtration(cloud, eps_max: float | None = None, max_dim: int = 2) -> Filt
     for k in range(max_dim):
         lower = verts[-1]
         # candidates adjacent to every vertex of a k-simplex and above its last one
+        _check_dense(len(lower), n, f"array of {k + 1}-simplex candidates", itemsize=1)
         common = adjacency[lower[:, 0]]
         for c in range(1, k + 1):
             common &= adjacency[lower[:, c]]
+        _check_dense(np.count_nonzero(common), k + 2, f"array of {k + 1}-simplex vertices")
         rows, top = np.nonzero(common)
         parents = lower[rows]
         upper = np.column_stack([parents, top])

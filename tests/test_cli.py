@@ -73,7 +73,8 @@ class TestScan:
         ([{"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1}], "JSON object"),
         ({"lambda_min": "a", "lambda_max": 1.0, "step": 0.1}, "'lambda_min'"),
         ({"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1, "intervals": 5}, "'intervals'"),
-    ], ids=["list", "lambda_min", "intervals"])
+        ({"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1, "rank_tol": 1e-9}, "'rank_tol'"),
+    ], ids=["list", "lambda_min", "intervals", "rank_tol"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, payload, named):
         cfg = tmp_path / "scan.json"
         cfg.write_text(json.dumps(payload))
@@ -163,6 +164,16 @@ class TestBarcode:
         rc = main(["barcode", "--cloud", str(src), "--out", str(out)])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_filtration_exits_2(self, tmp_path, capsys):
+        pts = np.random.default_rng(0).random((2000, 2))
+        src = tmp_path / "uniform.csv"
+        src.write_text("lambda,x,y\n" + "".join(f"{i},{x:.17g},{y:.17g}\n" for i, (x, y) in enumerate(pts)))
+        out = tmp_path / "d.json"
+        rc = main(["barcode", "--cloud", str(src), "--max-dim", "2", "--out", str(out)])
+        assert rc == 2
+        assert "2-simplex candidates" in capsys.readouterr().err
         assert not out.exists()
 
     def test_deterministic_bytes(self, square_csv, tmp_path):

@@ -241,6 +241,16 @@ class TestDiracSpectrum:
         _, kernel = assert_matches_dense(fc, 1, 0.6, 0.75, xis=(0.0,))
         assert kernel == 1 == tp.persistent_betti(tp.reduce(fc), 1, 0.6, 0.75)
 
+    def test_complete_graph_needs_no_dense_boundary(self):
+        # 420 points at eps_max: the 420 x 87,990 edge boundary (282 MB) would
+        # exceed the limit, while U = B B^T has order 420
+        fc = tp.vr_filtration(np.random.default_rng(0).random((420, 2)), max_dim=1)
+        eps2 = fc.eps_max
+        assert fc.count_at(0, eps2) * fc.count_at(1, eps2) * 8 > DENSE_LIMIT_BYTES
+        _, kernel = tp.dirac_spectrum(fc, 0, 0.02, eps2)
+        assert kernel == 1
+        assert kernel == tp.persistent_betti(tp.reduce(fc), 0, 0.02, eps2) == tp.betti_oracle(fc, 0, 0.02, eps2)
+
     def test_oversized_laplacian_refused(self):
         # 60 uniform points at eps 0.3 hold about 9,000 triangles: L_2 alone needs ~600 MB
         fc = tp.vr_filtration(np.random.default_rng(0).random((60, 2)), eps_max=0.3, max_dim=3)

@@ -13,9 +13,16 @@ from helpers import assert_matches_dense
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_random_clouds_match_dense_reference(data):
-    n = data.draw(st.integers(4, 12), label="n")
     dim = data.draw(st.integers(1, 3), label="dim")
-    pts = data.draw(arrays(np.float64, (n, dim), elements=st.floats(0.0, 1.0)), label="points")
+    if data.draw(st.booleans(), label="lattice"):
+        # points on {0..3}^dim with copies: exact ties and a rank-deficient U_RR
+        n = data.draw(st.integers(4, 10), label="n")
+        pts = data.draw(arrays(np.int64, (n, dim), elements=st.integers(0, 3)), label="points")
+        copies = data.draw(st.lists(st.integers(0, n - 1), max_size=2), label="duplicated")
+        pts = np.vstack([pts, pts[copies]]).astype(float)
+    else:
+        n = data.draw(st.integers(4, 12), label="n")
+        pts = data.draw(arrays(np.float64, (n, dim), elements=st.floats(0.0, 1.0)), label="points")
     max_dim = data.draw(st.integers(2, 3), label="max_dim")
     fc = tp.vr_filtration(pts, max_dim=max_dim)
     births = sorted({s.birth for s in fc.simplices})

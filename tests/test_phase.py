@@ -221,8 +221,9 @@ class TestReportJson:
             assert set(t) == {"left", "right", "probes"}
 
     def test_roundtrip(self):
-        report = tp.sweep(clean_config())
+        report = tp.sweep(clean_config(jobs=3, keep_spectra=True, xi=0.25, gap_tol=1e-8))
         back = tp.report_from_json(tp.report_to_json(report))
+        assert back.config == report.config
         assert back.betti == report.betti
         assert back.kernel_dims == report.kernel_dims
         assert back.transitions == report.transitions

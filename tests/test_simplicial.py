@@ -145,6 +145,14 @@ def test_non_finite_coordinates_rejected(bad):
         tp.vr_filtration(pts, max_dim=2)
 
 
+def test_oversized_filtration_refused():
+    # the full 2-skeleton on 2,000 points: its 1,999,000 edges against 2,000
+    # candidate vertices would need a 3.7 GB array before any triangle exists
+    pts = np.random.default_rng(0).random((2000, 2))
+    with pytest.raises(ValueError, match="dense 1999000x2000 array of 2-simplex candidates"):
+        tp.vr_filtration(pts, max_dim=2)
+
+
 def test_boundary_dense_at_is_prefix_of_full_boundary():
     rng = np.random.default_rng(11)
     for _ in range(10):
