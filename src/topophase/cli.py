@@ -18,14 +18,10 @@ from . import persistence as _persistence
 from . import phase as _phase
 from .simplicial import vr_filtration
 from .statecloud import (
-    DEFAULT_GAP_TOL,
     DegenerateGroundStateError,
     InvalidModelError,
-    SSHChain,
-    build_cloud,
     cloud_csv_text,
     cloud_from_csv,
-    ssh_observables,
 )
 
 EXIT_OK = 0
@@ -66,35 +62,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    scan = sub.add_parser("scan", help="sweep a model and report probe values and transitions")
-    scan.add_argument("--config", help="JSON file with scan configuration fields")
-    scan.add_argument("--model", default="ssh")
-    scan.add_argument("--n", type=int, default=4, dest="n_sites")
-    scan.add_argument("--v", type=float, default=1.0)
-    scan.add_argument("--w", type=float, default=1.0)
-    scan.add_argument("--lmin", type=float, default=None)
-    scan.add_argument("--lmax", type=float, default=None)
-    scan.add_argument("--step", type=float, default=None)
-    scan.add_argument("--mode", choices=(_phase.WINDOW, _phase.GLOBAL), default=_phase.WINDOW)
-    scan.add_argument("--window", type=int, default=3, dest="window_halfwidth")
-    scan.add_argument("--probe", action="append", type=_parse_probe, default=None,
+    # scan and cloud flags other than --config and --out set the ScanConfig
+    # field named by their dest; the defaults live in ScanConfig alone, so an
+    # absent flag sets nothing
+    grid = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    grid.add_argument("--model")
+    grid.add_argument("--n", type=int, dest="n_sites")
+    grid.add_argument("--v", type=float)
+    grid.add_argument("--w", type=float)
+    grid.add_argument("--lmin", type=float, dest="lambda_min")
+    grid.add_argument("--lmax", type=float, dest="lambda_max")
+    grid.add_argument("--step", type=float)
+    grid.add_argument("--gap-tol", type=float, dest="gap_tol")
+
+    scan = sub.add_parser("scan", parents=[grid], argument_default=argparse.SUPPRESS,
+                          help="sweep a model and report probe values and transitions")
+    scan.add_argument("--config", help="JSON file with scan configuration fields; flags override them")
+    scan.add_argument("--mode", choices=(_phase.WINDOW, _phase.GLOBAL), dest="cloud_mode")
+    scan.add_argument("--window", type=int, dest="window_halfwidth")
+    scan.add_argument("--probe", action="append", type=_parse_probe, dest="intervals",
                       help="probe interval k:eps1:eps2 (repeatable)")
-    scan.add_argument("--max-dim", type=int, default=2)
-    scan.add_argument("--xi", type=float, default=0.0)
-    scan.add_argument("--gap-tol", type=float, default=DEFAULT_GAP_TOL)
-    scan.add_argument("--jobs", type=int, default=1,
+    scan.add_argument("--max-dim", type=int)
+    scan.add_argument("--xi", type=float)
+    scan.add_argument("--jobs", type=int,
                       help="accepted for compatibility (must be >= 1); sweeps run serially")
     scan.add_argument("--out", required=True)
 
-    cloud = sub.add_parser("cloud", help="export an expectation cloud as CSV")
-    cloud.add_argument("--model", default="ssh")
-    cloud.add_argument("--n", type=int, default=4, dest="n_sites")
-    cloud.add_argument("--v", type=float, default=1.0)
-    cloud.add_argument("--w", type=float, default=1.0)
-    cloud.add_argument("--lmin", type=float, required=True)
-    cloud.add_argument("--lmax", type=float, required=True)
-    cloud.add_argument("--step", type=float, required=True)
-    cloud.add_argument("--gap-tol", type=float, default=DEFAULT_GAP_TOL)
+    cloud = sub.add_parser("cloud", parents=[grid], help="export an expectation cloud as CSV")
     cloud.add_argument("--out", required=True)
 
     barcode = sub.add_parser("barcode", help="persistence diagram of a cloud CSV")
@@ -122,43 +116,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_scan(args) -> int:
-    if args.config is not None:
+def _scan_config(args) -> _phase.ScanConfig:
+    """The ``--config`` file's fields (or none), overridden by the flags given."""
+    payload = {}
+    if "config" in args:
         try:
             with open(args.config) as fh:
                 payload = json.load(fh)
         except OSError as err:
-            print(f"error: cannot read config: {err}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"cannot read config: {err}") from None
         except json.JSONDecodeError as err:
-            print(f"error: config is not valid JSON: {err}", file=sys.stderr)
-            return EXIT_USAGE
-        if isinstance(payload, dict):
-            payload.setdefault("jobs", args.jobs)
-        config = _phase.config_from_dict(payload)
-    else:
-        missing = [flag for flag, value in (("--lmin", args.lmin), ("--lmax", args.lmax), ("--step", args.step))
-                   if value is None]
-        if missing:
-            print(f"error: missing required flag {missing[0]}", file=sys.stderr)
-            return EXIT_USAGE
-        config = _phase.ScanConfig(
-            model=args.model,
-            n_sites=args.n_sites,
-            v=args.v,
-            w=args.w,
-            lambda_min=args.lmin,
-            lambda_max=args.lmax,
-            step=args.step,
-            cloud_mode=args.mode,
-            window_halfwidth=args.window_halfwidth,
-            intervals=tuple(args.probe) if args.probe else ((1, 0.4, 0.8),),
-            max_dim=args.max_dim,
-            xi=args.xi,
-            gap_tol=args.gap_tol,
-            jobs=args.jobs,
-        )
-    report = _phase.sweep(config)
+            raise ValueError(f"config is not valid JSON: {err}") from None
+    if isinstance(payload, dict):
+        payload.update((name, value) for name, value in vars(args).items()
+                       if name not in ("command", "config", "out"))
+    return _phase.config_from_dict(payload)
+
+
+def cmd_scan(args) -> int:
+    report = _phase.sweep(_scan_config(args))
     _atomic_write(args.out, _phase.report_to_json(report))
     if report.transitions:
         for left, right, probes in report.transitions:
@@ -169,13 +145,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_cloud(args) -> int:
-    if args.model != "ssh":
-        print(f"error: unknown model {args.model!r}", file=sys.stderr)
-        return EXIT_USAGE
-    model = SSHChain(n_sites=args.n_sites, v=args.v, w=args.w)
-    config = _phase.ScanConfig(lambda_min=args.lmin, lambda_max=args.lmax, step=args.step,
-                               n_sites=args.n_sites, v=args.v, w=args.w)
-    cloud = build_cloud(config.lambdas(), model, ssh_observables(args.n_sites), gap_tol=args.gap_tol)
+    cloud = _phase._sweep_cloud(_scan_config(args))
     _atomic_write(args.out, cloud_csv_text(cloud))
     print(f"wrote {cloud.n_points} points in R^{cloud.ambient_dim} to {args.out}")
     return EXIT_OK

@@ -370,6 +370,8 @@ def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram, k: int) -> float:
     Infinite bars must match infinite bars (on birth); diagrams with unequal
     infinite-bar counts are infinitely far apart.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     (births1, deaths1), (births2, deaths2) = d1._in_dim(k), d2._in_dim(k)
     inf1, inf2 = deaths1 == INF, deaths2 == INF
     if np.count_nonzero(inf1) != np.count_nonzero(inf2):

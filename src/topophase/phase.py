@@ -65,6 +65,9 @@ class ScanConfig:
     def __post_init__(self):
         if self.model != "ssh":
             raise ValueError(f"unknown model {self.model!r}")
+        for name in ("lambda_min", "lambda_max", "step", "xi"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.lambda_min <= self.lambda_max:
             raise ValueError("lambda_min must not exceed lambda_max")
         if self.step <= 0:
@@ -83,6 +86,8 @@ class ScanConfig:
         for k, e1, e2 in intervals:
             if k < 0:
                 raise ValueError("probe dimension must be >= 0")
+            if not (e1 >= 0.0 and e2 >= 0.0):  # also refuses NaN
+                raise ValueError(f"intervals: probe scales must be >= 0, got ({k}, {e1}, {e2})")
             if e1 > e2:
                 raise ValueError(f"probe interval has eps1 > eps2: ({k}, {e1}, {e2})")
         object.__setattr__(self, "intervals", intervals)
@@ -165,6 +170,15 @@ def _check_agreement(lambdas, betti_dicts, kernel_dicts, keys) -> None:
                 )
 
 
+def _sweep_cloud(config: ScanConfig, unitary=None):
+    """Expectation cloud of the config's model over its lambda grid, in the frame of ``unitary``."""
+    model = SSHChain(n_sites=config.n_sites, v=config.v, w=config.w)
+    observables = ssh_observables(config.n_sites)
+    if unitary is not None:
+        observables = observables.conjugated(unitary)
+    return build_cloud(config.lambdas(), model, observables, gap_tol=config.gap_tol, unitary=unitary)
+
+
 def sweep(config: ScanConfig, unitary=None) -> PhaseScanReport:
     """Run the scan; raises naming the offending lambda on degeneracy.
 
@@ -173,12 +187,8 @@ def sweep(config: ScanConfig, unitary=None) -> PhaseScanReport:
     both detectors and any barcode/kernel disagreement raises
     ``ConsistencyError`` instead of entering the report.
     """
-    model = SSHChain(n_sites=config.n_sites, v=config.v, w=config.w)
-    observables = ssh_observables(config.n_sites)
-    if unitary is not None:
-        observables = observables.conjugated(unitary)
-    lambdas = config.lambdas()
-    cloud = build_cloud(lambdas, model, observables, gap_tol=config.gap_tol, unitary=unitary)
+    cloud = _sweep_cloud(config, unitary)
+    lambdas = cloud.params
 
     if config.cloud_mode == GLOBAL:
         point_sets = [cloud.points]

@@ -180,9 +180,6 @@ class SSHChain:
     def hamiltonian(self, lam: float) -> np.ndarray:
         return build_ssh_hamiltonian(lam, self.v, self.w, self.n_sites)
 
-    def observables(self) -> ObservableSet:
-        return ssh_observables(self.n_sites)
-
 
 def build_ssh_hamiltonian(lam: float, v: float = 1.0, w: float = 1.0, n_sites: int = 4) -> np.ndarray:
     """Single-particle matrix of the staggered-hopping open chain.
@@ -209,7 +206,11 @@ def ground_state(hamiltonian, gap_tol: float = DEFAULT_GAP_TOL) -> QuantumState:
     ------
     DegenerateGroundStateError
         If the two smallest eigenvalues are within ``gap_tol``.
+    ValueError
+        If ``gap_tol`` is not finite and positive.
     """
+    if not 0.0 < gap_tol < np.inf:
+        raise ValueError(f"gap_tol must be finite and > 0, got {gap_tol!r}")
     h = _require_hermitian(hamiltonian, "hamiltonian")
     evals, evecs = np.linalg.eigh(h)
     if h.shape[0] >= 2:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -62,6 +63,47 @@ class TestScan:
         assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["config"]["window_halfwidth"] == 2
 
+    def test_flags_override_config_file(self, tmp_path):
+        cfg = tmp_path / "scan.json"
+        cfg.write_text(json.dumps({
+            "lambda_min": -0.5, "lambda_max": 0.5, "step": 0.1,
+            "intervals": [[1, 0.4, 0.8]], "window_halfwidth": 2,
+        }))
+        out = tmp_path / "r.json"
+        rc = main(["scan", "--config", str(cfg), "--probe", "0:0.02:0.04", "--window", "1",
+                   "--lmin", "0", "--out", str(out)])
+        assert rc == 0
+        config = json.loads(out.read_text())["config"]
+        assert config["intervals"] == [[0, 0.02, 0.04]]
+        assert config["window_halfwidth"] == 1
+        assert config["lambda_min"] == 0.0
+        assert config["lambda_max"] == 0.5
+
+    def test_flag_only_config_holds_dataclass_defaults(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["scan", "--lmin", "-0.5", "--lmax", "0.5", "--step", "0.1", "--out", str(out)]) == 0
+        expected = dataclasses.asdict(tp.ScanConfig(lambda_min=-0.5, lambda_max=0.5, step=0.1))
+        assert json.loads(out.read_text())["config"] == json.loads(json.dumps(expected))
+
+    @pytest.mark.parametrize("flags, named", [
+        ([], "'lambda_min'"),
+        (["--lmin=-inf"], "lambda_min must be finite"),
+        (["--lmin", "-1", "--lmax", "inf"], "lambda_max must be finite"),
+        (["--lmin", "-1", "--step", "nan"], "step must be finite"),
+        (["--lmin", "-1", "--xi", "nan"], "xi must be finite"),
+        (["--lmin", "-1", "--probe", "1:nan:0.8"], "intervals:"),
+        (["--lmin", "-1", "--probe", "1:-0.1:0.8"], "intervals:"),
+        (["--lmin", "-1", "--gap-tol", "nan"], "gap_tol must be"),
+        (["--lmin", "-1", "--gap-tol", "-1"], "gap_tol must be"),
+    ], ids=["missing_lmin", "inf_lmin", "inf_lmax", "nan_step", "nan_xi", "nan_probe_scale",
+            "negative_probe_scale", "nan_gap_tol", "negative_gap_tol"])
+    def test_bad_flag_exits_2(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "r.json"
+        rc = main(["scan", "--lmax", "-0.8", "--step", "0.1", *flags, "--out", str(out)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_unknown_field_named(self, tmp_path, capsys):
         cfg = tmp_path / "scan.json"
         cfg.write_text(json.dumps({"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1, "wndow": 2}))
@@ -74,7 +116,15 @@ class TestScan:
         ({"lambda_min": "a", "lambda_max": 1.0, "step": 0.1}, "'lambda_min'"),
         ({"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1, "intervals": 5}, "'intervals'"),
         ({"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1, "rank_tol": 1e-9}, "'rank_tol'"),
-    ], ids=["list", "lambda_min", "intervals", "rank_tol"])
+        ({"lambda_min": math.nan, "lambda_max": 1.0, "step": 0.1}, "lambda_min must be finite"),
+        ({"lambda_min": 0.0, "lambda_max": math.inf, "step": 0.1}, "lambda_max must be finite"),
+        ({"lambda_min": 0.0, "lambda_max": 1.0, "step": math.inf}, "step must be finite"),
+        ({"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1, "xi": -math.inf}, "xi must be finite"),
+        ({"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1, "intervals": [[1, 0.4, math.nan]]}, "intervals:"),
+        ({"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1, "intervals": [[0, -0.1, 0.2]]}, "intervals:"),
+        ({"lambda_min": -1.0, "lambda_max": -0.8, "step": 0.1, "gap_tol": 0.0}, "gap_tol must be"),
+    ], ids=["list", "lambda_min", "intervals", "rank_tol", "nan_lambda_min", "inf_lambda_max", "inf_step",
+            "inf_xi", "nan_probe_scale", "negative_probe_scale", "zero_gap_tol"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, payload, named):
         cfg = tmp_path / "scan.json"
         cfg.write_text(json.dumps(payload))
@@ -112,6 +162,19 @@ class TestCloud:
         rc = main(["cloud", "--lmin", "-1", "--lmax", "0", "--step", "0.5",
                    "--out", str(tmp_path / "c.csv")])
         assert rc == 3
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--model", "ising"], "unknown model 'ising'"),
+        (["--lmin", "a"], "--lmin"),
+        (["--gap-tol", "nan"], "gap_tol must be"),
+        (["--gap-tol", "-1"], "gap_tol must be"),
+    ], ids=["model", "lmin", "nan_gap_tol", "negative_gap_tol"])
+    def test_bad_flag_exits_2(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "c.csv"
+        rc = main(["cloud", "--lmin", "-1", "--lmax", "-0.8", "--step", "0.1", *flags, "--out", str(out)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBarcode:
@@ -300,6 +363,16 @@ class TestBottleneck:
         rc = main(["bottleneck", str(d1), str(d2), "--dim", "0"])
         assert rc == 0
         assert capsys.readouterr().out.strip() == "inf"
+
+    def test_negative_dim_exits_2(self, square_csv, tmp_path, capsys):
+        out = tmp_path / "d.json"
+        main(["barcode", "--cloud", square_csv, "--out", str(out)])
+        capsys.readouterr()
+        rc = main(["bottleneck", str(out), str(out), "--dim", "-1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "k must be >= 0" in captured.err
+        assert captured.out == ""
 
     def test_roundtrip_distance_zero(self, square_csv, tmp_path, capsys):
         out = tmp_path / "d.json"

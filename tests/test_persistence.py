@@ -192,6 +192,11 @@ def test_diagram_orders_bars_and_keeps_bar_views():
 
 
 class TestBottleneck:
+    def test_negative_degree_rejected(self):
+        diagram = PersistenceDiagram(bars=(Bar(0, 0.0, 1.0),))
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            tp.bottleneck(diagram, diagram, -1)
+
     def test_matching_augments_along_a_path_of_every_vertex(self):
         # each left vertex i < n takes right vertex i; left vertex n can only
         # take right vertex 0, so its augmenting path shifts all n matches

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -40,6 +41,18 @@ class TestScanConfig:
             tp.ScanConfig(lambda_min=0.0, lambda_max=1.0, step=0.1, model="ising")
         with pytest.raises(ValueError):
             tp.ScanConfig(lambda_min=0.0, lambda_max=1.0, step=0.1, cloud_mode="sliding")
+
+    @pytest.mark.parametrize("field, value", [
+        ("lambda_min", -math.inf),
+        ("lambda_max", math.inf),
+        ("step", math.nan),
+        ("xi", math.inf),
+        ("intervals", ((1, math.nan, 0.8),)),
+        ("intervals", ((0, -0.2, 0.1),)),
+    ], ids=["lambda_min", "lambda_max", "step", "xi", "nan_probe_scale", "negative_probe_scale"])
+    def test_non_finite_or_negative_input_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tp.ScanConfig(**dict(CLEAN, **{field: value}))
 
     def test_probe_keys(self):
         cfg = clean_config()

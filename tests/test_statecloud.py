@@ -76,6 +76,13 @@ class TestGroundState:
         with pytest.raises(tp.DegenerateGroundStateError):
             tp.ground_state(h, gap_tol=1e-3)
 
+    @pytest.mark.parametrize("gap_tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_gap_tol_must_be_finite_and_positive(self, gap_tol):
+        # at lambda = -1 the ground space is 2-dimensional; no gap_tol may let it through
+        with pytest.raises(ValueError, match="gap_tol must be finite and > 0") as info:
+            tp.ground_state(ssh4(-1.0), gap_tol=gap_tol)
+        assert not isinstance(info.value, tp.DegenerateGroundStateError)
+
     def test_deterministic(self):
         a = tp.ground_state(ssh4(0.2))
         b = tp.ground_state(ssh4(0.2))
