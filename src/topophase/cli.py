@@ -17,12 +17,7 @@ from . import dirac as _dirac
 from . import persistence as _persistence
 from . import phase as _phase
 from .simplicial import vr_filtration
-from .statecloud import (
-    DegenerateGroundStateError,
-    InvalidModelError,
-    cloud_csv_text,
-    cloud_from_csv,
-)
+from .statecloud import DegenerateGroundStateError, cloud_csv_text, cloud_from_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -105,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dirac.add_argument("--eps", type=float, required=True)
     dirac.add_argument("--eps2", type=float, required=True)
     dirac.add_argument("--xi", type=float, default=0.0)
-    dirac.add_argument("--max-dim", type=int, default=None)
     dirac.add_argument("--out", required=True)
 
     bottle = sub.add_parser("bottleneck", help="bottleneck distance between two diagram files")
@@ -167,10 +161,11 @@ def cmd_dirac(args) -> int:
     if not 0.0 <= args.eps <= args.eps2:
         print(f"error: need 0 <= --eps ({args.eps}) <= --eps2 ({args.eps2})", file=sys.stderr)
         return EXIT_USAGE
+    if args.k < 0:
+        raise ValueError(f"--k must be >= 0, got {args.k}")
     cloud = cloud_from_csv(args.cloud)
-    max_dim = args.max_dim if args.max_dim is not None else max(2, args.k + 1)
-    # the spectrum reads only simplices born by eps2, a prefix of the full filtration
-    filtration = vr_filtration(cloud, eps_max=args.eps2, max_dim=max_dim)
+    # the spectrum reads only dimensions k - 1, k and k + 1, born by eps2
+    filtration = vr_filtration(cloud, eps_max=args.eps2, max_dim=args.k + 1)
     eigenvalues, kernel = _dirac.dirac_spectrum(filtration, args.k, args.eps, args.eps2, xi=args.xi)
     _atomic_write(args.out, _dirac.spectrum_to_json(args.k, args.eps, args.eps2, args.xi, eigenvalues))
     print(f"kernel dimension: {kernel}")
@@ -182,11 +177,7 @@ def cmd_bottleneck(args) -> int:
         d1 = _persistence.diagram_from_json(fh.read())
     with open(args.d2) as fh:
         d2 = _persistence.diagram_from_json(fh.read())
-    dist = _persistence.bottleneck(d1, d2, args.dim)
-    if dist == float("inf"):
-        print("inf")
-    else:
-        print(f"{dist:.12g}")
+    print(f"{_persistence.bottleneck(d1, d2, args.dim):.12g}")
     return EXIT_OK
 
 
@@ -210,10 +201,7 @@ def main(argv=None) -> int:
     except DegenerateGroundStateError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (InvalidModelError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,11 +13,11 @@ Two identities keep that computation small:
   the k-simplices of K_eps (R1) and the rest (R2).  The restricted domain is
   null(R2), so M M^T = R1 R1^T - R1 R2^T (R2 R2^T)^+ R2 R1^T: the Schur
   complement U_KK - U_KR U_RR^+ U_RK of the Gram matrix U = B B^T, of order
-  n_k(eps').  U is scattered from the (k+1)-simplices' facet array with one
-  ``np.bincount`` (entry (i, j) sums (-1)^(a+b) over the simplices with facet
-  i at position a and facet j at position b), U_RR^+ comes from one ``eigh``
-  and d = n_{k+1}(eps') - rank U_RR.  Neither B nor a null-space basis is
-  formed.
+  n_k(eps').  U is scattered from the (k+1)-simplices' facet array
+  (``boundary_matrix``) with one ``np.bincount`` (entry (i, j) sums
+  (-1)^(a+b) over the simplices with facet i at position a and facet j at
+  position b), U_RR^+ comes from one ``eigh`` and d = n_{k+1}(eps') -
+  rank U_RR.  Neither B nor a null-space basis is formed.
 - Bipartite Dirac spectrum.  The Dirac operator couples C_{k-1} (+) the
   restricted (k+1)-domain (size p = n_{k-1} + d) with C_k (size q = n_k)
   through X = [d_k; M^T], and X^T X = L_k.  With mu the eigenvalues of L_k,
@@ -30,8 +30,10 @@ Two identities keep that computation small:
 
 ``restricted_boundary`` (the dense null-space basis, from an SVD) and
 ``dirac_operator`` (the full three-block matrix) still assemble dense
-matrices; with ``spectrum`` they are the independent reference the tests
-check the Schur and closed-form paths against.
+matrices from ``boundary_dense_at``, which is defined for every k >= 0, so
+neither treats k = 0 or the top dimension apart; with ``spectrum`` they are
+the independent reference the tests check the Schur and closed-form paths
+against.
 
 Tolerances are module constants: ``NULLSPACE_TOL`` is the relative cutoff
 for the rank of R2 (on its singular values in ``restricted_boundary``, on
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simplicial import DENSE_LIMIT_BYTES  # noqa: F401  (re-exported: the limit of the spectral layer too)
-from .simplicial import FilteredComplex, _check_dense, boundary_dense_at
+from .simplicial import FilteredComplex, _check_dense, boundary_dense_at, boundary_matrix
 
 NULLSPACE_TOL = 1e-10
 RANK_TOL = 1e-9
@@ -107,10 +109,7 @@ def restricted_boundary(complex_: FilteredComplex, k_plus_1: int, eps: float,
     if k < 0:
         raise ValueError("k_plus_1 must be >= 1")
     n_rows_eps = complex_.count_at(k, eps)
-    if k_plus_1 > complex_.max_dim:
-        full = np.zeros((complex_.count_at(k, eps_prime), 0))
-    else:
-        full = boundary_dense_at(complex_, k_plus_1, eps_prime)
+    full = boundary_dense_at(complex_, k_plus_1, eps_prime)
     n_cols = full.shape[1]
     r1 = full[:n_rows_eps, :]
     r2 = full[n_rows_eps:, :]
@@ -145,7 +144,7 @@ def _schur_laplacian(complex_: FilteredComplex, k: int, eps: float, eps_prime: f
     _check_dense(complex_.count_at(k - 1, eps), n_k)
     domain_dim = 0
     if has_up:
-        facets = complex_._facets[k + 1][:complex_.count_at(k + 1, eps_prime)]
+        facets = boundary_matrix(complex_, k + 1)[:complex_.count_at(k + 1, eps_prime)]
         signs = (-1.0) ** np.add.outer(np.arange(k + 2), np.arange(k + 2))
         pairs = facets[:, :, None] * n_up + facets[:, None, :]
         gram = np.bincount(pairs.ravel(), weights=np.tile(signs.ravel(), len(facets)),
@@ -186,13 +185,8 @@ def dirac_operator(complex_: FilteredComplex, k: int, eps: float, eps_prime: flo
     """
     if eps > eps_prime:
         raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
-    n2 = complex_.count_at(k, eps)
-    if k == 0:
-        n1 = 0
-        down = np.zeros((0, n2))
-    else:
-        down = boundary_dense_at(complex_, k, eps)
-        n1 = down.shape[0]
+    down = boundary_dense_at(complex_, k, eps)
+    n1, n2 = down.shape
     up = restricted_boundary(complex_, k + 1, eps, eps_prime)
     d = up.domain_dim
     size = n1 + n2 + d

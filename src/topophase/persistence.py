@@ -21,6 +21,8 @@ Diagram: a ``PersistenceDiagram`` stores its bars as three read-only arrays
 (``dims``, ``births``, ``deaths``) ordered by (dim, birth, death); the tuple
 of ``Bar`` objects is built only when ``bars`` is first read.  Persistent
 Betti numbers, the bottleneck distance and JSON output read the arrays.
+Every diagram is over Z2: the JSON form records ``"field": "Z2"``, and
+reading refuses any other field.
 
 Rank oracle: each facet row of ``boundary_matrix`` becomes a Z2 boundary
 column held as an int bitset (bit r set for facet row r).  With n1 the
@@ -53,7 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .simplicial import Z2, FilteredComplex, boundary_matrix
+from .simplicial import FilteredComplex, boundary_matrix
 
 INF = math.inf
 
@@ -94,12 +96,11 @@ class PersistenceDiagram:
     dims: np.ndarray
     births: np.ndarray
     deaths: np.ndarray
-    field: str
     max_dim: int
     n_points: int
     dropped_zero_bars: dict
 
-    def __init__(self, bars=(), field=Z2, max_dim=0, n_points=0, dropped_zero_bars=None, *,
+    def __init__(self, bars=(), max_dim=0, n_points=0, dropped_zero_bars=None, *,
                  dims=(), births=(), deaths=()):
         if bars:
             dims, births, deaths = zip(*((b.dim, b.birth, b.death) for b in bars))
@@ -118,7 +119,6 @@ class PersistenceDiagram:
             values = values[order]
             values.flags.writeable = False
             object.__setattr__(self, name, values)
-        object.__setattr__(self, "field", field)
         object.__setattr__(self, "max_dim", max_dim)
         object.__setattr__(self, "n_points", n_points)
         object.__setattr__(self, "dropped_zero_bars", dict(dropped_zero_bars or {}))
@@ -159,7 +159,7 @@ def _cofacets(complex_: FilteredComplex, k: int):
     One stable argsort of the (k+1)-simplices' facet array groups its entries
     by facet and keeps each group in ascending cofacet order.
     """
-    facets = boundary_matrix(complex_, k + 1, Z2).rows
+    facets = boundary_matrix(complex_, k + 1)
     flat = facets.ravel()
     starts = np.zeros(complex_.count_dim(k) + 1, dtype=np.intp)
     np.cumsum(np.bincount(flat, minlength=len(starts) - 1), out=starts[1:])
@@ -244,7 +244,6 @@ def reduce(complex_: FilteredComplex) -> PersistenceDiagram:
     bar_deaths.append(np.full(len(essential), INF))
     dims.append(np.full(len(essential), max_dim))
     return PersistenceDiagram(
-        field=Z2,
         max_dim=max_dim,
         n_points=complex_.n_points,
         dropped_zero_bars=dropped,
@@ -283,7 +282,7 @@ def _z2_columns(complex_: FilteredComplex, k: int, eps: float) -> list:
     """Z2 bitset columns of the k-boundary of the subcomplex at scale eps."""
     if not 1 <= k <= complex_.max_dim:
         return []
-    facets = boundary_matrix(complex_, k, Z2).rows[:complex_.count_at(k, eps)]
+    facets = boundary_matrix(complex_, k)[:complex_.count_at(k, eps)]
     return [_z2_column(row) for row in facets]
 
 
@@ -386,7 +385,7 @@ def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram, k: int) -> float:
 
 def diagram_to_json(diagram: PersistenceDiagram) -> str:
     payload = {
-        "field": diagram.field,
+        "field": "Z2",
         "bars": [
             {"dim": k, "birth": b, "death": (None if d == INF else d)}
             for k, b, d in diagram.as_multiset()
@@ -401,9 +400,14 @@ def diagram_to_json(diagram: PersistenceDiagram) -> str:
 
 
 def diagram_from_json(text: str) -> PersistenceDiagram:
-    """Parse ``diagram_to_json`` output; malformed structure or invalid bar values raise ``ValueError``."""
+    """Parse ``diagram_to_json`` output; malformed structure or invalid bar values raise ``ValueError``.
+
+    Every diagram is over Z2, so a ``"field"`` other than ``"Z2"`` is refused too.
+    """
     payload = json.loads(text)
     try:
+        if payload.get("field", "Z2") != "Z2":
+            raise ValueError(f"diagram field must be 'Z2', got {payload['field']!r}")
         bars, meta = payload["bars"], payload.get("metadata", {})
         dims = [int(b["dim"]) for b in bars]
         births = [float(b["birth"]) for b in bars]
@@ -413,8 +417,8 @@ def diagram_from_json(text: str) -> PersistenceDiagram:
         dropped = {int(k): int(v) for k, v in meta.get("dropped_zero_bars", {}).items()}
     except (KeyError, TypeError, AttributeError) as err:
         raise ValueError(f"malformed diagram ({type(err).__name__}: {err})") from None
-    return PersistenceDiagram(field=payload.get("field", Z2), max_dim=max_dim, n_points=n_points,
-                              dropped_zero_bars=dropped, dims=dims, births=births, deaths=deaths)
+    return PersistenceDiagram(max_dim=max_dim, n_points=n_points, dropped_zero_bars=dropped,
+                              dims=dims, births=births, deaths=deaths)
 
 
 def render_text(diagram: PersistenceDiagram) -> str:

@@ -65,7 +65,7 @@ class ScanConfig:
     def __post_init__(self):
         if self.model != "ssh":
             raise ValueError(f"unknown model {self.model!r}")
-        for name in ("lambda_min", "lambda_max", "step", "xi"):
+        for name in ("lambda_min", "lambda_max", "step", "v", "w", "xi"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.lambda_min <= self.lambda_max:

@@ -15,8 +15,11 @@ first read; reduction, the rank oracle and the spectral layer never read it.
 Boundary core: a ``FilteredComplex`` maps facets to indices once, at
 construction, into one (n_k, k+1) integer array per dimension k >= 1; entry
 [j, i] is the dimension-(k-1) index of the facet of k-simplex j that omits
-vertex position i.  ``boundary_matrix`` and ``boundary_dense_at`` read it;
-the sign, (-1)^i over the reals and 1 over Z2, follows from the position.
+vertex position i.  ``boundary_matrix`` returns it, and it is the only
+boundary object: reduction and the rank oracle read it as Z2 columns, the
+spectral layer scatters its Gram matrix from it, and ``boundary_dense_at``
+is the one dense form, real with sign (-1)^i at position i (its absolute
+value is the Z2 matrix).
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from functools import cached_property
 
 import numpy as np
 
-Z2 = "Z2"
-REAL = "real"
 DENSE_LIMIT_BYTES = 2 ** 28  # largest dense array vr_filtration or the spectral layer will allocate
 
 
@@ -203,55 +204,29 @@ def complex_at_scale(complex_: FilteredComplex, eps: float) -> list:
     return list(range(sum(complex_.count_at(k, eps) for k in range(complex_.max_dim + 1))))
 
 
-def _dense(rows: np.ndarray, n_rows: int, field: str) -> np.ndarray:
-    """Column j holds the facets ``rows[j]``, signed (-1)^i over the reals, 1 over Z2."""
-    signs = (-1) ** np.arange(rows.shape[1]) if field == REAL else 1
-    out = np.zeros((n_rows, len(rows)), dtype=float if field == REAL else np.int8)
-    out[rows, np.arange(len(rows))[:, None]] = signs
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryMatrix:
-    """Boundary operator as the complex's read-only facet array ``rows`` (see the module docstring)."""
-
-    k: int
-    field: str
-    n_rows: int
-    n_cols: int
-    rows: np.ndarray
-
-    def dense(self) -> np.ndarray:
-        return _dense(self.rows, self.n_rows, self.field)
-
-
-def boundary_matrix(complex_: FilteredComplex, k: int, field: str = Z2) -> BoundaryMatrix:
-    """Boundary operator from k-chains to (k-1)-chains: a view of the complex's facet array."""
-    if field not in (Z2, REAL):
-        raise ValueError(f"field must be {Z2!r} or {REAL!r}")
+def boundary_matrix(complex_: FilteredComplex, k: int) -> np.ndarray:
+    """Boundary operator from k-chains to (k-1)-chains: the complex's read-only facet array."""
     if not 1 <= k <= complex_.max_dim:
         raise ValueError(f"k must satisfy 1 <= k <= max_dim ({complex_.max_dim}), got {k}")
-    return BoundaryMatrix(
-        k=k,
-        field=field,
-        n_rows=complex_.count_dim(k - 1),
-        n_cols=complex_.count_dim(k),
-        rows=complex_._facets[k],
-    )
+    return complex_._facets[k]
 
 
 def boundary_dense_at(complex_: FilteredComplex, k: int, eps: float) -> np.ndarray:
-    """Real boundary matrix of the subcomplex at scale eps.
+    """Real boundary matrix of the subcomplex at scale eps, for any k >= 0.
 
+    Column j has sign (-1)^i at row ``boundary_matrix(complex_, k)[j, i]``.
     Because same-dimension simplices are ordered by birth, the scale-eps
     operator is the leading block of the full one; only that block is
-    filled (a k-simplex born by eps has all its facets born by eps).
+    filled (a k-simplex born by eps has all its facets born by eps).  The
+    shape is (0, n_0) at k = 0 and (n_{k-1}, 0) above ``max_dim``.
     """
     n_rows = complex_.count_at(k - 1, eps)
     n_cols = complex_.count_at(k, eps)
-    if not n_cols:
-        return np.zeros((n_rows, 0))
-    return _dense(boundary_matrix(complex_, k, REAL).rows[:n_cols], n_rows, REAL)
+    out = np.zeros((n_rows, n_cols))
+    if n_rows and n_cols:
+        facets = boundary_matrix(complex_, k)[:n_cols]
+        out[facets, np.arange(n_cols)[:, None]] = (-1.0) ** np.arange(k + 1)
+    return out
 
 
 def filtration_jsonl(complex_: FilteredComplex) -> str:

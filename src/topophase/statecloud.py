@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .simplicial import _check_dense
+
 HERMITICITY_TOL = 1e-12
 DEFAULT_GAP_TOL = 1e-9
 EXPECTATION_IMAG_TOL = 1e-12
@@ -232,9 +234,12 @@ def ssh_observables(n_sites: int = 4) -> ObservableSet:
     Ordering: the ``n`` densities first, then for each bond (i, i+1) the real
     part ``c_i^+ c_j + c_j^+ c_i`` followed by the imaginary part
     ``i (c_i^+ c_j - c_j^+ c_i)``; ``n`` densities + 2(n-1) correlations total.
+    Raises ``ValueError`` before building anything if the stack of 3n - 2
+    complex n x n matrices would exceed ``simplicial.DENSE_LIMIT_BYTES``.
     """
     if n_sites < 2:
         raise InvalidModelError(f"n_sites must be >= 2, got {n_sites}")
+    _check_dense((3 * n_sites - 2) * n_sites, n_sites, "stack of observables", itemsize=16)
     mats = []
     labels = []
     for i in range(n_sites):

@@ -16,7 +16,7 @@ import numpy as np
 
 import topophase as tp
 from topophase.persistence import INF, Bar, PersistenceDiagram, _z2_column
-from topophase.simplicial import Z2, boundary_matrix
+from topophase.simplicial import boundary_matrix
 
 
 def random_cloud(rng, n_min=4, n_max=8, dim_min=1, dim_max=3, scale=1.0):
@@ -193,7 +193,7 @@ def homology_reduce(complex_):
 
     for k in range(max_dim, 0, -1):
         pivots: dict = {}
-        for j, row in enumerate(boundary_matrix(complex_, k, Z2).rows):
+        for j, row in enumerate(boundary_matrix(complex_, k)):
             if j in cleared[k]:
                 continue
             col = _z2_column(row)
@@ -222,7 +222,6 @@ def homology_reduce(complex_):
     bars.sort()
     return PersistenceDiagram(
         bars=tuple(bars),
-        field=Z2,
         max_dim=max_dim,
         n_points=complex_.n_points,
         dropped_zero_bars=dropped,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import topophase as tp
+from topophase import cli
 from topophase.cli import main
 
 SQUARE_CSV = "lambda,x,y\n0,0,0\n1,1,0\n2,1,1\n3,0,1\n"
@@ -95,8 +96,11 @@ class TestScan:
         (["--lmin", "-1", "--probe", "1:-0.1:0.8"], "intervals:"),
         (["--lmin", "-1", "--gap-tol", "nan"], "gap_tol must be"),
         (["--lmin", "-1", "--gap-tol", "-1"], "gap_tol must be"),
+        (["--lmin", "-1", "--v", "nan"], "v must be finite"),
+        (["--lmin", "-1", "--w", "inf"], "w must be finite"),
+        (["--lmin", "-1", "--n", "200"], "dense 119600x200 stack of observables"),
     ], ids=["missing_lmin", "inf_lmin", "inf_lmax", "nan_step", "nan_xi", "nan_probe_scale",
-            "negative_probe_scale", "nan_gap_tol", "negative_gap_tol"])
+            "negative_probe_scale", "nan_gap_tol", "negative_gap_tol", "nan_v", "inf_w", "n_200"])
     def test_bad_flag_exits_2(self, tmp_path, capsys, flags, named):
         out = tmp_path / "r.json"
         rc = main(["scan", "--lmax", "-0.8", "--step", "0.1", *flags, "--out", str(out)])
@@ -168,7 +172,9 @@ class TestCloud:
         (["--lmin", "a"], "--lmin"),
         (["--gap-tol", "nan"], "gap_tol must be"),
         (["--gap-tol", "-1"], "gap_tol must be"),
-    ], ids=["model", "lmin", "nan_gap_tol", "negative_gap_tol"])
+        (["--w", "inf"], "w must be finite"),
+        (["--n", "200"], "dense 119600x200 stack of observables"),
+    ], ids=["model", "lmin", "nan_gap_tol", "negative_gap_tol", "inf_w", "n_200"])
     def test_bad_flag_exits_2(self, tmp_path, capsys, flags, named):
         out = tmp_path / "c.csv"
         rc = main(["cloud", "--lmin", "-1", "--lmax", "-0.8", "--step", "0.1", *flags, "--out", str(out)])
@@ -320,6 +326,35 @@ class TestDirac:
             assert capsys.readouterr().out == f"kernel dimension: {kernel}\n"
             assert out.read_text() == tp.spectrum_to_json(k, eps, eps2, 0.3, eigenvalues)
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_filtration_depth_follows_k(self, square_csv, tmp_path, monkeypatch, k):
+        depths = []
+
+        def recording(cloud, eps_max=None, max_dim=2):
+            depths.append(max_dim)
+            return tp.vr_filtration(cloud, eps_max=eps_max, max_dim=max_dim)
+
+        monkeypatch.setattr(cli, "vr_filtration", recording)
+        rc = main(["dirac", "--cloud", square_csv, "--k", str(k), "--eps", "0.55",
+                   "--eps2", "0.75", "--out", str(tmp_path / "s.json")])
+        assert rc == 0
+        assert depths == [k + 1]
+
+    @pytest.mark.parametrize("k", ["-1", "-2"])
+    def test_negative_k_exits_2(self, square_csv, tmp_path, capsys, k):
+        out = tmp_path / "s.json"
+        rc = main(["dirac", "--cloud", square_csv, "--k", k, "--eps", "0.55", "--eps2", "0.75",
+                   "--out", str(out)])
+        assert rc == 2
+        assert f"--k must be >= 0, got {k}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_max_dim_flag_rejected(self, square_csv, tmp_path, capsys):
+        rc = main(["dirac", "--cloud", square_csv, "--k", "1", "--eps", "0.55", "--eps2", "0.75",
+                   "--max-dim", "3", "--out", str(tmp_path / "s.json")])
+        assert rc == 2
+        assert "--max-dim" in capsys.readouterr().err
+
     def test_oversized_problem_exits_2(self, tmp_path, capsys):
         pts = np.random.default_rng(0).random((60, 2))
         src = tmp_path / "uniform.csv"
@@ -327,7 +362,7 @@ class TestDirac:
         src.write_text("lambda,x,y\n" + rows)
         out = tmp_path / "s.json"
         rc = main(["dirac", "--cloud", str(src), "--k", "2", "--eps", "0.3", "--eps2", "0.3",
-                   "--max-dim", "3", "--out", str(out)])
+                   "--out", str(out)])
         assert rc == 2
         assert "exceeds" in capsys.readouterr().err
         assert not out.exists()
@@ -363,6 +398,18 @@ class TestBottleneck:
         rc = main(["bottleneck", str(d1), str(d2), "--dim", "0"])
         assert rc == 0
         assert capsys.readouterr().out.strip() == "inf"
+
+    def test_non_z2_field_exits_2(self, square_csv, tmp_path, capsys):
+        out = tmp_path / "d.json"
+        main(["barcode", "--cloud", square_csv, "--out", str(out)])
+        relabelled = tmp_path / "real.json"
+        relabelled.write_text(out.read_text().replace('"field": "Z2"', '"field": "real"'))
+        capsys.readouterr()
+        rc = main(["bottleneck", str(out), str(relabelled), "--dim", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "field must be 'Z2', got 'real'" in captured.err
+        assert captured.out == ""
 
     def test_negative_dim_exits_2(self, square_csv, tmp_path, capsys):
         out = tmp_path / "d.json"

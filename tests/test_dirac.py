@@ -4,6 +4,7 @@ import pytest
 import topophase as tp
 from helpers import assert_matches_dense, components_at_scale, random_cloud
 from topophase.dirac import DENSE_LIMIT_BYTES
+from topophase.simplicial import boundary_dense_at
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -16,7 +17,7 @@ class TestRestrictedBoundary:
     def test_equal_scales_same_singular_values(self):
         fc = square_complex()
         rb = tp.restricted_boundary(fc, 1, 0.8, 0.8)
-        plain = tp.boundary_matrix(fc, 1, "real").dense()
+        plain = boundary_dense_at(fc, 1, np.inf)
         n_edges = fc.count_at(1, 0.8)
         assert rb.domain_dim == n_edges
         sv_restricted = np.linalg.svd(rb.matrix, compute_uv=False)
@@ -77,7 +78,7 @@ class TestPersistentLaplacian:
         fc = square_complex()
         eps = fc.eps_max
         lap = tp.persistent_laplacian(fc, 0, eps, eps)
-        edges = tp.boundary_matrix(fc, 1, "real").dense()
+        edges = boundary_dense_at(fc, 1, np.inf)
         assert np.allclose(lap, edges @ edges.T, atol=1e-12)
         assert tp.betti_from_laplacian(lap) == components_at_scale(SQUARE, eps)
 

@@ -6,6 +6,7 @@ import pytest
 import topophase as tp
 from topophase import persistence
 from topophase.persistence import Bar, PersistenceDiagram, _saturates
+from topophase.simplicial import boundary_dense_at
 from helpers import brute_force_bottleneck, components_at_scale, gf2_matrix_rank, random_cloud
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -62,7 +63,7 @@ def test_bar_count_matches_cycle_creators():
             elif n_k == 0:
                 continue
             else:
-                dense = tp.boundary_matrix(fc, k, "Z2").dense().astype(int)
+                dense = np.abs(boundary_dense_at(fc, k, np.inf)).astype(int)
                 nullity = n_k - gf2_matrix_rank(dense.tolist())
             recorded = len(dg.bars_in_dim(k)) + dg.dropped_zero_bars.get(k, 0)
             assert recorded == nullity
@@ -303,7 +304,7 @@ class TestSerialization:
         dg = diagram_of(SQUARE)
         back = tp.diagram_from_json(tp.diagram_to_json(dg))
         assert back.as_multiset() == dg.as_multiset()
-        assert back.field == dg.field
+        assert tp.diagram_to_json(back) == tp.diagram_to_json(dg)
         assert back.max_dim == dg.max_dim
         assert back.n_points == dg.n_points
         assert back.dropped_zero_bars == dg.dropped_zero_bars
@@ -315,6 +316,11 @@ class TestSerialization:
         assert payload["field"] == "Z2"
         assert {"dim", "birth", "death"} == set(payload["bars"][0])
         assert any(b["death"] is None for b in payload["bars"])
+
+    def test_non_z2_field_rejected(self):
+        text = tp.diagram_to_json(diagram_of(SQUARE)).replace('"field": "Z2"', '"field": "real"')
+        with pytest.raises(ValueError, match="field must be 'Z2', got 'real'"):
+            tp.diagram_from_json(text)
 
     @pytest.mark.parametrize("birth, death", [
         ("NaN", "1.0"), ("0.5", "NaN"), ("Infinity", "null"), ("-0.25", "1.0"), ("0.5", "0.25"),

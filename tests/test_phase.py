@@ -49,7 +49,10 @@ class TestScanConfig:
         ("xi", math.inf),
         ("intervals", ((1, math.nan, 0.8),)),
         ("intervals", ((0, -0.2, 0.1),)),
-    ], ids=["lambda_min", "lambda_max", "step", "xi", "nan_probe_scale", "negative_probe_scale"])
+        ("v", math.nan),
+        ("w", -math.inf),
+    ], ids=["lambda_min", "lambda_max", "step", "xi", "nan_probe_scale", "negative_probe_scale",
+            "v", "w"])
     def test_non_finite_or_negative_input_named(self, field, value):
         with pytest.raises(ValueError, match=field):
             tp.ScanConfig(**dict(CLEAN, **{field: value}))

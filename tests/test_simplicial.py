@@ -160,7 +160,7 @@ def test_boundary_dense_at_is_prefix_of_full_boundary():
         scales = [0.0, fc.eps_max, 2.0 * fc.eps_max, *rng.uniform(0.0, fc.eps_max, size=3)]
         scales += list(fc.births[1][:2])  # exact ties
         for k in range(1, fc.max_dim + 1):
-            full = tp.boundary_matrix(fc, k, "real").dense() if fc.count_dim(k) else None
+            full = boundary_dense_at(fc, k, np.inf) if fc.count_dim(k) else None
             for eps in scales:
                 got = boundary_dense_at(fc, k, eps)
                 shape = (fc.count_at(k - 1, eps), fc.count_at(k, eps))
@@ -171,11 +171,19 @@ def test_boundary_dense_at_is_prefix_of_full_boundary():
                     assert not got.any()
 
 
+def test_boundary_dense_at_shape_outside_boundary_dimensions():
+    fc = tp.vr_filtration(SQUARE, eps_max=1.0, max_dim=2)
+    for eps in (0.0, 0.5, 1.0):
+        at_zero = boundary_dense_at(fc, 0, eps)
+        assert at_zero.shape == (0, fc.count_at(0, eps)) and at_zero.dtype == np.float64
+        above = boundary_dense_at(fc, fc.max_dim + 1, eps)
+        assert above.shape == (fc.count_at(fc.max_dim, eps), 0) and above.dtype == np.float64
+
+
 def test_boundary_triangle_signs():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]])
     fc = tp.vr_filtration(pts, max_dim=2)
-    bm = tp.boundary_matrix(fc, 2, "real")
-    dense = bm.dense()
+    dense = boundary_dense_at(fc, 2, np.inf)
     edges = [s.vertices for s in fc.simplices_of_dim(1)]
     col = {edges[r]: dense[r, 0] for r in range(len(edges))}
     assert col[(1, 2)] == 1.0
@@ -186,15 +194,14 @@ def test_boundary_triangle_signs():
 def test_boundary_edge_signs():
     pts = np.array([[0.0], [1.0]])
     fc = tp.vr_filtration(pts, max_dim=1)
-    dense = tp.boundary_matrix(fc, 1, "real").dense()
+    dense = boundary_dense_at(fc, 1, np.inf)
     assert dense[1, 0] == 1.0 and dense[0, 0] == -1.0
 
 
 def test_boundary_column_entry_count():
     fc = tp.vr_filtration(SQUARE, eps_max=1.0, max_dim=2)
     for k in (1, 2):
-        bm = tp.boundary_matrix(fc, k, "Z2")
-        for rows in bm.rows:
+        for rows in tp.boundary_matrix(fc, k):
             assert len(rows) == k + 1
 
 
@@ -206,11 +213,11 @@ def test_boundary_rows_are_facet_indices_brute_force():
         fc = tp.vr_filtration(pts, max_dim=3)
         for k in range(1, 4):
             lower = [s.vertices for s in fc.simplices_of_dim(k - 1)]
-            bm = tp.boundary_matrix(fc, k)
-            assert bm.rows.shape == (fc.count_dim(k), k + 1) and not bm.rows.flags.writeable
+            rows = tp.boundary_matrix(fc, k)
+            assert rows.shape == (fc.count_dim(k), k + 1) and not rows.flags.writeable
             for j, s in enumerate(fc.simplices_of_dim(k)):
                 for i in range(k + 1):
-                    assert bm.rows[j][i] == lower.index(s.vertices[:i] + s.vertices[i + 1:])
+                    assert rows[j][i] == lower.index(s.vertices[:i] + s.vertices[i + 1:])
 
 
 def test_facet_keys_do_not_overflow():
@@ -218,7 +225,7 @@ def test_facet_keys_do_not_overflow():
     fc = tp.vr_filtration(random_cloud(np.random.default_rng(29), n_min=8), max_dim=3)
     for k in (1, 2, 3):
         lower, upper = (np.array([s.vertices for s in fc.simplices_of_dim(d)]) for d in (k - 1, k))
-        assert np.array_equal(_facet_indices(lower, upper, 2 ** 40), tp.boundary_matrix(fc, k).rows)
+        assert np.array_equal(_facet_indices(lower, upper, 2 ** 40), tp.boundary_matrix(fc, k))
 
 
 def test_complex_missing_a_facet_rejected():
@@ -231,11 +238,9 @@ def test_complex_missing_a_facet_rejected():
 def test_boundary_k_out_of_range():
     fc = tp.vr_filtration(SQUARE, eps_max=1.0, max_dim=2)
     with pytest.raises(ValueError):
-        tp.boundary_matrix(fc, 0, "Z2")
+        tp.boundary_matrix(fc, 0)
     with pytest.raises(ValueError):
-        tp.boundary_matrix(fc, 3, "Z2")
-    with pytest.raises(ValueError):
-        tp.boundary_matrix(fc, 1, "Z3")
+        tp.boundary_matrix(fc, 3)
 
 
 def test_nilpotence_both_fields():
@@ -246,11 +251,11 @@ def test_nilpotence_both_fields():
         for k in range(2, fc.max_dim + 1):
             if fc.count_dim(k) == 0:
                 continue
-            real_low = tp.boundary_matrix(fc, k - 1, "real").dense()
-            real_high = tp.boundary_matrix(fc, k, "real").dense()
+            real_low = boundary_dense_at(fc, k - 1, np.inf)
+            real_high = boundary_dense_at(fc, k, np.inf)
             assert np.max(np.abs(real_low @ real_high)) <= 1e-12
-            z2_low = tp.boundary_matrix(fc, k - 1, "Z2").dense().astype(int)
-            z2_high = tp.boundary_matrix(fc, k, "Z2").dense().astype(int)
+            z2_low = np.abs(real_low).astype(int)
+            z2_high = np.abs(real_high).astype(int)
             assert np.all((z2_low @ z2_high) % 2 == 0)
 
 

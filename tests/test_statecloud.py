@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import topophase as tp
+from topophase import simplicial, statecloud
 from helpers import (
     ssh4_cloud_chord,
     ssh4_expectations_closed_form,
@@ -112,6 +115,29 @@ class TestObservables:
     def test_invalid_size(self):
         with pytest.raises(tp.InvalidModelError):
             tp.ssh_observables(1)
+
+    def test_oversized_set_refused_before_building(self):
+        # 3n - 2 complex n x n matrices: 178 sites need 257 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dense 94696x178 stack of observables"):
+                tp.ssh_observables(178)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_largest_set_within_budget(self, monkeypatch):
+        class Checked(Exception):
+            pass
+
+        def check_then_stop(*args, **kwargs):
+            simplicial._check_dense(*args, **kwargs)
+            raise Checked  # the budget passed; stop before building 253 MB
+
+        monkeypatch.setattr(statecloud, "_check_dense", check_then_stop)
+        with pytest.raises(Checked):
+            tp.ssh_observables(177)
 
     def test_normalized_unit_norms(self):
         normed = tp.ssh_observables(4).normalized()
