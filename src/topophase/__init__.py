@@ -16,31 +16,22 @@ from .statecloud import (
     StateCloud,
     build_cloud,
     build_ssh_hamiltonian,
-    bures_distance,
     cloud_csv_text,
     cloud_from_csv,
     cloud_to_csv,
     expectation,
-    fidelity,
     ground_state,
     haar_unitary,
     is_hermitian,
-    operator_norm,
     phi_map,
-    pure_density,
     ssh_observables,
-    trace_distance,
 )
 from .simplicial import (
     FilteredComplex,
-    Simplex,
     boundary_matrix,
-    complex_at_scale,
-    filtration_jsonl,
     vr_filtration,
 )
 from .persistence import (
-    Bar,
     PersistenceDiagram,
     betti_oracle,
     bottleneck,
@@ -78,7 +69,6 @@ from .phase import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bar",
     "ConsistencyError",
     "DegenerateGroundStateError",
     "FilteredComplex",
@@ -89,7 +79,6 @@ __all__ = [
     "QuantumState",
     "SSHChain",
     "ScanConfig",
-    "Simplex",
     "StateCloud",
     "betti_from_laplacian",
     "betti_oracle",
@@ -97,11 +86,9 @@ __all__ = [
     "boundary_matrix",
     "build_cloud",
     "build_ssh_hamiltonian",
-    "bures_distance",
     "cloud_csv_text",
     "cloud_from_csv",
     "cloud_to_csv",
-    "complex_at_scale",
     "continuity_check",
     "detect_transitions",
     "diagram_from_json",
@@ -109,17 +96,13 @@ __all__ = [
     "dirac_operator",
     "dirac_spectrum",
     "expectation",
-    "fidelity",
-    "filtration_jsonl",
     "ground_state",
     "haar_unitary",
     "is_hermitian",
-    "operator_norm",
     "persistent_betti",
     "persistent_laplacian",
     "phi_map",
     "probe_key",
-    "pure_density",
     "qpe_distribution",
     "reduce",
     "render_svg",
@@ -132,7 +115,6 @@ __all__ = [
     "spectrum_to_json",
     "ssh_observables",
     "sweep",
-    "trace_distance",
     "unitary_conjugate_scan",
     "vr_filtration",
 ]

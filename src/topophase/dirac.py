@@ -103,7 +103,7 @@ def restricted_boundary(complex_: FilteredComplex, k_plus_1: int, eps: float,
     of K_eps (R1) and the rest (R2); the domain basis spans null(R2) and the
     returned matrix is R1 composed with that basis.
     """
-    if eps > eps_prime:
+    if not eps <= eps_prime:
         raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
     k = k_plus_1 - 1
     if k < 0:
@@ -168,7 +168,7 @@ def _schur_laplacian(complex_: FilteredComplex, k: int, eps: float, eps_prime: f
 
 def persistent_laplacian(complex_: FilteredComplex, k: int, eps: float, eps_prime: float) -> np.ndarray:
     """Positive-semidefinite persistent Laplacian on k-chains of K_eps."""
-    if eps > eps_prime:
+    if not eps <= eps_prime:
         raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
     if complex_.count_at(k, eps) == 0:
         return np.zeros((0, 0))
@@ -183,7 +183,7 @@ def dirac_operator(complex_: FilteredComplex, k: int, eps: float, eps_prime: flo
     (k+1)-boundary; the xi term subtracts xi * diag(P_{k-1}, -P_k, P_{k+1})
     acting as identities on the three strata.
     """
-    if eps > eps_prime:
+    if not eps <= eps_prime:
         raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
     down = boundary_dense_at(complex_, k, eps)
     n1, n2 = down.shape
@@ -216,7 +216,7 @@ def dirac_spectrum(complex_: FilteredComplex, k: int, eps: float, eps_prime: flo
     either dense operator: the spectrum follows from the eigenvalues of L_k
     in closed form (see the module docstring).
     """
-    if eps > eps_prime:
+    if not eps <= eps_prime:
         raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
     lap, domain_dim = _schur_laplacian(complex_, k, eps, eps_prime)
     evals = np.linalg.eigvalsh(lap)

@@ -18,9 +18,9 @@ pivot is ``n - bit_length()``), and only when its first pivot is already
 taken.
 
 Diagram: a ``PersistenceDiagram`` stores its bars as three read-only arrays
-(``dims``, ``births``, ``deaths``) ordered by (dim, birth, death); the tuple
-of ``Bar`` objects is built only when ``bars`` is first read.  Persistent
-Betti numbers, the bottleneck distance and JSON output read the arrays.
+(``dims``, ``births``, ``deaths``) ordered by (dim, birth, death).  Persistent
+Betti numbers and the bottleneck distance read the arrays; JSON, text and SVG
+output read ``bars``, the same values as ``(dim, birth, death)`` tuples.
 Every diagram is over Z2: the JSON form records ``"field": "Z2"``, and
 reading refuses any other field.
 
@@ -51,7 +51,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -60,35 +59,14 @@ from .simplicial import FilteredComplex, boundary_matrix
 INF = math.inf
 
 
-@dataclass(frozen=True, order=True)
-class Bar:
-    """Half-open persistence interval [birth, death) in homology degree dim."""
-
-    dim: int
-    birth: float
-    death: float
-
-    def __post_init__(self):
-        if self.birth < 0 or self.death < self.birth:
-            raise ValueError(f"invalid bar [{self.birth}, {self.death}) in dim {self.dim}")
-
-    @property
-    def finite(self) -> bool:
-        return self.death != INF
-
-    @property
-    def length(self) -> float:
-        return self.death - self.birth
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class PersistenceDiagram:
     """Bars as read-only ``dims``, ``births`` and ``deaths`` arrays, plus reduction bookkeeping.
 
     The arrays hold one entry per bar, ordered by (dim, birth, death); an
-    essential bar has death ``inf``.  Pass either the three arrays (any
-    order) or a tuple of ``Bar`` as ``bars``.  A NaN value, a non-finite or
-    negative birth, or a death below its birth raises ``ValueError``.
+    essential bar has death ``inf``.  The arrays may be passed in any order.
+    A NaN value, a non-finite or negative birth, or a death below its birth
+    raises ``ValueError``.
     Zero-length pairs are dropped from the bars but tallied per dimension in
     ``dropped_zero_bars`` so creator/destroyer counts stay auditable.
     """
@@ -100,10 +78,8 @@ class PersistenceDiagram:
     n_points: int
     dropped_zero_bars: dict
 
-    def __init__(self, bars=(), max_dim=0, n_points=0, dropped_zero_bars=None, *,
+    def __init__(self, max_dim=0, n_points=0, dropped_zero_bars=None, *,
                  dims=(), births=(), deaths=()):
-        if bars:
-            dims, births, deaths = zip(*((b.dim, b.birth, b.death) for b in bars))
         dims = np.asarray(dims, dtype=np.intp)
         births = np.asarray(births, dtype=float)
         deaths = np.asarray(deaths, dtype=float)
@@ -123,26 +99,15 @@ class PersistenceDiagram:
         object.__setattr__(self, "n_points", n_points)
         object.__setattr__(self, "dropped_zero_bars", dict(dropped_zero_bars or {}))
 
-    @cached_property
+    @property
     def bars(self) -> tuple:
-        """Every bar as a ``Bar``, in (dim, birth, death) order, built on first access."""
-        return tuple(map(Bar, self.dims.tolist(), self.births.tolist(), self.deaths.tolist()))
+        """Every bar as a ``(dim, birth, death)`` tuple, in (dim, birth, death) order."""
+        return tuple(zip(self.dims.tolist(), self.births.tolist(), self.deaths.tolist()))
 
     def _in_dim(self, k: int):
         """Births and deaths of the degree-k bars (views, ordered by birth)."""
         lo, hi = np.searchsorted(self.dims, (k, k + 1))
         return self.births[lo:hi], self.deaths[lo:hi]
-
-    def bars_in_dim(self, k: int) -> list:
-        births, deaths = self._in_dim(k)
-        return [Bar(k, b, d) for b, d in zip(births.tolist(), deaths.tolist())]
-
-    def infinite_bars(self, k: int) -> list:
-        births, deaths = self._in_dim(k)
-        return [Bar(k, b, INF) for b in births[deaths == INF].tolist()]
-
-    def as_multiset(self) -> tuple:
-        return tuple(zip(self.dims.tolist(), self.births.tolist(), self.deaths.tolist()))
 
 
 def _z2_column(facets) -> int:
@@ -255,7 +220,7 @@ def reduce(complex_: FilteredComplex) -> PersistenceDiagram:
 
 def persistent_betti(diagram: PersistenceDiagram, k: int, eps1: float, eps2: float) -> int:
     """Bars of degree k spanning [eps1, eps2]: birth <= eps1 and death > eps2."""
-    if eps1 > eps2:
+    if not eps1 <= eps2:
         raise ValueError(f"eps1 ({eps1}) must be <= eps2 ({eps2})")
     births, deaths = diagram._in_dim(k)
     return int(np.count_nonzero((births <= eps1) & (deaths > eps2)))
@@ -294,7 +259,7 @@ def betti_oracle(complex_: FilteredComplex, k: int, eps1: float, eps2: float) ->
     - rank d_{k+1}(eps2) + rank R2 (see the module docstring).  Intended for
     small complexes.
     """
-    if eps1 > eps2:
+    if not eps1 <= eps2:
         raise ValueError(f"eps1 ({eps1}) must be <= eps2 ({eps2})")
     n1 = complex_.count_at(k, eps1)
     boundaries = _z2_columns(complex_, k + 1, eps2)
@@ -388,7 +353,7 @@ def diagram_to_json(diagram: PersistenceDiagram) -> str:
         "field": "Z2",
         "bars": [
             {"dim": k, "birth": b, "death": (None if d == INF else d)}
-            for k, b, d in diagram.as_multiset()
+            for k, b, d in diagram.bars
         ],
         "metadata": {
             "max_dim": diagram.max_dim,
@@ -424,7 +389,7 @@ def diagram_from_json(text: str) -> PersistenceDiagram:
 def render_text(diagram: PersistenceDiagram) -> str:
     """One line per bar, ``dim k: [b, d)``, sorted by (dim, birth)."""
     lines = []
-    for k, b, d in diagram.as_multiset():
+    for k, b, d in diagram.bars:
         death = "inf" if d == INF else f"{d:.12g}"
         lines.append(f"dim {k}: [{b:.12g}, {death})")
     return "\n".join(lines) + ("\n" if lines else "")
@@ -433,11 +398,11 @@ def render_text(diagram: PersistenceDiagram) -> str:
 def render_svg(diagram: PersistenceDiagram, width: int = 720) -> str:
     """Static barcode rendering: horizontal bars grouped by dimension."""
     bars = diagram.bars
-    finite_ends = [b.death for b in bars if b.finite] + [b.birth for b in bars]
+    finite_ends = [d for _, _, d in bars if d != INF] + [b for _, b, _ in bars]
     x_max = max(finite_ends, default=1.0)
     x_max = x_max * 1.1 if x_max > 0 else 1.0
     bar_h, gap, left, top = 6, 4, 60, 24
-    dims = sorted({b.dim for b in bars})
+    dims = sorted({k for k, _, _ in bars})
     rows = []
     y = top
     scale = (width - left - 20) / x_max
@@ -449,14 +414,14 @@ def render_svg(diagram: PersistenceDiagram, width: int = 720) -> str:
         rows.append(
             f'<text x="4" y="{y + bar_h}" font-size="11" font-family="monospace">dim {dim}</text>'
         )
-        for b in (bb for bb in bars if bb.dim == dim):
-            x0 = sx(b.birth)
-            x1 = sx(b.death) if b.finite else width - 12
+        for _, birth, death in (b for b in bars if b[0] == dim):
+            x0 = sx(birth)
+            x1 = sx(death) if death != INF else width - 12
             rows.append(
                 f'<line x1="{x0:.2f}" y1="{y + bar_h / 2:.2f}" x2="{x1:.2f}" '
                 f'y2="{y + bar_h / 2:.2f}" stroke="#1f6f9f" stroke-width="{bar_h - 2}" />'
             )
-            if not b.finite:
+            if death == INF:
                 rows.append(
                     f'<text x="{width - 11}" y="{y + bar_h}" font-size="9" font-family="monospace">&#8734;</text>'
                 )

@@ -8,9 +8,9 @@ Array-backed complex: a ``FilteredComplex`` stores, per dimension k, one
 (n_k, k+1) vertex array and one births array, each ordered by (birth,
 vertices).  ``vr_filtration`` fills them one dimension at a time: the
 (k+1)-simplices are the nonzero entries of the AND of the upper-triangular
-adjacency rows of each k-simplex's vertices.  The tuple of ``Simplex``
-objects in global order (``FilteredComplex.simplices``) is built only when
-first read; reduction, the rank oracle and the spectral layer never read it.
+adjacency rows of each k-simplex's vertices.  These arrays are the only
+form of the complex: reduction, the rank oracle and the spectral layer read
+them, and ``len(complex_)`` counts all dimensions together.
 
 Boundary core: a ``FilteredComplex`` maps facets to indices once, at
 construction, into one (n_k, k+1) integer array per dimension k >= 1; entry
@@ -24,9 +24,7 @@ value is the Z2 matrix).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -39,18 +37,6 @@ def _check_dense(n_rows: int, n_cols: int, what: str = "matrix", itemsize: int =
     if size > DENSE_LIMIT_BYTES:
         raise ValueError(f"a dense {n_rows}x{n_cols} {what} ({size / 2 ** 20:.0f} MB) "
                          f"exceeds the {DENSE_LIMIT_BYTES // 2 ** 20} MB limit")
-
-
-@dataclass(frozen=True)
-class Simplex:
-    """Vertex tuple (strictly increasing) with its birth scale."""
-
-    vertices: tuple
-    birth: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -95,21 +81,6 @@ class FilteredComplex:
     def __len__(self) -> int:
         return sum(len(b) for b in self.births)
 
-    def _ordered(self):
-        """(vertex list, birth) of every simplex in filtration order."""
-        dims = np.repeat(np.arange(self.max_dim + 1), [len(b) for b in self.births])
-        rows = np.concatenate([np.arange(len(b)) for b in self.births])
-        order = np.lexsort((rows, dims, np.concatenate(self.births)))
-        verts = [v.tolist() for v in self.vertices]
-        births = [b.tolist() for b in self.births]
-        for d, r in zip(dims[order].tolist(), rows[order].tolist()):
-            yield verts[d][r], births[d][r]
-
-    @cached_property
-    def simplices(self) -> tuple:
-        """Every simplex in filtration order, built on first access."""
-        return tuple(Simplex(tuple(v), b) for v, b in self._ordered())
-
     def count_dim(self, k: int) -> int:
         """Number of k-simplices in the whole filtration."""
         return len(self.births[k]) if 0 <= k <= self.max_dim else 0
@@ -119,9 +90,6 @@ class FilteredComplex:
         if not 0 <= k <= self.max_dim:
             return 0
         return int(np.searchsorted(self.births[k], eps, side="right"))
-
-    def simplices_of_dim(self, k: int) -> list:
-        return [Simplex(tuple(v), b) for v, b in zip(self.vertices[k].tolist(), self.births[k].tolist())]
 
 
 def _facet_indices(lower: np.ndarray, upper: np.ndarray, n_points: int) -> np.ndarray:
@@ -173,7 +141,7 @@ def vr_filtration(cloud, eps_max: float | None = None, max_dim: int = 2) -> Filt
     np.fill_diagonal(dist, 0.0)
     if eps_max is None:
         eps_max = float(dist.max()) / 2.0
-    elif eps_max < 0:
+    elif not eps_max >= 0:
         raise ValueError("eps_max must be >= 0")
     adjacency = np.triu(dist <= 2.0 * eps_max, k=1)
     verts = [np.arange(n, dtype=np.intp)[:, None]]
@@ -195,13 +163,6 @@ def vr_filtration(cloud, eps_max: float | None = None, max_dim: int = 2) -> Filt
         births.append(birth[order])
     dist.flags.writeable = False
     return FilteredComplex(tuple(verts), tuple(births), n, dist, float(eps_max))
-
-
-def complex_at_scale(complex_: FilteredComplex, eps: float) -> list:
-    """Global indices of all simplices with birth <= eps (monotone in eps)."""
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    return list(range(sum(complex_.count_at(k, eps) for k in range(complex_.max_dim + 1))))
 
 
 def boundary_matrix(complex_: FilteredComplex, k: int) -> np.ndarray:
@@ -227,9 +188,3 @@ def boundary_dense_at(complex_: FilteredComplex, k: int, eps: float) -> np.ndarr
         facets = boundary_matrix(complex_, k)[:n_cols]
         out[facets, np.arange(n_cols)[:, None]] = (-1.0) ** np.arange(k + 1)
     return out
-
-
-def filtration_jsonl(complex_: FilteredComplex) -> str:
-    """One JSON object per simplex, in filtration order, for cross-tool diffs."""
-    lines = [json.dumps({"vertices": v, "birth": b}) for v, b in complex_._ordered()]
-    return "\n".join(lines) + "\n"

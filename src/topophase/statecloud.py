@@ -19,7 +19,6 @@ from .simplicial import _check_dense
 HERMITICITY_TOL = 1e-12
 DEFAULT_GAP_TOL = 1e-9
 EXPECTATION_IMAG_TOL = 1e-12
-DENSITY_TOL = 1e-9
 
 _GAUGE_CUTOFF = 1e-10
 
@@ -111,16 +110,6 @@ class ObservableSet:
 
     def __len__(self) -> int:
         return len(self.matrices)
-
-    def operator_norms(self) -> np.ndarray:
-        return np.array([operator_norm(m) for m in self.matrices])
-
-    def normalized(self) -> "ObservableSet":
-        """Each observable divided by its operator norm (unit spectral radius)."""
-        norms = self.operator_norms()
-        if np.any(norms == 0.0):
-            raise ValueError("cannot normalize a zero observable")
-        return ObservableSet(tuple(m / s for m, s in zip(self.matrices, norms)), self.labels)
 
     def conjugated(self, unitary) -> "ObservableSet":
         """The set {U O U^dagger} under a fixed unitary U."""
@@ -304,63 +293,6 @@ def build_cloud(lambdas, model: SSHChain, observables: ObservableSet,
             state = QuantumState(u @ state.amplitudes, state.energy)
         points[row] = phi_map(state, observables)
     return StateCloud(points, lams, observables.labels)
-
-
-def _require_density(rho, name: str) -> np.ndarray:
-    r = np.asarray(rho, dtype=complex)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ValueError(f"{name} must be a square matrix")
-    if not is_hermitian(r, tol=DENSITY_TOL):
-        raise ValueError(f"{name} is not Hermitian within {DENSITY_TOL:g}")
-    tr = complex(np.trace(r))
-    if abs(tr - 1.0) > DENSITY_TOL:
-        raise ValueError(f"{name} has trace {tr!r}, expected 1")
-    evals = np.linalg.eigvalsh(r)
-    if float(evals[0]) < -DENSITY_TOL:
-        raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {evals[0]:.3e})")
-    return r
-
-
-def pure_density(amplitudes) -> np.ndarray:
-    """Rank-one density matrix |psi><psi| of a normalized amplitude vector."""
-    a = np.asarray(amplitudes, dtype=complex)
-    return np.outer(a, a.conj())
-
-
-def trace_distance(rho1, rho2) -> float:
-    """Half the trace norm of rho1 - rho2; equals sqrt(1 - F) for pure states."""
-    r1 = _require_density(rho1, "rho1")
-    r2 = _require_density(rho2, "rho2")
-    if r1.shape != r2.shape:
-        raise ValueError("density matrices differ in dimension")
-    evals = np.linalg.eigvalsh(r1 - r2)
-    return float(0.5 * np.sum(np.abs(evals)))
-
-
-def fidelity(rho1, rho2) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2."""
-    r1 = _require_density(rho1, "rho1")
-    r2 = _require_density(rho2, "rho2")
-    if r1.shape != r2.shape:
-        raise ValueError("density matrices differ in dimension")
-    w, v = np.linalg.eigh(r1)
-    sqrt1 = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    inner = np.linalg.eigvalsh(sqrt1 @ r2 @ sqrt1)
-    return float(np.sum(np.sqrt(np.clip(inner, 0.0, None))) ** 2)
-
-
-def bures_distance(rho1, rho2) -> float:
-    """sqrt(2 - 2 sqrt(F)) with F the fidelity; sqrt(2) for orthogonal pures."""
-    f = fidelity(rho1, rho2)
-    return float(np.sqrt(max(0.0, 2.0 - 2.0 * np.sqrt(min(1.0, f)))))
-
-
-def operator_norm(observable) -> float:
-    """Largest absolute eigenvalue of a Hermitian operator."""
-    o = _require_hermitian(observable, "observable")
-    if o.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(o))))
 
 
 def haar_unitary(dim: int, seed) -> np.ndarray:

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 import topophase as tp
-from topophase.persistence import INF, Bar, PersistenceDiagram, _z2_column
+from topophase.persistence import INF, PersistenceDiagram, _z2_column
 from topophase.simplicial import boundary_matrix
 
 
@@ -187,7 +187,7 @@ def homology_reduce(complex_):
     """
     max_dim = complex_.max_dim
     births = complex_.births
-    bars = []
+    dims, bar_births, deaths = [], [], []
     dropped: dict = {}
     cleared = [set() for _ in range(max_dim + 1)]
 
@@ -209,20 +209,27 @@ def homology_reduce(complex_):
                 birth = float(births[k - 1][piv])
                 death = float(births[k][j])
                 if death > birth:
-                    bars.append(Bar(k - 1, birth, death))
+                    dims.append(k - 1)
+                    bar_births.append(birth)
+                    deaths.append(death)
                 else:
                     dropped[k - 1] = dropped.get(k - 1, 0) + 1
             else:
-                bars.append(Bar(k, float(births[k][j]), INF))
+                dims.append(k)
+                bar_births.append(float(births[k][j]))
+                deaths.append(INF)
 
     for i in range(complex_.count_dim(0)):
         if i not in cleared[0]:
-            bars.append(Bar(0, float(births[0][i]), INF))
+            dims.append(0)
+            bar_births.append(float(births[0][i]))
+            deaths.append(INF)
 
-    bars.sort()
     return PersistenceDiagram(
-        bars=tuple(bars),
         max_dim=max_dim,
         n_points=complex_.n_points,
         dropped_zero_bars=dropped,
+        dims=dims,
+        births=bar_births,
+        deaths=deaths,
     )

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import topophase as tp
-from topophase.persistence import Bar, PersistenceDiagram
+from topophase.persistence import PersistenceDiagram
 from topophase.simplicial import boundary_dense_at
 from helpers import random_cloud, ssh4_expectations_closed_form, ssh4_ground_closed_form
 
@@ -51,12 +51,12 @@ def test_c01_square_oracle():
     fc = tp.vr_filtration(SQUARE, max_dim=2)
     dg = tp.reduce(fc)
     elapsed = time.perf_counter() - start
-    h1 = dg.bars_in_dim(1)
-    h0 = sorted((b.birth, b.death) for b in dg.bars_in_dim(0))
+    h1 = [(b, d) for k, b, d in dg.bars if k == 1]
+    h0 = sorted((b, d) for k, b, d in dg.bars if k == 0)
     ok = (
         len(h1) == 1
-        and abs(h1[0].birth - 0.5) <= 1e-12
-        and abs(h1[0].death - HALF_DIAG) <= 1e-12
+        and abs(h1[0][0] - 0.5) <= 1e-12
+        and abs(h1[0][1] - HALF_DIAG) <= 1e-12
         and h0 == [(0.0, 0.5), (0.0, 0.5), (0.0, 0.5), (0.0, INF)]
         and elapsed < 0.1
     )
@@ -208,9 +208,9 @@ def test_c07_ssh_end_to_end():
     if diagnostic.diagrams:
         for lam_target in (-0.5, 0.5):
             idx = int(np.argmin(np.abs(np.array(diagnostic.lambdas) - lam_target)))
-            bars = diagnostic.diagrams[idx].bars_in_dim(1)
+            bars = [(round(b, 4), round(d, 4)) for k, b, d in diagnostic.diagrams[idx].bars if k == 1]
             record(f"  window at lambda={diagnostic.lambdas[idx]:+.1f}: H1 bars = "
-                   f"{[(round(b.birth, 4), round(b.death, 4)) for b in bars] or 'none'} "
+                   f"{bars or 'none'} "
                    f"(reported reference: {REPORTED_BARS})")
     record(f"  reported beta_1 change {REPORTED_BETTI_CHANGE[0]} -> {REPORTED_BETTI_CHANGE[1]} "
            f"not reproduced: window clouds lie on a circular arc spanning < 180 degrees, "
@@ -303,9 +303,9 @@ def test_c08_ssh_numeric_audit():
 
 
 def test_c09_bottleneck_metric():
-    d1 = PersistenceDiagram(bars=(Bar(0, 0.0, 1.0),))
-    d_empty = PersistenceDiagram(bars=())
-    d_shift = PersistenceDiagram(bars=(Bar(0, 0.1, 1.1),))
+    d1 = PersistenceDiagram(dims=[0], births=[0.0], deaths=[1.0])
+    d_empty = PersistenceDiagram()
+    d_shift = PersistenceDiagram(dims=[0], births=[0.1], deaths=[1.1])
     hand1 = tp.bottleneck(d1, d_empty, 0)
     hand2 = tp.bottleneck(d1, d_shift, 0)
     assert abs(hand1 - 0.5) <= 1e-12
@@ -314,11 +314,12 @@ def test_c09_bottleneck_metric():
     rng = np.random.default_rng(9090)
 
     def random_diagram():
-        bars = []
+        births, deaths = [], []
         for _ in range(int(rng.integers(0, 7))):
             birth = float(rng.uniform(0.0, 1.0))
-            bars.append(Bar(1, birth, birth + float(rng.uniform(1e-6, 1.0))))
-        return PersistenceDiagram(bars=tuple(sorted(bars)))
+            births.append(birth)
+            deaths.append(birth + float(rng.uniform(1e-6, 1.0)))
+        return PersistenceDiagram(dims=[1] * len(births), births=births, deaths=deaths)
 
     worst_violation = 0.0
     for _ in range(100):

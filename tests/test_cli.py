@@ -189,10 +189,10 @@ class TestBarcode:
         rc = main(["barcode", "--cloud", square_csv, "--max-dim", "2", "--out", str(out)])
         assert rc == 0
         diagram = tp.diagram_from_json(out.read_text())
-        h1 = diagram.bars_in_dim(1)
+        h1 = [(b, d) for k, b, d in diagram.bars if k == 1]
         assert len(h1) == 1
-        assert h1[0].birth == pytest.approx(0.5, abs=1e-12)
-        assert h1[0].death == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-12)
+        assert h1[0][0] == pytest.approx(0.5, abs=1e-12)
+        assert h1[0][1] == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-12)
 
     def test_svg_and_text(self, square_csv, tmp_path, capsys):
         out = tmp_path / "d.json"
@@ -223,7 +223,7 @@ class TestBarcode:
         out = tmp_path / "d.json"
         assert main(["barcode", "--cloud", str(src), "--out", str(out)]) == 0
         diagram = tp.diagram_from_json(out.read_text())
-        assert diagram.as_multiset() == ((0, 0.0, math.inf),)
+        assert diagram.bars == ((0, 0.0, math.inf),)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_coordinate_exits_2(self, bad, tmp_path, capsys):
@@ -233,6 +233,14 @@ class TestBarcode:
         rc = main(["barcode", "--cloud", str(src), "--out", str(out)])
         assert rc == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps_max", ["-0.1", "nan"])
+    def test_negative_or_nan_eps_max_exits_2(self, eps_max, square_csv, tmp_path, capsys):
+        out = tmp_path / "d.json"
+        rc = main(["barcode", "--cloud", square_csv, "--eps-max", eps_max, "--out", str(out)])
+        assert rc == 2
+        assert "eps_max must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_oversized_filtration_exits_2(self, tmp_path, capsys):
@@ -379,22 +387,22 @@ class TestBottleneck:
     def test_hand_case(self, tmp_path, capsys):
         d1 = tmp_path / "d1.json"
         d2 = tmp_path / "d2.json"
-        from topophase.persistence import Bar, PersistenceDiagram
+        from topophase.persistence import PersistenceDiagram
 
-        d1.write_text(tp.diagram_to_json(PersistenceDiagram(bars=(Bar(0, 0.0, 1.0),))))
-        d2.write_text(tp.diagram_to_json(PersistenceDiagram(bars=())))
+        d1.write_text(tp.diagram_to_json(PersistenceDiagram(dims=[0], births=[0.0], deaths=[1.0])))
+        d2.write_text(tp.diagram_to_json(PersistenceDiagram()))
         rc = main(["bottleneck", str(d1), str(d2), "--dim", "0"])
         assert rc == 0
         assert float(capsys.readouterr().out) == pytest.approx(0.5, abs=1e-12)
 
     def test_mismatched_infinite_bars_prints_inf(self, tmp_path, capsys):
-        from topophase.persistence import Bar, PersistenceDiagram
+        from topophase.persistence import PersistenceDiagram
 
         d1 = tmp_path / "d1.json"
         d2 = tmp_path / "d2.json"
-        d1.write_text(tp.diagram_to_json(PersistenceDiagram(bars=(Bar(0, 0.0, math.inf),))))
+        d1.write_text(tp.diagram_to_json(PersistenceDiagram(dims=[0], births=[0.0], deaths=[math.inf])))
         d2.write_text(tp.diagram_to_json(PersistenceDiagram(
-            bars=(Bar(0, 0.0, math.inf), Bar(0, 0.1, math.inf)))))
+            dims=[0, 0], births=[0.0, 0.1], deaths=[math.inf, math.inf])))
         rc = main(["bottleneck", str(d1), str(d2), "--dim", "0"])
         assert rc == 0
         assert capsys.readouterr().out.strip() == "inf"

@@ -25,7 +25,7 @@ def test_random_clouds_match_dense_reference(data):
         pts = data.draw(arrays(np.float64, (n, dim), elements=st.floats(0.0, 1.0)), label="points")
     max_dim = data.draw(st.integers(2, 3), label="max_dim")
     fc = tp.vr_filtration(pts, max_dim=max_dim)
-    births = sorted({s.birth for s in fc.simplices})
+    births = sorted(set(np.concatenate(fc.births).tolist()))
     scale = st.one_of(st.sampled_from(births), st.floats(0.0, 1.1 * fc.eps_max))
     eps, eps_prime = sorted(data.draw(st.tuples(scale, scale), label="scales"))
     k = data.draw(st.integers(0, max_dim), label="k")
@@ -45,7 +45,7 @@ def test_bars_oracle_and_kernel_agree(data):
     fc = tp.vr_filtration(pts, eps_max=eps_max, max_dim=2)
     assume(len(fc) <= 1500)  # the dense spectral path is cubic in the simplex count
     diagram = tp.reduce(fc)
-    births = sorted({s.birth for s in fc.simplices})
+    births = sorted(set(np.concatenate(fc.births).tolist()))
     scale = st.one_of(st.sampled_from(births), st.floats(0.0, 1.1 * eps_max))
     eps, eps_prime = sorted(data.draw(st.tuples(scale, scale), label="scales"))
     for k in (0, 1, 2):

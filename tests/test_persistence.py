@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import topophase as tp
-from topophase import persistence
-from topophase.persistence import Bar, PersistenceDiagram, _saturates
+from topophase.persistence import PersistenceDiagram, _saturates
 from topophase.simplicial import boundary_dense_at
 from helpers import brute_force_bottleneck, components_at_scale, gf2_matrix_rank, random_cloud
 
@@ -20,24 +19,24 @@ def diagram_of(points, max_dim=2, eps_max=None):
 
 def test_single_point():
     dg = diagram_of(np.zeros((1, 2)), max_dim=2)
-    assert dg.as_multiset() == ((0, 0.0, INF),)
+    assert dg.bars == ((0, 0.0, INF),)
 
 
 def test_square_diagram():
     dg = diagram_of(SQUARE)
-    h0 = sorted((b.birth, b.death) for b in dg.bars_in_dim(0))
+    h0 = sorted((b, d) for k, b, d in dg.bars if k == 0)
     assert h0 == [(0.0, 0.5), (0.0, 0.5), (0.0, 0.5), (0.0, INF)]
-    h1 = dg.bars_in_dim(1)
+    h1 = [(b, d) for k, b, d in dg.bars if k == 1]
     assert len(h1) == 1
-    assert h1[0].birth == pytest.approx(0.5, abs=1e-15)
-    assert h1[0].death == pytest.approx(HALF_DIAG, abs=1e-15)
+    assert h1[0][0] == pytest.approx(0.5, abs=1e-15)
+    assert h1[0][1] == pytest.approx(HALF_DIAG, abs=1e-15)
 
 
 def test_two_clusters():
     # intra-cluster distance 0.2, gap between clusters 1.0
     pts = np.array([[0.0, 0.0], [0.2, 0.0], [1.2, 0.0], [1.4, 0.0]])
     dg = diagram_of(pts, max_dim=1)
-    deaths = sorted(b.death for b in dg.bars_in_dim(0))
+    deaths = sorted(d for k, _, d in dg.bars if k == 0)
     assert deaths[:3] == pytest.approx([0.1, 0.1, 0.5], abs=1e-15)
     assert deaths[3] == INF
 
@@ -45,7 +44,7 @@ def test_two_clusters():
 def test_zero_bars_dropped_but_audited():
     dg = diagram_of(SQUARE)
     assert dg.dropped_zero_bars == {1: 2}
-    assert all(b.death > b.birth for b in dg.bars)
+    assert all(d > b for _, b, d in dg.bars)
 
 
 def test_bar_count_matches_cycle_creators():
@@ -65,7 +64,7 @@ def test_bar_count_matches_cycle_creators():
             else:
                 dense = np.abs(boundary_dense_at(fc, k, np.inf)).astype(int)
                 nullity = n_k - gf2_matrix_rank(dense.tolist())
-            recorded = len(dg.bars_in_dim(k)) + dg.dropped_zero_bars.get(k, 0)
+            recorded = int(np.count_nonzero(dg.dims == k)) + dg.dropped_zero_bars.get(k, 0)
             assert recorded == nullity
 
 
@@ -76,7 +75,7 @@ def test_h0_infinite_bars_count_components():
         eps_max = 0.3
         fc = tp.vr_filtration(pts, eps_max=eps_max, max_dim=2)
         dg = tp.reduce(fc)
-        assert len(dg.infinite_bars(0)) == components_at_scale(pts, eps_max)
+        assert np.count_nonzero((dg.dims == 0) & (dg.deaths == INF)) == components_at_scale(pts, eps_max)
 
 
 def test_persistent_betti_square():
@@ -89,7 +88,7 @@ def test_persistent_betti_square():
 
 
 def test_persistent_betti_empty_diagram():
-    empty = PersistenceDiagram(bars=())
+    empty = PersistenceDiagram()
     assert tp.persistent_betti(empty, 0, 0.0, 1.0) == 0
 
 
@@ -115,6 +114,20 @@ def test_betti_oracle_examples():
     assert tp.betti_oracle(single, 0, 0.0, 0.5) == 1
     with pytest.raises(ValueError):
         tp.betti_oracle(fc, 1, 0.7, 0.6)
+
+
+@pytest.mark.parametrize("detector", ["bars", "oracle", "kernel"])
+@pytest.mark.parametrize("eps1, eps2", [(np.nan, np.nan), (np.nan, 0.5), (0.1, np.nan)])
+def test_nan_probe_scales_rejected_by_every_detector(detector, eps1, eps2):
+    # NaN compares false, so "eps1 > eps2" alone would let each detector answer
+    fc = tp.vr_filtration(random_cloud(np.random.default_rng(13), n_min=10, n_max=10), max_dim=2)
+    detect = {
+        "bars": lambda: tp.persistent_betti(tp.reduce(fc), 0, eps1, eps2),
+        "oracle": lambda: tp.betti_oracle(fc, 0, eps1, eps2),
+        "kernel": lambda: tp.dirac_spectrum(fc, 0, eps1, eps2),
+    }[detector]
+    with pytest.raises(ValueError, match="must be <="):
+        detect()
 
 
 def test_oracle_matches_reduction_on_square():
@@ -145,35 +158,15 @@ def test_relabel_invariance():
         perm = rng.permutation(len(pts))
         base = diagram_of(pts, max_dim=2)
         shuffled = diagram_of(pts[perm], max_dim=2)
-        assert base.as_multiset() == shuffled.as_multiset()
+        assert base.bars == shuffled.bars
 
 
 def test_reduce_deterministic():
     pts = random_cloud(np.random.default_rng(77))
     a = diagram_of(pts)
     b = diagram_of(pts)
-    assert a.as_multiset() == b.as_multiset()
+    assert a.bars == b.bars
     assert a.dropped_zero_bars == b.dropped_zero_bars
-
-
-def _raise_if_built(*args, **kwargs):
-    raise AssertionError("a Bar object was built")
-
-
-def test_consumers_leave_bar_tuple_unbuilt(monkeypatch):
-    rng = np.random.default_rng(5)
-    fcs = [tp.vr_filtration(rng.random((15, 2)), eps_max=0.4, max_dim=2) for _ in range(2)]
-    monkeypatch.setattr(persistence, "Bar", _raise_if_built)
-    diagrams = [tp.reduce(fc) for fc in fcs]
-    for k in range(3):
-        tp.persistent_betti(diagrams[0], k, 0.1, 0.2)
-        tp.bottleneck(diagrams[0], diagrams[1], k)
-    tp.diagram_from_json(tp.diagram_to_json(diagrams[0]))
-    tp.sweep(tp.ScanConfig(lambda_min=-0.5, lambda_max=0.5, step=0.1))
-    assert all("bars" not in vars(d) for d in diagrams)
-    monkeypatch.undo()
-    assert len(diagrams[0].bars) == len(diagrams[0].dims)
-    assert "bars" in vars(diagrams[0])
 
 
 def test_diagram_arrays_are_read_only():
@@ -183,18 +176,14 @@ def test_diagram_arrays_are_read_only():
             array[0] = 1
 
 
-def test_diagram_orders_bars_and_keeps_bar_views():
+def test_diagram_orders_bars():
     dg = PersistenceDiagram(dims=[1, 0, 0, 1], births=[0.5, 0.2, 0.0, 0.5], deaths=[INF, 0.3, INF, 0.6])
-    assert dg.as_multiset() == ((0, 0.0, INF), (0, 0.2, 0.3), (1, 0.5, 0.6), (1, 0.5, INF))
-    assert dg.bars == tuple(sorted(Bar(*b) for b in dg.as_multiset()))
-    assert dg.bars_in_dim(1) == [Bar(1, 0.5, 0.6), Bar(1, 0.5, INF)]
-    assert dg.infinite_bars(0) == [Bar(0, 0.0, INF)]
-    assert dg.bars_in_dim(2) == []
+    assert dg.bars == ((0, 0.0, INF), (0, 0.2, 0.3), (1, 0.5, 0.6), (1, 0.5, INF))
 
 
 class TestBottleneck:
     def test_negative_degree_rejected(self):
-        diagram = PersistenceDiagram(bars=(Bar(0, 0.0, 1.0),))
+        diagram = PersistenceDiagram(dims=[0], births=[0.0], deaths=[1.0])
         with pytest.raises(ValueError, match="k must be >= 0"):
             tp.bottleneck(diagram, diagram, -1)
 
@@ -223,7 +212,8 @@ class TestBottleneck:
             if trial % 3 == 0 and p1:  # a bar shared by both sides, and repeated in one
                 p2 = (p2 + [p1[0]])[-4:]
                 p1 = (p1 + [p1[0]])[-4:]
-            d1, d2 = (PersistenceDiagram(bars=tuple(Bar(1, b, d) for b, d in p)) for p in (p1, p2))
+            d1, d2 = (PersistenceDiagram(dims=[1] * len(p), births=[b for b, _ in p],
+                                         deaths=[d for _, d in p]) for p in (p1, p2))
             expected = brute_force_bottleneck(p1, p2)
             assert tp.bottleneck(d1, d2, 1) == expected, (p1, p2)
             assert tp.bottleneck(d2, d1, 1) == expected, (p1, p2)
@@ -234,37 +224,38 @@ class TestBottleneck:
             assert tp.bottleneck(dg, dg, k) == 0.0
 
     def test_single_bar_vs_empty(self):
-        d1 = PersistenceDiagram(bars=(Bar(0, 0.0, 1.0),))
-        d2 = PersistenceDiagram(bars=())
+        d1 = PersistenceDiagram(dims=[0], births=[0.0], deaths=[1.0])
+        d2 = PersistenceDiagram()
         assert tp.bottleneck(d1, d2, 0) == pytest.approx(0.5, abs=1e-15)
 
     def test_shifted_pair(self):
-        d1 = PersistenceDiagram(bars=(Bar(0, 0.0, 1.0),))
-        d2 = PersistenceDiagram(bars=(Bar(0, 0.1, 1.1),))
+        d1 = PersistenceDiagram(dims=[0], births=[0.0], deaths=[1.0])
+        d2 = PersistenceDiagram(dims=[0], births=[0.1], deaths=[1.1])
         assert tp.bottleneck(d1, d2, 0) == pytest.approx(0.1, abs=1e-12)
 
     def test_mismatched_infinite_bars(self):
-        d1 = PersistenceDiagram(bars=(Bar(0, 0.0, INF),))
-        d2 = PersistenceDiagram(bars=(Bar(0, 0.0, INF), Bar(0, 0.2, INF)))
+        d1 = PersistenceDiagram(dims=[0], births=[0.0], deaths=[INF])
+        d2 = PersistenceDiagram(dims=[0, 0], births=[0.0, 0.2], deaths=[INF, INF])
         assert tp.bottleneck(d1, d2, 0) == INF
 
     def test_infinite_bars_match_on_birth(self):
-        d1 = PersistenceDiagram(bars=(Bar(1, 0.1, INF), Bar(1, 0.5, INF)))
-        d2 = PersistenceDiagram(bars=(Bar(1, 0.2, INF), Bar(1, 0.55, INF)))
+        d1 = PersistenceDiagram(dims=[1, 1], births=[0.1, 0.5], deaths=[INF, INF])
+        d2 = PersistenceDiagram(dims=[1, 1], births=[0.2, 0.55], deaths=[INF, INF])
         assert tp.bottleneck(d1, d2, 1) == pytest.approx(0.1, abs=1e-15)
 
     def test_diagonal_beats_bad_match(self):
-        d1 = PersistenceDiagram(bars=(Bar(0, 0.0, 0.2),))
-        d2 = PersistenceDiagram(bars=(Bar(0, 5.0, 5.2),))
+        d1 = PersistenceDiagram(dims=[0], births=[0.0], deaths=[0.2])
+        d2 = PersistenceDiagram(dims=[0], births=[5.0], deaths=[5.2])
         assert tp.bottleneck(d1, d2, 0) == pytest.approx(0.1, abs=1e-15)
 
     @staticmethod
     def _random_diagram(rng, dim=1, max_bars=6):
-        bars = []
+        births, deaths = [], []
         for _ in range(int(rng.integers(0, max_bars + 1))):
             birth = float(rng.uniform(0.0, 1.0))
-            bars.append(Bar(dim, birth, birth + float(rng.uniform(0.0, 1.0)) + 1e-6))
-        return PersistenceDiagram(bars=tuple(sorted(bars)))
+            births.append(birth)
+            deaths.append(birth + float(rng.uniform(0.0, 1.0)) + 1e-6)
+        return PersistenceDiagram(dims=[dim] * len(births), births=births, deaths=deaths)
 
     def test_metric_properties(self):
         rng = np.random.default_rng(83)
@@ -303,7 +294,7 @@ class TestSerialization:
     def test_json_roundtrip(self):
         dg = diagram_of(SQUARE)
         back = tp.diagram_from_json(tp.diagram_to_json(dg))
-        assert back.as_multiset() == dg.as_multiset()
+        assert back.bars == dg.bars
         assert tp.diagram_to_json(back) == tp.diagram_to_json(dg)
         assert back.max_dim == dg.max_dim
         assert back.n_points == dg.n_points

@@ -1,4 +1,3 @@
-import json
 from bisect import bisect_right
 
 import numpy as np
@@ -12,39 +11,44 @@ SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 HALF_DIAG = np.sqrt(2.0) / 2.0
 
 
+def births_by_vertices(fc):
+    """Birth of every simplex of every dimension, keyed by its vertex tuple."""
+    return {tuple(v): b for verts, births in zip(fc.vertices, fc.births)
+            for v, b in zip(verts.tolist(), births.tolist())}
+
+
 def test_single_point():
     fc = tp.vr_filtration(np.zeros((1, 3)), eps_max=5.0, max_dim=2)
     assert len(fc) == 1
-    assert fc.simplices[0].vertices == (0,)
-    assert fc.simplices[0].birth == 0.0
+    assert fc.vertices[0].tolist() == [[0]]
+    assert fc.births[0].tolist() == [0.0]
 
 
 def test_square_births():
     fc = tp.vr_filtration(SQUARE, eps_max=1.0, max_dim=2)
-    births = {s.vertices: s.birth for s in fc.simplices}
+    births = births_by_vertices(fc)
     for v in range(4):
         assert births[(v,)] == 0.0
     for edge in [(0, 1), (1, 2), (2, 3), (0, 3)]:
         assert births[edge] == pytest.approx(0.5, abs=1e-15)
     for diag in [(0, 2), (1, 3)]:
         assert births[diag] == pytest.approx(HALF_DIAG, abs=1e-15)
-    triangles = [s for s in fc.simplices if s.dim == 2]
-    assert len(triangles) == 4
-    for t in triangles:
-        assert t.birth == pytest.approx(HALF_DIAG, abs=1e-15)
+    assert fc.count_dim(2) == 4
+    for birth in fc.births[2]:
+        assert birth == pytest.approx(HALF_DIAG, abs=1e-15)
 
 
 def test_eps_max_cuts_simplices():
     fc = tp.vr_filtration(SQUARE, eps_max=0.6, max_dim=2)
-    assert {s.vertices for s in fc.simplices} == {(0,), (1,), (2,), (3,), (0, 1), (0, 3), (1, 2), (2, 3)}
+    assert set(births_by_vertices(fc)) == {(0,), (1,), (2,), (3,), (0, 1), (0, 3), (1, 2), (2, 3)}
 
 
 def test_default_eps_max_is_half_diameter():
     fc = tp.vr_filtration(SQUARE, max_dim=2)
     assert fc.eps_max == pytest.approx(HALF_DIAG, abs=1e-15)
     # at half the diameter the complex is a full simplex up to max_dim
-    assert len(fc.simplices_of_dim(2)) == 4
-    assert len(fc.simplices_of_dim(1)) == 6
+    assert fc.count_dim(2) == 4
+    assert fc.count_dim(1) == 6
 
 
 def test_birth_is_half_diameter_property():
@@ -52,16 +56,15 @@ def test_birth_is_half_diameter_property():
     for _ in range(20):
         pts = random_cloud(rng, n_max=7)
         fc = tp.vr_filtration(pts, max_dim=3)
-        for s in fc.simplices:
-            if s.dim == 0:
-                assert s.birth == 0.0
-                continue
-            diam = max(
-                np.linalg.norm(pts[a] - pts[b])
-                for i, a in enumerate(s.vertices)
-                for b in s.vertices[i + 1:]
-            )
-            assert s.birth == pytest.approx(diam / 2.0, abs=1e-12)
+        assert not fc.births[0].any()
+        for verts, births in zip(fc.vertices[1:], fc.births[1:]):
+            for v, birth in zip(verts.tolist(), births.tolist()):
+                diam = max(
+                    np.linalg.norm(pts[a] - pts[b])
+                    for i, a in enumerate(v)
+                    for b in v[i + 1:]
+                )
+                assert birth == pytest.approx(diam / 2.0, abs=1e-12)
 
 
 def test_face_closure_and_order():
@@ -69,52 +72,28 @@ def test_face_closure_and_order():
     for _ in range(10):
         pts = random_cloud(rng, n_max=8)
         fc = tp.vr_filtration(pts, max_dim=3)
-        position = {s.vertices: i for i, s in enumerate(fc.simplices)}
-        for s in fc.simplices:
-            for i in range(len(s.vertices)):
-                facet = s.vertices[:i] + s.vertices[i + 1:]
-                if not facet:
-                    continue
-                assert facet in position, "missing face"
-                assert position[facet] < position[s.vertices], "face after coface"
-                assert fc.simplices[position[facet]].birth <= s.birth
+        births = births_by_vertices(fc)
+        for verts in fc.vertices[1:]:
+            for v in map(tuple, verts.tolist()):
+                for i in range(len(v)):
+                    facet = v[:i] + v[i + 1:]
+                    assert facet in births, "missing face"
+                    assert births[facet] <= births[v], "face born after coface"
 
 
 def test_filtration_sorted_by_birth_dim_lex():
     fc = tp.vr_filtration(SQUARE, eps_max=1.0, max_dim=2)
-    keys = [(s.birth, s.dim, s.vertices) for s in fc.simplices]
-    assert keys == sorted(keys)
+    for verts, births in zip(fc.vertices, fc.births):
+        keys = list(zip(births.tolist(), map(tuple, verts.tolist())))
+        assert keys == sorted(keys)
 
 
 def test_duplicate_points_legal():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     fc = tp.vr_filtration(pts, max_dim=1)
-    births = {s.vertices: s.birth for s in fc.simplices}
+    births = births_by_vertices(fc)
     assert births[(0, 1)] == 0.0
     assert births[(0, 2)] == pytest.approx(0.5)
-
-
-def test_complex_at_scale_square():
-    fc = tp.vr_filtration(SQUARE, eps_max=1.0, max_dim=2)
-    at_zero = tp.complex_at_scale(fc, 0.0)
-    assert len(at_zero) == 4
-    assert all(fc.simplices[i].dim == 0 for i in at_zero)
-    at_point_six = tp.complex_at_scale(fc, 0.6)
-    assert len(at_point_six) == 8  # 4 vertices + 4 side edges, no diagonals
-    assert max(fc.simplices[i].dim for i in at_point_six) == 1
-
-
-def test_complex_at_scale_monotone():
-    rng = np.random.default_rng(3)
-    pts = random_cloud(rng, n_max=8)
-    fc = tp.vr_filtration(pts, max_dim=2)
-    for _ in range(100):
-        e1, e2 = sorted(rng.uniform(0.0, fc.eps_max * 1.2, size=2))
-        small = set(tp.complex_at_scale(fc, e1))
-        large = set(tp.complex_at_scale(fc, e2))
-        assert small <= large
-    with pytest.raises(ValueError):
-        tp.complex_at_scale(fc, -0.1)
 
 
 def test_exact_tie_counts_include_the_birth():
@@ -125,16 +104,11 @@ def test_exact_tie_counts_include_the_birth():
     assert (fc.count_at(1, side), fc.count_at(1, diag), fc.count_at(2, diag)) == (4, 6, 4)
     assert fc.count_at(1, np.nextafter(side, 0.0)) == 0
     assert fc.count_at(2, np.nextafter(diag, 0.0)) == 0
-    assert len(tp.complex_at_scale(fc, side)) == 8
-    assert len(tp.complex_at_scale(fc, diag)) == len(fc)
     # every stored birth, probed exactly, agrees with a bisection over the births
     for k in range(fc.max_dim + 1):
-        births = [s.birth for s in fc.simplices_of_dim(k)]
+        births = fc.births[k].tolist()
         for b in births:
             assert fc.count_at(k, b) == bisect_right(births, b)
-    all_births = [s.birth for s in fc.simplices]
-    for b in all_births:
-        assert len(tp.complex_at_scale(fc, b)) == bisect_right(all_births, b)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -143,6 +117,13 @@ def test_non_finite_coordinates_rejected(bad):
     pts[2, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         tp.vr_filtration(pts, max_dim=2)
+
+
+@pytest.mark.parametrize("eps_max", [-0.1, np.nan])
+def test_negative_or_nan_eps_max_rejected(eps_max):
+    # NaN compares false, so "eps_max < 0" alone would give an edgeless complex
+    with pytest.raises(ValueError, match="eps_max must be >= 0"):
+        tp.vr_filtration(SQUARE, eps_max=eps_max, max_dim=2)
 
 
 def test_oversized_filtration_refused():
@@ -184,7 +165,7 @@ def test_boundary_triangle_signs():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]])
     fc = tp.vr_filtration(pts, max_dim=2)
     dense = boundary_dense_at(fc, 2, np.inf)
-    edges = [s.vertices for s in fc.simplices_of_dim(1)]
+    edges = [tuple(v) for v in fc.vertices[1].tolist()]
     col = {edges[r]: dense[r, 0] for r in range(len(edges))}
     assert col[(1, 2)] == 1.0
     assert col[(0, 2)] == -1.0
@@ -212,19 +193,19 @@ def test_boundary_rows_are_facet_indices_brute_force():
         pts[1] = pts[0]  # duplicated point
         fc = tp.vr_filtration(pts, max_dim=3)
         for k in range(1, 4):
-            lower = [s.vertices for s in fc.simplices_of_dim(k - 1)]
+            lower = fc.vertices[k - 1].tolist()
             rows = tp.boundary_matrix(fc, k)
             assert rows.shape == (fc.count_dim(k), k + 1) and not rows.flags.writeable
-            for j, s in enumerate(fc.simplices_of_dim(k)):
+            for j, v in enumerate(fc.vertices[k].tolist()):
                 for i in range(k + 1):
-                    assert rows[j][i] == lower.index(s.vertices[:i] + s.vertices[i + 1:])
+                    assert rows[j][i] == lower.index(v[:i] + v[i + 1:])
 
 
 def test_facet_keys_do_not_overflow():
     # with 2**40 points the keys of triangles reach 2**120, far beyond int64
     fc = tp.vr_filtration(random_cloud(np.random.default_rng(29), n_min=8), max_dim=3)
     for k in (1, 2, 3):
-        lower, upper = (np.array([s.vertices for s in fc.simplices_of_dim(d)]) for d in (k - 1, k))
+        lower, upper = fc.vertices[k - 1], fc.vertices[k]
         assert np.array_equal(_facet_indices(lower, upper, 2 ** 40), tp.boundary_matrix(fc, k))
 
 
@@ -257,17 +238,6 @@ def test_nilpotence_both_fields():
             z2_low = np.abs(real_low).astype(int)
             z2_high = np.abs(real_high).astype(int)
             assert np.all((z2_low @ z2_high) % 2 == 0)
-
-
-def test_filtration_jsonl_order_and_schema():
-    fc = tp.vr_filtration(SQUARE, eps_max=1.0, max_dim=2)
-    lines = tp.filtration_jsonl(fc).strip().split("\n")
-    assert len(lines) == len(fc)
-    parsed = [json.loads(line) for line in lines]
-    assert parsed[0] == {"vertices": [0], "birth": 0.0}
-    for record, s in zip(parsed, fc.simplices):
-        assert tuple(record["vertices"]) == s.vertices
-        assert record["birth"] == s.birth
 
 
 def test_accepts_statecloud_input():

@@ -1,5 +1,4 @@
-"""Property tests of the Vietoris-Rips construction against brute force, and
-of the lazily built simplex tuple."""
+"""Property tests of the Vietoris-Rips construction against brute force."""
 
 from itertools import combinations
 
@@ -10,19 +9,25 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import topophase as tp
-from topophase import simplicial
 
 
-def brute_force_simplices(fc, max_dim):
-    """Every vertex subset of size <= max_dim + 1 born by eps_max, in filtration order."""
+def brute_force_complex(fc, max_dim):
+    """Every vertex subset of size <= max_dim + 1 born by eps_max.
+
+    One (vertices, births) pair of arrays per dimension, ordered by (birth, vertices).
+    """
     dist = fc.distance_matrix
-    found = []
+    out = []
     for size in range(1, max_dim + 2):
+        found = []
         for verts in combinations(range(fc.n_points), size):
             birth = max((dist[u, v] for u, v in combinations(verts, 2)), default=0.0) / 2.0
             if birth <= fc.eps_max:
-                found.append(tp.Simplex(verts, birth))
-    return sorted(found, key=lambda s: (s.birth, s.dim, s.vertices))
+                found.append((birth, verts))
+        found.sort()
+        out.append((np.array([v for _, v in found], dtype=np.intp).reshape(len(found), size),
+                    np.array([b for b, _ in found])))
+    return out
 
 
 @st.composite
@@ -48,33 +53,12 @@ def test_vr_matches_brute_force(pts, data):
     eps_max = data.draw(st.one_of(st.none(), st.floats(0.0, 1.1 * full.eps_max),
                                   st.sampled_from(half_distances or [0.0])), label="eps_max")
     fc = tp.vr_filtration(pts, eps_max=eps_max, max_dim=max_dim)
-    reference = brute_force_simplices(fc, max_dim)
-    assert fc.simplices == tuple(reference)
-    assert len(fc) == len(reference)
-    for k in range(max_dim + 1):
-        assert fc.simplices_of_dim(k) == [s for s in reference if s.dim == k]
-
-
-def _raise_if_built(*args, **kwargs):
-    raise AssertionError("a Simplex object was built")
-
-
-def test_consumers_leave_simplex_tuple_unbuilt(monkeypatch):
-    rng = np.random.default_rng(3)
-    fc = tp.vr_filtration(rng.random((15, 2)), eps_max=0.3, max_dim=2)
-    monkeypatch.setattr(simplicial, "Simplex", _raise_if_built)
-    tp.reduce(fc)
-    for k in range(3):
-        tp.betti_oracle(fc, k, 0.1, 0.2)
-        tp.dirac_spectrum(fc, k, 0.1, 0.2)
-    tp.filtration_jsonl(fc)
-    tp.complex_at_scale(fc, 0.15)
-    len(fc)
-    tp.sweep(tp.ScanConfig(lambda_min=-0.5, lambda_max=0.5, step=0.1))
-    assert "simplices" not in vars(fc)
-    monkeypatch.undo()
-    assert len(fc.simplices) == len(fc)
-    assert "simplices" in vars(fc)
+    reference = brute_force_complex(fc, max_dim)
+    assert fc.max_dim == max_dim
+    for k, (verts, births) in enumerate(reference):
+        assert np.array_equal(fc.vertices[k], verts)
+        assert np.array_equal(fc.births[k], births)
+    assert len(fc) == sum(len(births) for _, births in reference)
 
 
 def test_complex_arrays_are_read_only():
