@@ -35,11 +35,21 @@ neither treats k = 0 or the top dimension apart; with ``spectrum`` they are
 the independent reference the tests check the Schur and closed-form paths
 against.
 
+A sweep that keeps no spectra needs only the kernel dimension.  When the
+barcode says it is 0, ``_kernel_count`` first tries to prove that without a
+spectrum.  Let c be ``RANK_TOL`` times the largest absolute row sum of L_k
+(or 1 if larger), a Gershgorin bound at or above the kernel cutoff.  Every
+eigenvalue exceeds ``CERTIFICATE_MARGIN`` * c if the Gershgorin discs of
+L_k all lie above that floor, or else if L_k minus the floor times I has a
+Cholesky factor.  If neither holds, it counts eigenvalues as
+``dirac_spectrum`` does, so a disagreement with the barcode still shows.
+
 Tolerances are module constants: ``NULLSPACE_TOL`` is the relative cutoff
 for the rank of R2 (on its singular values in ``restricted_boundary``, on
 the eigenvalues of U_RR in the Schur path), ``RANK_TOL`` the relative
-kernel cutoff on Laplacian eigenvalues and ``SYMMETRY_TOL`` the symmetry
-check of ``spectrum``.
+kernel cutoff on Laplacian eigenvalues, ``CERTIFICATE_MARGIN`` the factor
+by which a certified empty kernel clears that cutoff, and ``SYMMETRY_TOL``
+the symmetry check of ``spectrum``.
 """
 
 from __future__ import annotations
@@ -54,6 +64,7 @@ from .simplicial import FilteredComplex, _check_dense, boundary_dense_at, bounda
 
 NULLSPACE_TOL = 1e-10
 RANK_TOL = 1e-9
+CERTIFICATE_MARGIN = 100.0  # a certified empty kernel clears an upper bound on the cutoff 100-fold
 SYMMETRY_TOL = 1e-10
 
 
@@ -150,12 +161,14 @@ def _schur_laplacian(complex_: FilteredComplex, k: int, eps: float, eps_prime: f
         gram = np.bincount(pairs.ravel(), weights=np.tile(signs.ravel(), len(facets)),
                            minlength=n_up * n_up).reshape(n_up, n_up)
         gram = gram.astype(float, copy=False)  # bincount gives int64 when there are no facets
-        evals, evecs = np.linalg.eigh(gram[n_k:, n_k:])
-        keep = evals > NULLSPACE_TOL * evals.max(initial=0.0)
-        w = gram[:n_k, n_k:] @ (evecs[:, keep] / np.sqrt(evals[keep]))
         lap = gram[:n_k, :n_k]  # updated in place: U is not needed again
-        lap -= w @ w.T
-        domain_dim = len(facets) - int(np.count_nonzero(keep))
+        domain_dim = len(facets)
+        if n_up > n_k:  # R2 is empty when every k-simplex born by eps' is born by eps
+            evals, evecs = np.linalg.eigh(gram[n_k:, n_k:])
+            keep = evals > NULLSPACE_TOL * evals.max(initial=0.0)
+            w = gram[:n_k, n_k:] @ (evecs[:, keep] / np.sqrt(evals[keep]))
+            lap -= w @ w.T
+            domain_dim -= int(np.count_nonzero(keep))
     else:
         lap = np.zeros((n_k, n_k))
     if k > 0:
@@ -246,6 +259,49 @@ def spectrum(matrix) -> np.ndarray:
         if float(np.max(np.abs(m - m.T))) > SYMMETRY_TOL * scale:
             raise ValueError("matrix is not symmetric within tolerance")
     return np.linalg.eigvalsh(m)
+
+
+def _kernel_count(complex_: FilteredComplex, k: int, eps: float, eps_prime: float, betti: int) -> int:
+    """Kernel dimension of L_k for the (eps, eps') pair, as ``dirac_spectrum`` counts it.
+
+    ``betti`` is the barcode's count for the same probe; when it is 0 the
+    count may come from a certificate instead of a spectrum (see
+    ``_certified_kernel_dim``).
+    """
+    if not eps <= eps_prime:
+        raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
+    return _certified_kernel_dim(_schur_laplacian(complex_, k, eps, eps_prime)[0], betti)
+
+
+def _certified_kernel_dim(lap: np.ndarray, betti: int) -> int:
+    """``_kernel_dim(eigvalsh(lap))``, skipping the spectrum when a certificate proves the kernel empty.
+
+    The certificate is tried only when ``betti`` is 0.  Let c = ``RANK_TOL``
+    * max(1, r) with r the largest absolute row sum of ``lap``: r bounds the
+    top eigenvalue (Gershgorin), so c is at least the cutoff of
+    ``_kernel_dim``.  The kernel is empty, with every eigenvalue above
+    ``CERTIFICATE_MARGIN`` * c, if the Gershgorin discs already lie above
+    that floor or else if lap - ``CERTIFICATE_MARGIN`` * c * I has a
+    Cholesky factor.  If neither holds, the eigenvalues decide, so a kernel
+    the barcode missed is still counted.  ``lap`` is shifted in place and
+    its diagonal restored exactly.
+    """
+    n = len(lap)
+    if betti == 0 and n:
+        row_sums = np.abs(lap).sum(axis=1)
+        floor = CERTIFICATE_MARGIN * RANK_TOL * max(1.0, float(row_sums.max()))
+        diagonal = lap.diagonal().copy()
+        if float((2.0 * diagonal - row_sums).min()) > floor:
+            return 0
+        lap.flat[::n + 1] -= floor
+        try:
+            np.linalg.cholesky(lap)
+            return 0
+        except np.linalg.LinAlgError:
+            pass
+        finally:
+            lap.flat[::n + 1] = diagonal
+    return _kernel_dim(np.linalg.eigvalsh(lap))
 
 
 def _kernel_dim(evals: np.ndarray) -> int:

@@ -5,6 +5,13 @@ Rips filtration per lambda (a sliding window of neighboring sweep points, or
 one global cloud), evaluates every probe interval both by barcode counting
 and by persistent-Laplacian kernel dimension, and reports each adjacent
 lambda pair where any probe value changes.
+
+Window filtrations are sliced from one banded complex per block of
+2 * window_halfwidth + 1 centres (``simplicial._window_filtrations``), so a
+sweep holds at most one block's complex however many lambdas it has.  When
+spectra are not kept, a kernel the barcode says is empty is settled by a
+certificate (``dirac._kernel_count``) rather than an eigensolve; the
+reports are the same either way.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from . import dirac as _dirac
 from . import persistence as _persistence
-from .simplicial import vr_filtration
+from .simplicial import _window_filtrations, vr_filtration
 from .statecloud import (
     DEFAULT_GAP_TOL,
     SSHChain,
@@ -128,15 +135,12 @@ class PhaseScanReport:
         return self.lambdas if self.config.cloud_mode == WINDOW else (None,)
 
 
-def _window_bounds(center: int, halfwidth: int, n: int) -> tuple:
-    lo = max(0, center - halfwidth)
-    hi = min(n, center + halfwidth + 1)
-    return lo, hi
+def _probe_cloud(filtration, config: ScanConfig):
+    """Barcode and per-probe detector values for one filtration.
 
-
-def _probe_cloud(points: np.ndarray, config: ScanConfig):
-    """Filtration, barcode, and per-probe detector values for one cloud."""
-    filtration = vr_filtration(points, eps_max=None, max_dim=config.max_dim)
+    Without kept spectra the kernel is counted alone, so a probe whose bars
+    say 0 may be settled by a certificate instead of a spectrum.
+    """
     diagram = _persistence.reduce(filtration)
     betti = {}
     kernels = {}
@@ -144,8 +148,10 @@ def _probe_cloud(points: np.ndarray, config: ScanConfig):
     for k, e1, e2 in config.intervals:
         key = probe_key(k, e1, e2)
         betti[key] = _persistence.persistent_betti(diagram, k, e1, e2)
-        evals, kernels[key] = _dirac.dirac_spectrum(filtration, k, e1, e2, xi=config.xi)
-        if spectra is not None:
+        if spectra is None:
+            kernels[key] = _dirac._kernel_count(filtration, k, e1, e2, betti[key])
+        else:
+            evals, kernels[key] = _dirac.dirac_spectrum(filtration, k, e1, e2, xi=config.xi)
             spectra[key] = [float(x) for x in evals]
     return betti, kernels, diagram, spectra
 
@@ -191,17 +197,13 @@ def sweep(config: ScanConfig, unitary=None) -> PhaseScanReport:
     lambdas = cloud.params
 
     if config.cloud_mode == GLOBAL:
-        point_sets = [cloud.points]
+        filtrations = [vr_filtration(cloud.points, eps_max=None, max_dim=config.max_dim)]
         entry_lambdas = [None]
     else:
-        n = cloud.n_points
-        point_sets = []
-        for i in range(n):
-            lo, hi = _window_bounds(i, config.window_halfwidth, n)
-            point_sets.append(cloud.points[lo:hi])
+        filtrations = _window_filtrations(cloud.points, config.window_halfwidth, config.max_dim)
         entry_lambdas = [float(x) for x in lambdas]
 
-    results = [_probe_cloud(pts, config) for pts in point_sets]
+    results = [_probe_cloud(fc, config) for fc in filtrations]
 
     betti = tuple(r[0] for r in results)
     kernels = tuple(r[1] for r in results)

@@ -7,10 +7,20 @@ diameter.  Filtration order is (birth, dimension, lexicographic vertices).
 Array-backed complex: a ``FilteredComplex`` stores, per dimension k, one
 (n_k, k+1) vertex array and one births array, each ordered by (birth,
 vertices).  ``vr_filtration`` fills them one dimension at a time: the
-(k+1)-simplices are the nonzero entries of the AND of the upper-triangular
-adjacency rows of each k-simplex's vertices.  These arrays are the only
-form of the complex: reduction, the rank oracle and the spectral layer read
-them, and ``len(complex_)`` counts all dimensions together.
+(k+1)-simplices are the nonzero entries of the AND, over a k-simplex's
+vertices, of their upper-triangular adjacency to the vertices after its
+first one.  These arrays are the only form of the complex: reduction, the
+rank oracle and the spectral layer read them, and ``len(complex_)`` counts
+all dimensions together.
+
+Window sweeps: the complex of a window [lo, hi) of consecutive points at its
+default ``eps_max`` is the full simplex on those points, so every window is
+an induced subcomplex of one banded complex, the simplices whose vertex
+indices span at most the window width.  ``_window_filtrations`` builds that
+band once per block of windows with the same clique loop as
+``vr_filtration`` (its candidate array n_k x 2h instead of n_k x n) and
+slices each window out of it, arrays byte-identical to
+``vr_filtration(points[lo:hi])``.
 
 Boundary core: a ``FilteredComplex`` maps facets to indices once, at
 construction, into one (n_k, k+1) integer array per dimension k >= 1; entry
@@ -27,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DENSE_LIMIT_BYTES = 2 ** 28  # largest dense array vr_filtration or the spectral layer will allocate
 
@@ -69,7 +80,8 @@ class FilteredComplex:
         births = tuple(_read_only(np.asarray(b, dtype=float)) for b in self.births)
         if any(len(v) != len(b) for v, b in zip(verts, births)):
             raise ValueError("each dimension needs one birth per simplex")
-        facets = [None] + [_facet_indices(lo, hi, self.n_points) for lo, hi in zip(verts, verts[1:])]
+        facets = self._facets or [None] + [_facet_indices(lo, hi, self.n_points)
+                                           for lo, hi in zip(verts, verts[1:])]
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "births", births)
         object.__setattr__(self, "_facets", tuple(facets))
@@ -114,6 +126,69 @@ def _facet_indices(lower: np.ndarray, upper: np.ndarray, n_points: int) -> np.nd
     return out
 
 
+def _points(cloud) -> np.ndarray:
+    """A cloud's coordinates (or ``cloud.points``) as a non-empty, finite 2-d float array."""
+    pts = np.asarray(getattr(cloud, "points", cloud), dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ValueError("cloud must contain at least one point")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("cloud coordinates must be finite")
+    return pts
+
+
+def _distances(pts: np.ndarray) -> np.ndarray:
+    """Read-only symmetric Euclidean distance matrix with a zero diagonal.
+
+    A pair's distance depends only on its two points, not on the other rows,
+    so the distances of a run of points are a block of a longer run's.
+    """
+    n = pts.shape[0]
+    _check_dense(n * n, pts.shape[1], "array of pairwise differences")
+    _check_dense(n, n, "distance matrix")
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dist = 0.5 * (dist + dist.T)
+    np.fill_diagonal(dist, 0.0)
+    dist.flags.writeable = False
+    return dist
+
+
+def _cliques(dist: np.ndarray, adjacency: np.ndarray, max_dim: int, span: int) -> tuple:
+    """Vertex and births arrays, per dimension, of the clique complex of ``adjacency``.
+
+    ``adjacency`` is the strictly upper-triangular edge mask.  Only simplices
+    whose vertex indices span at most ``span`` are built (all of them when
+    ``span`` >= n - 1): a k-simplex's candidates are the ``span`` vertices
+    after its first one, an (n_k, span) array, kept where adjacent to every
+    vertex of the simplex (so above its last one).
+    """
+    n = len(dist)
+    padded = np.zeros((n, n + span), dtype=bool)
+    padded[:, :n] = adjacency
+    ahead = sliding_window_view(padded, span, axis=1)  # ahead[v, s] is padded[v, s:s + span]
+    verts = [np.arange(n, dtype=np.intp)[:, None]]
+    births = [np.zeros(n)]
+    for k in range(max_dim):
+        lower = verts[-1]
+        _check_dense(len(lower), span, f"array of {k + 1}-simplex candidates", itemsize=1)
+        start = lower[:, 0] + 1
+        common = ahead[lower[:, 0], start]
+        for c in range(1, k + 1):
+            common &= ahead[lower[:, c], start]
+        _check_dense(np.count_nonzero(common), k + 2, f"array of {k + 1}-simplex vertices")
+        rows, offset = np.nonzero(common)
+        parents = lower[rows]
+        top = start[rows] + offset
+        upper = np.column_stack([parents, top])
+        birth = np.maximum(births[-1][rows], dist[parents, top[:, None]].max(axis=1) / 2.0)
+        order = np.lexsort((*upper.T[::-1], birth))
+        verts.append(upper[order])
+        births.append(birth[order])
+    return verts, births
+
+
 def vr_filtration(cloud, eps_max: float | None = None, max_dim: int = 2) -> FilteredComplex:
     """Vietoris-Rips filtration of a point cloud (or anything with ``.points``).
 
@@ -123,46 +198,70 @@ def vr_filtration(cloud, eps_max: float | None = None, max_dim: int = 2) -> Filt
     Duplicate points are legal (zero distances allowed).  Raises
     ``ValueError`` before allocating an array above ``DENSE_LIMIT_BYTES``.
     """
-    pts = np.asarray(getattr(cloud, "points", cloud), dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("cloud must contain at least one point")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("cloud coordinates must be finite")
+    pts = _points(cloud)
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
     n = pts.shape[0]
-    _check_dense(n * n, pts.shape[1], "array of pairwise differences")
-    _check_dense(n, n, "distance matrix")
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    dist = 0.5 * (dist + dist.T)
-    np.fill_diagonal(dist, 0.0)
+    dist = _distances(pts)
     if eps_max is None:
         eps_max = float(dist.max()) / 2.0
     elif not eps_max >= 0:
         raise ValueError("eps_max must be >= 0")
     adjacency = np.triu(dist <= 2.0 * eps_max, k=1)
-    verts = [np.arange(n, dtype=np.intp)[:, None]]
-    births = [np.zeros(n)]
-    for k in range(max_dim):
-        lower = verts[-1]
-        # candidates adjacent to every vertex of a k-simplex and above its last one
-        _check_dense(len(lower), n, f"array of {k + 1}-simplex candidates", itemsize=1)
-        common = adjacency[lower[:, 0]]
-        for c in range(1, k + 1):
-            common &= adjacency[lower[:, c]]
-        _check_dense(np.count_nonzero(common), k + 2, f"array of {k + 1}-simplex vertices")
-        rows, top = np.nonzero(common)
-        parents = lower[rows]
-        upper = np.column_stack([parents, top])
-        birth = np.maximum(births[-1][rows], dist[parents, top[:, None]].max(axis=1) / 2.0)
-        order = np.lexsort((*upper.T[::-1], birth))
-        verts.append(upper[order])
-        births.append(birth[order])
-    dist.flags.writeable = False
+    verts, births = _cliques(dist, adjacency, max_dim, n)
     return FilteredComplex(tuple(verts), tuple(births), n, dist, float(eps_max))
+
+
+def _window_filtrations(cloud, halfwidth: int, max_dim: int):
+    """``vr_filtration(points[lo:hi], max_dim=max_dim)`` for every sliding window, in order.
+
+    The window of centre c is [c - halfwidth, c + halfwidth + 1), cut to the
+    cloud.  A window's complex is the full simplex on its points, so it is
+    the induced subcomplex of the band: every simplex whose vertex indices
+    span at most 2 * halfwidth.  Centres are taken in blocks of
+    2 * halfwidth + 1; each block builds the band over its 4 * halfwidth + 1
+    points once (distances, cliques, facet indices) and slices its windows
+    out of it, so what is held at once does not grow with the cloud's
+    length.  Every array equals the one ``vr_filtration`` builds:
+    renumbering by -lo keeps the (birth, vertices) order, and a pair's
+    distance does not depend on the other points.
+    """
+    pts = _points(cloud)
+    n = pts.shape[0]
+    block = 2 * halfwidth + 1
+    for first in range(0, n, block):
+        base, end = max(0, first - halfwidth), min(n, first + block + halfwidth)
+        m = end - base
+        dist = _distances(pts[base:end])
+        verts, births = _cliques(dist, np.triu(np.ones((m, m), dtype=bool), k=1), max_dim,
+                                 min(2 * halfwidth, m - 1))
+        facets = [None] + [_facet_indices(lo, hi, m) for lo, hi in zip(verts, verts[1:])]
+        for centre in range(first, min(n, first + block)):
+            lo, hi = max(0, centre - halfwidth) - base, min(n, centre + halfwidth + 1) - base
+            yield _band_window(verts, births, facets, dist, lo, hi)
+
+
+def _band_window(verts: list, births: list, facets: list, dist: np.ndarray,
+                 lo: int, hi: int) -> FilteredComplex:
+    """The full-simplex complex on points [lo, hi) of a band, renumbered from 0.
+
+    A facet's window index is the number of selected simplices before it in
+    its dimension: one prefix sum per dimension replaces ``_facet_indices``.
+    """
+    out_verts, out_births, out_facets = [], [], [None]
+    index = None
+    for k, (v, b) in enumerate(zip(verts, births)):
+        keep = (v[:, 0] >= lo) & (v[:, -1] < hi)  # rows are increasing
+        out_verts.append(v[keep] - lo)
+        out_births.append(b[keep])
+        if k:
+            rows = index[facets[k][keep]]
+            rows.flags.writeable = False
+            out_facets.append(rows)
+        index = np.cumsum(keep) - 1
+    sub = dist[lo:hi, lo:hi]
+    return FilteredComplex(tuple(out_verts), tuple(out_births), hi - lo, sub, float(sub.max()) / 2.0,
+                           _facets=tuple(out_facets))
 
 
 def boundary_matrix(complex_: FilteredComplex, k: int) -> np.ndarray:

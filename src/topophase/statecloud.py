@@ -79,7 +79,11 @@ class QuantumState:
 
 @dataclass(frozen=True, eq=False)
 class ObservableSet:
-    """Labelled family of same-dimension Hermitian observables."""
+    """Labelled family of same-dimension Hermitian observables.
+
+    Matrices are held read-only.  An input matrix that owns its data and is
+    already read-only is kept as it is; every other input is copied.
+    """
 
     matrices: tuple
     labels: tuple
@@ -98,8 +102,9 @@ class ObservableSet:
             _require_hermitian(m, f"observable {label!r}")
         frozen = []
         for m in mats:
-            m = m.copy()
-            m.flags.writeable = False
+            if m.base is not None or m.flags.writeable:  # an owned read-only matrix is kept as is
+                m = m.copy()
+                m.flags.writeable = False
             frozen.append(m)
         object.__setattr__(self, "matrices", tuple(frozen))
         object.__setattr__(self, "labels", labels)
@@ -246,6 +251,8 @@ def ssh_observables(n_sites: int = 4) -> ObservableSet:
         labels.append(f"re{i + 1}_{i + 2}")
         mats.append(im)
         labels.append(f"im{i + 1}_{i + 2}")
+    for m in mats:
+        m.flags.writeable = False  # so ObservableSet keeps them without a copy
     return ObservableSet(tuple(mats), tuple(labels))
 
 

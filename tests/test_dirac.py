@@ -3,7 +3,15 @@ import pytest
 
 import topophase as tp
 from helpers import assert_matches_dense, components_at_scale, random_cloud
-from topophase.dirac import DENSE_LIMIT_BYTES
+from topophase.dirac import (
+    CERTIFICATE_MARGIN,
+    DENSE_LIMIT_BYTES,
+    RANK_TOL,
+    _certified_kernel_dim,
+    _kernel_count,
+    _kernel_dim,
+    _schur_laplacian,
+)
 from topophase.simplicial import boundary_dense_at
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -261,6 +269,79 @@ class TestDiracSpectrum:
             tp.dirac_spectrum(fc, 2, 0.3, 0.3)
         with pytest.raises(ValueError, match="exceeds"):
             tp.persistent_laplacian(fc, 2, 0.3, 0.3)
+
+
+class TestKernelCertificate:
+    @staticmethod
+    def spy(monkeypatch, name):
+        """Count the calls of ``np.linalg.<name>`` while the test runs."""
+        calls = []
+        real = getattr(np.linalg, name)
+
+        def counted(a):
+            calls.append(len(a))
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_kernel_count_matches_eigvalsh(self, monkeypatch):
+        # kernel counts as dirac_spectrum makes them, with the barcode's count
+        # and with a hint of 0, which sends every probe through the certificate
+        choleskies = self.spy(monkeypatch, "cholesky")
+        rng = np.random.default_rng(71)
+        positive = 0
+        for _ in range(70):
+            fc = tp.vr_filtration(random_cloud(rng, n_max=12), max_dim=3)
+            diagram = tp.reduce(fc)
+            e1, e2 = sorted(rng.uniform(0.0, 1.1 * fc.eps_max, size=2))
+            for k in (0, 1, 2):
+                lap = _schur_laplacian(fc, k, e1, e2)[0]
+                before = lap.copy()
+                expected = _kernel_dim(np.linalg.eigvalsh(lap))
+                positive += expected > 0
+                for hint in (0, tp.persistent_betti(diagram, k, e1, e2)):
+                    assert _certified_kernel_dim(lap, hint) == expected
+                    assert lap.tobytes() == before.tobytes()  # the shifted diagonal is restored
+                assert _kernel_count(fc, k, e1, e2, 0) == expected == tp.dirac_spectrum(fc, k, e1, e2)[1]
+        assert positive > 20 and len(choleskies) > 20
+
+    def test_diagonally_dominant_needs_no_factorization(self, monkeypatch):
+        choleskies = self.spy(monkeypatch, "cholesky")
+        eigensolves = self.spy(monkeypatch, "eigvalsh")
+        # the 2-skeleton of a full simplex on m points has L_1 = m I
+        fc = tp.vr_filtration(np.random.default_rng(3).random((9, 3)), max_dim=2)
+        assert _kernel_count(fc, 1, fc.eps_max, fc.eps_max, 0) == 0
+        assert choleskies == [] and eigensolves == []
+
+    def test_cholesky_certifies_past_the_discs(self, monkeypatch):
+        eigensolves = self.spy(monkeypatch, "eigvalsh")
+        q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(6, 6)))
+        lap = (q * np.array([0.01, 1.0, 2.0, 3.0, 4.0, 5.0])) @ q.T
+        assert (2.0 * lap.diagonal() - np.abs(lap).sum(axis=1)).min() < 0  # the discs reach below 0
+        assert _certified_kernel_dim(lap, 0) == 0
+        assert eigensolves == []
+
+    @pytest.mark.parametrize("rotated", [True, False], ids=["rotated", "diagonal"])
+    def test_eigenvalue_inside_the_margin_falls_back(self, monkeypatch, rotated):
+        # rotated, the discs reach below 0; diagonal, they are the eigenvalues
+        q = np.linalg.qr(np.random.default_rng(9).normal(size=(8, 8)))[0] if rotated else np.eye(8)
+        evals = np.array([0.0, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0])
+        cutoff = RANK_TOL * np.abs((q * evals) @ q.T).sum(axis=1).max()
+        evals[0] = np.sqrt(CERTIFICATE_MARGIN) * cutoff  # between c and F c
+        lap = (q * evals) @ q.T
+        c = RANK_TOL * max(1.0, np.abs(lap).sum(axis=1).max())
+        smallest = np.linalg.eigvalsh(lap)[0]
+        assert c < smallest < CERTIFICATE_MARGIN * c
+        choleskies = self.spy(monkeypatch, "cholesky")
+        eigensolves = self.spy(monkeypatch, "eigvalsh")
+        assert _certified_kernel_dim(lap.copy(), 0) == _kernel_dim(np.linalg.eigvalsh(lap)) == 0
+        assert choleskies == [8] and eigensolves == [8, 8]  # the fallback's and the reference's
+
+    def test_missed_kernel_still_counted(self):
+        # a path graph's Laplacian has a 1-dimensional kernel; a wrong hint of 0 must not hide it
+        lap = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+        assert _certified_kernel_dim(lap, 0) == 1
 
 
 class TestSpectrum:

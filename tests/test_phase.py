@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import topophase as tp
+from topophase import simplicial
 from topophase.phase import GLOBAL, PhaseScanReport, probe_key
 
 CLEAN = dict(lambda_min=-0.9, lambda_max=1.0, step=0.1)
@@ -144,6 +145,20 @@ class TestSweep:
         assert serial.betti == parallel.betti
         assert serial.kernel_dims == parallel.kernel_dims
         assert serial.transitions == parallel.transitions
+
+    def test_long_window_sweep_holds_one_block(self, monkeypatch):
+        # with the dense limit cut to the pairwise differences of 2 * (2h + 1)
+        # points, a sweep whose complexes spanned more points at once is refused
+        halfwidth, n_obs = 3, 10
+        span = 2 * (2 * halfwidth + 1)
+        monkeypatch.setattr(simplicial, "DENSE_LIMIT_BYTES", span * span * n_obs * 8)
+        cfg = clean_config(lambda_min=-0.9, lambda_max=-0.9 + 399 * 0.0045, step=0.0045,
+                           window_halfwidth=halfwidth)
+        report = tp.sweep(cfg)
+        assert len(report.betti) == 400
+        assert report.kernel_dims == report.betti
+        with pytest.raises(ValueError, match="exceeds"):
+            tp.vr_filtration(np.zeros((span + 1, n_obs)))
 
     def test_global_mode_single_entry(self):
         report = tp.sweep(clean_config(cloud_mode=GLOBAL))

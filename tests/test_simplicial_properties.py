@@ -1,4 +1,5 @@
-"""Property tests of the Vietoris-Rips construction against brute force."""
+"""Property tests of the Vietoris-Rips construction against brute force, and of the
+sweep's band windows against per-window filtrations."""
 
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import topophase as tp
+from topophase.simplicial import _window_filtrations
 
 
 def brute_force_complex(fc, max_dim):
@@ -66,3 +68,46 @@ def test_complex_arrays_are_read_only():
     for array in (*fc.vertices, *fc.births):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+@st.composite
+def sweep_clouds(draw):
+    """Sweep-shaped clouds: a walk of n points, with repeated steps and lattice ties."""
+    n = draw(st.sampled_from((1, 2, 5, 40)), label="n")
+    dim = draw(st.integers(1, 4), label="dim")
+    if draw(st.booleans(), label="lattice"):
+        # small integer steps: exact distance ties, and duplicates where a step is zero
+        steps = draw(arrays(np.int64, (n, dim), elements=st.integers(-1, 1)), label="steps")
+    else:
+        steps = draw(arrays(np.float64, (n, dim), elements=st.floats(-0.2, 0.2), fill=st.nothing()),
+                     label="steps")
+    pts = np.cumsum(steps, axis=0).astype(float)
+    for i in draw(st.lists(st.integers(1, max(1, n - 1)), max_size=3), label="repeated"):
+        pts[i % n] = pts[i - 1]  # the same point twice in a row
+    return pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(pts=sweep_clouds(), data=st.data())
+def test_band_windows_are_window_filtrations(pts, data):
+    n = len(pts)
+    halfwidth = data.draw(st.sampled_from((0, 1, 3, 8, n, n + 5)), label="halfwidth")
+    max_dim = data.draw(st.integers(0, 3), label="max_dim")
+    windows = list(_window_filtrations(pts, halfwidth, max_dim))
+    assert len(windows) == n
+    for centre, fc in enumerate(windows):
+        lo, hi = max(0, centre - halfwidth), min(n, centre + halfwidth + 1)
+        ref = tp.vr_filtration(pts[lo:hi], max_dim=max_dim)
+        assert fc.n_points == ref.n_points and fc.max_dim == ref.max_dim
+        assert fc.eps_max == ref.eps_max
+        assert fc.distance_matrix.tobytes() == ref.distance_matrix.tobytes()
+        for k in range(max_dim + 1):
+            assert fc.vertices[k].dtype == ref.vertices[k].dtype
+            assert fc.vertices[k].shape == ref.vertices[k].shape
+            assert fc.vertices[k].tobytes() == ref.vertices[k].tobytes()
+            assert fc.births[k].tobytes() == ref.births[k].tobytes()
+        for k in range(1, max_dim + 1):
+            facets = tp.boundary_matrix(fc, k)
+            assert facets.dtype == tp.boundary_matrix(ref, k).dtype
+            assert facets.tobytes() == tp.boundary_matrix(ref, k).tobytes()
+            assert not facets.flags.writeable

@@ -127,6 +127,30 @@ class TestObservables:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_set_peaks_at_its_stack(self):
+        # 238 complex 80 x 80 matrices are 23.2 MB; copying them into the set would double that
+        stack = (3 * 80 - 2) * 80 * 80 * 16
+        tracemalloc.start()
+        try:
+            obs = tp.ssh_observables(80)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * stack
+        assert all(not m.flags.writeable for m in obs.matrices)
+
+    def test_copies_all_but_owned_read_only_input(self):
+        m = np.eye(2)
+        view = np.eye(2)[:, :]
+        view.flags.writeable = False
+        obs = tp.ObservableSet((m, view), ("a", "b"))
+        assert obs.matrices[0] is not m and obs.matrices[1] is not view
+        m[0, 0] = 5.0
+        assert obs.matrices[0][0, 0] == 1.0
+        owned = np.eye(2)
+        owned.flags.writeable = False
+        assert tp.ObservableSet((owned,), ("c",)).matrices[0] is owned
+
     def test_largest_set_within_budget(self, monkeypatch):
         class Checked(Exception):
             pass
