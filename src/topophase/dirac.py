@@ -40,8 +40,7 @@ barcode says it is 0, ``_kernel_count`` first tries to prove that without a
 spectrum.  Let c be ``RANK_TOL`` times the largest absolute row sum of L_k
 (or 1 if larger), a Gershgorin bound at or above the kernel cutoff.  Every
 eigenvalue exceeds ``CERTIFICATE_MARGIN`` * c if the Gershgorin discs of
-L_k all lie above that floor, or else if L_k minus the floor times I has a
-Cholesky factor.  If neither holds, it counts eigenvalues as
+L_k all lie above that floor.  If they do not, it counts eigenvalues as
 ``dirac_spectrum`` does, so a disagreement with the barcode still shows.
 
 Tolerances are module constants: ``NULLSPACE_TOL`` is the relative cutoff
@@ -280,27 +279,15 @@ def _certified_kernel_dim(lap: np.ndarray, betti: int) -> int:
     * max(1, r) with r the largest absolute row sum of ``lap``: r bounds the
     top eigenvalue (Gershgorin), so c is at least the cutoff of
     ``_kernel_dim``.  The kernel is empty, with every eigenvalue above
-    ``CERTIFICATE_MARGIN`` * c, if the Gershgorin discs already lie above
-    that floor or else if lap - ``CERTIFICATE_MARGIN`` * c * I has a
-    Cholesky factor.  If neither holds, the eigenvalues decide, so a kernel
-    the barcode missed is still counted.  ``lap`` is shifted in place and
-    its diagonal restored exactly.
+    ``CERTIFICATE_MARGIN`` * c, if the Gershgorin discs lie above that
+    floor.  If they do not, the eigenvalues decide, so a kernel the barcode
+    missed is still counted.
     """
-    n = len(lap)
-    if betti == 0 and n:
+    if betti == 0 and len(lap):
         row_sums = np.abs(lap).sum(axis=1)
         floor = CERTIFICATE_MARGIN * RANK_TOL * max(1.0, float(row_sums.max()))
-        diagonal = lap.diagonal().copy()
-        if float((2.0 * diagonal - row_sums).min()) > floor:
+        if float((2.0 * lap.diagonal() - row_sums).min()) > floor:
             return 0
-        lap.flat[::n + 1] -= floor
-        try:
-            np.linalg.cholesky(lap)
-            return 0
-        except np.linalg.LinAlgError:
-            pass
-        finally:
-            lap.flat[::n + 1] = diagonal
     return _kernel_dim(np.linalg.eigvalsh(lap))
 
 

@@ -79,16 +79,24 @@ class QuantumState:
 
 @dataclass(frozen=True, eq=False)
 class ObservableSet:
-    """Labelled family of same-dimension Hermitian observables.
-
-    Matrices are held read-only.  An input matrix that owns its data and is
-    already read-only is kept as it is; every other input is copied.
-    """
+    """Labelled family of same-dimension Hermitian observables, held as read-only copies."""
 
     matrices: tuple
     labels: tuple
 
     def __post_init__(self):
+        self._freeze(copy=True)
+
+    @classmethod
+    def _owned(cls, matrices: tuple, labels: tuple) -> "ObservableSet":
+        """The set of ``matrices`` themselves, made read-only; no other reference to them may remain."""
+        obs = object.__new__(cls)
+        object.__setattr__(obs, "matrices", matrices)
+        object.__setattr__(obs, "labels", labels)
+        obs._freeze(copy=False)
+        return obs
+
+    def _freeze(self, copy: bool) -> None:
         mats = tuple(np.asarray(m) for m in self.matrices)
         labels = tuple(str(s) for s in self.labels)
         if not mats:
@@ -102,9 +110,9 @@ class ObservableSet:
             _require_hermitian(m, f"observable {label!r}")
         frozen = []
         for m in mats:
-            if m.base is not None or m.flags.writeable:  # an owned read-only matrix is kept as is
+            if copy:
                 m = m.copy()
-                m.flags.writeable = False
+            m.flags.writeable = False
             frozen.append(m)
         object.__setattr__(self, "matrices", tuple(frozen))
         object.__setattr__(self, "labels", labels)
@@ -251,9 +259,7 @@ def ssh_observables(n_sites: int = 4) -> ObservableSet:
         labels.append(f"re{i + 1}_{i + 2}")
         mats.append(im)
         labels.append(f"im{i + 1}_{i + 2}")
-    for m in mats:
-        m.flags.writeable = False  # so ObservableSet keeps them without a copy
-    return ObservableSet(tuple(mats), tuple(labels))
+    return ObservableSet._owned(tuple(mats), tuple(labels))  # no copy: nothing else holds them
 
 
 def expectation(state: QuantumState, observable) -> float:

@@ -288,7 +288,6 @@ class TestKernelCertificate:
     def test_kernel_count_matches_eigvalsh(self, monkeypatch):
         # kernel counts as dirac_spectrum makes them, with the barcode's count
         # and with a hint of 0, which sends every probe through the certificate
-        choleskies = self.spy(monkeypatch, "cholesky")
         rng = np.random.default_rng(71)
         positive = 0
         for _ in range(70):
@@ -302,24 +301,15 @@ class TestKernelCertificate:
                 positive += expected > 0
                 for hint in (0, tp.persistent_betti(diagram, k, e1, e2)):
                     assert _certified_kernel_dim(lap, hint) == expected
-                    assert lap.tobytes() == before.tobytes()  # the shifted diagonal is restored
+                    assert lap.tobytes() == before.tobytes()
                 assert _kernel_count(fc, k, e1, e2, 0) == expected == tp.dirac_spectrum(fc, k, e1, e2)[1]
-        assert positive > 20 and len(choleskies) > 20
+        assert positive > 20
 
-    def test_diagonally_dominant_needs_no_factorization(self, monkeypatch):
-        choleskies = self.spy(monkeypatch, "cholesky")
+    def test_diagonally_dominant_needs_no_spectrum(self, monkeypatch):
         eigensolves = self.spy(monkeypatch, "eigvalsh")
         # the 2-skeleton of a full simplex on m points has L_1 = m I
         fc = tp.vr_filtration(np.random.default_rng(3).random((9, 3)), max_dim=2)
         assert _kernel_count(fc, 1, fc.eps_max, fc.eps_max, 0) == 0
-        assert choleskies == [] and eigensolves == []
-
-    def test_cholesky_certifies_past_the_discs(self, monkeypatch):
-        eigensolves = self.spy(monkeypatch, "eigvalsh")
-        q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(6, 6)))
-        lap = (q * np.array([0.01, 1.0, 2.0, 3.0, 4.0, 5.0])) @ q.T
-        assert (2.0 * lap.diagonal() - np.abs(lap).sum(axis=1)).min() < 0  # the discs reach below 0
-        assert _certified_kernel_dim(lap, 0) == 0
         assert eigensolves == []
 
     @pytest.mark.parametrize("rotated", [True, False], ids=["rotated", "diagonal"])
@@ -333,10 +323,9 @@ class TestKernelCertificate:
         c = RANK_TOL * max(1.0, np.abs(lap).sum(axis=1).max())
         smallest = np.linalg.eigvalsh(lap)[0]
         assert c < smallest < CERTIFICATE_MARGIN * c
-        choleskies = self.spy(monkeypatch, "cholesky")
         eigensolves = self.spy(monkeypatch, "eigvalsh")
         assert _certified_kernel_dim(lap.copy(), 0) == _kernel_dim(np.linalg.eigvalsh(lap)) == 0
-        assert choleskies == [8] and eigensolves == [8, 8]  # the fallback's and the reference's
+        assert eigensolves == [8, 8]  # the fallback's and the reference's
 
     def test_missed_kernel_still_counted(self):
         # a path graph's Laplacian has a 1-dimensional kernel; a wrong hint of 0 must not hide it

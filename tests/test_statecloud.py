@@ -139,17 +139,16 @@ class TestObservables:
         assert peak <= 1.25 * stack
         assert all(not m.flags.writeable for m in obs.matrices)
 
-    def test_copies_all_but_owned_read_only_input(self):
+    def test_copies_every_input(self):
         m = np.eye(2)
-        view = np.eye(2)[:, :]
-        view.flags.writeable = False
-        obs = tp.ObservableSet((m, view), ("a", "b"))
-        assert obs.matrices[0] is not m and obs.matrices[1] is not view
-        m[0, 0] = 5.0
-        assert obs.matrices[0][0, 0] == 1.0
         owned = np.eye(2)
         owned.flags.writeable = False
-        assert tp.ObservableSet((owned,), ("c",)).matrices[0] is owned
+        obs = tp.ObservableSet((m, owned), ("a", "b"))
+        assert obs.matrices[0] is not m and obs.matrices[1] is not owned
+        m[0, 0] = 5.0
+        owned.flags.writeable = True
+        owned[0, 0] = 5.0
+        assert obs.matrices[0][0, 0] == obs.matrices[1][0, 0] == 1.0
 
     def test_largest_set_within_budget(self, monkeypatch):
         class Checked(Exception):
