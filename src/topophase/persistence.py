@@ -12,10 +12,16 @@ Vejdemo-Johansson ("Dualities in persistent (co)homology", 2011) the pairs
 equal those of the boundary-matrix reduction, and the top simplices that are
 never a pivot are the essential top-degree bars, so no top-dimension column
 is reduced.  The cofacet lists come from inverting the (k+1)-simplices'
-facet array (read through ``boundary_matrix``) with one stable argsort.  A
-column is held as an int bitset (bit n - 1 - r for cofacet row r, so the
-pivot is ``n - bit_length()``), and only when its first pivot is already
-taken.
+facet array (read through ``boundary_matrix``) with one stable argsort of
+keys cast to the narrowest integer type that holds them, which numpy sorts
+by radix.  A column j is apparent when it is the latest facet of its
+earliest cofacet c (Bauer, "Ripser", 2021): no column after j has c in its
+coboundary, so c is free when j is reached and the pair (j, c) is found
+before the loop, with numpy, for all such columns at once.  The loop visits
+the other columns.  A column is held as an int bitset (bit n - 1 - r for
+cofacet row r, so the pivot is ``n - bit_length()``), built from its slice
+of the cofacet array only when its first pivot is already taken or a later
+column needs it.
 
 Diagram: a ``PersistenceDiagram`` stores its bars as three read-only arrays
 (``dims``, ``births``, ``deaths``) ordered by (dim, birth, death).  Persistent
@@ -24,15 +30,19 @@ output read ``bars``, the same values as ``(dim, birth, death)`` tuples.
 Every diagram is over Z2: the JSON form records ``"field": "Z2"``, and
 reading refuses any other field.
 
-Rank oracle: each facet row of ``boundary_matrix`` becomes a Z2 boundary
-column held as an int bitset (bit r set for facet row r).  With n1 the
+Rank oracle: a boundary matrix and its transpose have the same rank, so the
+oracle eliminates rows, one int bitset per (k-1)-simplex with bit j set for
+each k-simplex j it bounds.  The rows are packed from ``boundary_matrix``
+into a uint8 array (``np.bitwise_or.at``), checked against
+``DENSE_LIMIT_BYTES`` first, and read as one integer each.  With n1 the
 k-simplices born by eps1, the rows of the (k+1)-boundary at eps2 split into
-R1, those n1 rows (the low bits), and R2, the later k-simplices
-(``col >> n1``), as in the Schur Laplacian.  A boundary lying in
-C_k(K_eps1) is a cycle there, so Z_k(K_eps1) meets B_k(K_eps2) in the
-boundaries whose R2 part is zero, of dimension rank d_{k+1}(eps2) - rank R2.
-Hence beta = n1 - rank d_k(eps1) - rank d_{k+1}(eps2) + rank R2: three GF(2)
-ranks and no null-space basis.
+R1, those n1 rows, and R2, the later k-simplices, as in the Schur Laplacian.
+A boundary lying in C_k(K_eps1) is a cycle there, so Z_k(K_eps1) meets
+B_k(K_eps2) in the boundaries whose R2 part is zero, of dimension
+rank d_{k+1}(eps2) - rank R2.  Hence beta = n1 - rank d_k(eps1)
+- rank d_{k+1}(eps2) + rank R2.  Eliminating the R2 rows first and then the
+R1 rows into the same pivot table gives rank R2 and then rank d_{k+1}(eps2),
+so the three ranks take two eliminations, and no null-space basis is built.
 
 Bottleneck: at a candidate delta a point is far when its half-length (its
 L-infinity distance to the diagonal) exceeds delta.  The two diagrams, each
@@ -48,13 +58,14 @@ over the candidate costs is two saturation checks on the rows and columns of
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .simplicial import FilteredComplex, boundary_matrix
+from .simplicial import FilteredComplex, _check_dense, boundary_matrix
 
 INF = math.inf
 
@@ -110,53 +121,50 @@ class PersistenceDiagram:
         return self.births[lo:hi], self.deaths[lo:hi]
 
 
-def _z2_column(facets) -> int:
-    """One boundary column over Z2 as an int bitset: bit r set per facet row r."""
-    bits = 0
-    for r in facets.tolist():
-        bits |= 1 << r
-    return bits
-
-
-def _cofacets(complex_: FilteredComplex, k: int):
+def _cofacets(facets: np.ndarray, n_k: int):
     """Cofacet rows of every k-simplex: those of simplex j are ``rows[starts[j]:starts[j + 1]]``.
 
-    One stable argsort of the (k+1)-simplices' facet array groups its entries
-    by facet and keeps each group in ascending cofacet order.
+    ``facets`` is the (k+1)-simplices' facet array.  One stable argsort of
+    its entries groups them by facet and keeps each group in ascending
+    cofacet order; on keys of the narrowest integer type that holds n_k - 1
+    a stable sort is a radix sort.
     """
-    facets = boundary_matrix(complex_, k + 1)
     flat = facets.ravel()
-    starts = np.zeros(complex_.count_dim(k) + 1, dtype=np.intp)
-    np.cumsum(np.bincount(flat, minlength=len(starts) - 1), out=starts[1:])
-    return starts, np.argsort(flat, kind="stable") // facets.shape[1]
+    starts = np.zeros(n_k + 1, dtype=np.intp)
+    np.cumsum(np.bincount(flat, minlength=n_k), out=starts[1:])
+    keys = flat.astype(np.min_scalar_type(n_k - 1))
+    return starts, np.argsort(keys, kind="stable") // facets.shape[1]
 
 
-def _reduce_coboundaries(starts, rows, n_rows: int, cleared):
+def _reduce_coboundaries(starts, rows, latest, cleared):
     """Reduce one dimension's coboundary columns, last simplex first, skipping ``cleared``.
 
-    Returns the paired columns, their pivot rows and the columns that reduce
-    to zero.  A column whose earliest cofacet is no other column's pivot
-    pairs with it at once, and its bitset is built only if a later column
+    ``latest[c]`` is the latest facet of cofacet row c.  Returns the paired
+    columns, their pivot rows and the columns that reduce to zero.  An
+    apparent column, the latest facet of its earliest cofacet, pairs with
+    that cofacet before the loop; the loop visits the other columns, and a
+    column's bitset is built only when it is reduced or a later column
     needs it.
     """
-    starts, rows = starts.tolist(), rows.tolist()
-    owner: dict = {}  # pivot row -> column
+    n_rows = len(latest)
+    nonempty = starts[1:] > starts[:-1]
+    columns = np.flatnonzero(~cleared & nonempty)
+    first = rows[starts[columns]]
+    apparent = latest[first] == columns
+    owner = dict(zip(first[apparent].tolist(), columns[apparent].tolist()))  # pivot row -> column
     reduced: dict = {}  # column -> reduced bitset, for columns that have been built
+    starts = starts.tolist()
+    width = -(-n_rows // 8)
+    pad = width * 8 - n_rows
 
     def column(j):
-        bits = 0
-        for r in rows[starts[j]:starts[j + 1]]:
-            bits |= 1 << (n_rows - 1 - r)
-        return bits
+        flags = np.zeros(width * 8, dtype=bool)
+        flags[rows[starts[j]:starts[j + 1]]] = True
+        return int.from_bytes(np.packbits(flags, bitorder="big").tobytes(), "big") >> pad
 
     paired, pivots, zero = [], [], []
-    for j in range(len(cleared) - 1, -1, -1):
-        if cleared[j]:
-            continue
-        if starts[j] == starts[j + 1]:
-            zero.append(j)
-            continue
-        piv = rows[starts[j]]
+    rest = ~apparent
+    for j, piv in zip(columns[rest][::-1].tolist(), first[rest][::-1].tolist()):
         if piv in owner:
             col = column(j)
             while col:
@@ -174,7 +182,9 @@ def _reduce_coboundaries(starts, rows, n_rows: int, cleared):
         owner[piv] = j
         paired.append(j)
         pivots.append(piv)
-    return paired, pivots, zero
+    return (np.concatenate([columns[apparent], np.asarray(paired, dtype=np.intp)]),
+            np.concatenate([first[apparent], np.asarray(pivots, dtype=np.intp)]),
+            np.concatenate([np.flatnonzero(~cleared & ~nonempty), np.asarray(zero, dtype=np.intp)]))
 
 
 def reduce(complex_: FilteredComplex) -> PersistenceDiagram:
@@ -190,9 +200,10 @@ def reduce(complex_: FilteredComplex) -> PersistenceDiagram:
     cleared = np.zeros(complex_.count_dim(0), dtype=bool)
 
     for k in range(max_dim):
-        starts, rows = _cofacets(complex_, k)
-        paired, pivots, zero = _reduce_coboundaries(starts, rows, complex_.count_dim(k + 1),
-                                                    cleared.tolist())
+        facets = boundary_matrix(complex_, k + 1)
+        latest = functools.reduce(np.maximum, facets.T)  # faster than max(axis=1) on k + 2 columns
+        paired, pivots, zero = _reduce_coboundaries(*_cofacets(facets, complex_.count_dim(k)),
+                                                    latest, cleared)
         birth = births[k][paired]
         death = births[k + 1][pivots]
         kept = death > birth
@@ -228,8 +239,8 @@ def persistent_betti(diagram: PersistenceDiagram, k: int, eps1: float, eps2: flo
 
 # -- independent oracle: persistent Betti numbers by Z2 rank computations ----
 
-def _gf2_rank(vectors) -> int:
-    pivots: dict = {}
+def _gf2_eliminate(vectors, pivots: dict) -> int:
+    """Eliminate int-bitset ``vectors`` into ``pivots`` (top bit -> vector); returns the rank gained."""
     rank = 0
     for v in vectors:
         while v:
@@ -243,12 +254,24 @@ def _gf2_rank(vectors) -> int:
     return rank
 
 
-def _z2_columns(complex_: FilteredComplex, k: int, eps: float) -> list:
-    """Z2 bitset columns of the k-boundary of the subcomplex at scale eps."""
+def _z2_rows(complex_: FilteredComplex, k: int, eps: float) -> list:
+    """Z2 rows of the k-boundary of the subcomplex at scale eps, one int bitset per (k-1)-simplex.
+
+    Bit j of row r is set when (k-1)-simplex r is a facet of k-simplex j.  The
+    bits are packed into a uint8 array, one row per (k-1)-simplex born by eps,
+    and each row is read as one little-endian integer.
+    """
     if not 1 <= k <= complex_.max_dim:
         return []
     facets = boundary_matrix(complex_, k)[:complex_.count_at(k, eps)]
-    return [_z2_column(row) for row in facets]
+    n_rows, width = complex_.count_at(k - 1, eps), -(-len(facets) // 8)
+    _check_dense(n_rows, width, f"array of packed Z2 {k}-boundary rows", itemsize=1)
+    packed = np.zeros((n_rows, width), dtype=np.uint8)
+    cols = np.arange(len(facets))
+    bits = (1 << (cols & 7)).astype(np.uint8)
+    np.bitwise_or.at(packed, (facets, (cols >> 3)[:, None]), bits[:, None])
+    data = packed.tobytes()
+    return [int.from_bytes(data[r * width:(r + 1) * width], "little") for r in range(n_rows)]
 
 
 def betti_oracle(complex_: FilteredComplex, k: int, eps1: float, eps2: float) -> int:
@@ -256,15 +279,17 @@ def betti_oracle(complex_: FilteredComplex, k: int, eps1: float, eps2: float) ->
 
     With n1 the k-simplices born by eps1 and R2 the rows of the (k+1)-boundary
     at eps2 on the later k-simplices, beta = n1 - rank d_k(eps1)
-    - rank d_{k+1}(eps2) + rank R2 (see the module docstring).  Intended for
-    small complexes.
+    - rank d_{k+1}(eps2) + rank R2 (see the module docstring).  Raises
+    ``ValueError`` before packing rows above ``DENSE_LIMIT_BYTES``.
     """
     if not eps1 <= eps2:
         raise ValueError(f"eps1 ({eps1}) must be <= eps2 ({eps2})")
     n1 = complex_.count_at(k, eps1)
-    boundaries = _z2_columns(complex_, k + 1, eps2)
-    return (n1 - _gf2_rank(_z2_columns(complex_, k, eps1)) - _gf2_rank(boundaries)
-            + _gf2_rank(col >> n1 for col in boundaries))
+    rows = _z2_rows(complex_, k + 1, eps2)
+    pivots: dict = {}
+    _gf2_eliminate(rows[n1:], pivots)  # gains rank R2
+    bounded = _gf2_eliminate(rows[:n1], pivots)  # gains rank d_{k+1}(eps2) - rank R2
+    return n1 - _gf2_eliminate(_z2_rows(complex_, k, eps1), {}) - bounded
 
 
 # -- bottleneck distance ------------------------------------------------------

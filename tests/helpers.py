@@ -5,9 +5,10 @@ used to check: closed-form eigenpairs, union-find component counting,
 brute-force GF(2) ranks and brute-force bottleneck matchings.  The exceptions
 are ``assert_matches_dense``, which checks the Schur Laplacian and the
 closed-form Dirac spectrum against the dense assembled operator that the
-library keeps as their reference, and ``homology_reduce``, the
-boundary-matrix reduction that the cohomology reduction in
-``topophase.persistence`` replaced.
+library keeps as their reference, ``homology_reduce``, the boundary-matrix
+reduction that the cohomology reduction in ``topophase.persistence``
+replaced, and ``column_rank_oracle``, the column-form rank formula that the
+library's row-form ``betti_oracle`` replaced.
 """
 
 import itertools
@@ -15,7 +16,7 @@ import itertools
 import numpy as np
 
 import topophase as tp
-from topophase.persistence import INF, PersistenceDiagram, _z2_column
+from topophase.persistence import INF, PersistenceDiagram
 from topophase.simplicial import boundary_matrix
 
 
@@ -176,6 +177,49 @@ def assert_matches_dense(fc, k, eps, eps_prime, xis=(0.0, 0.3, -0.7)):
         assert np.allclose(got, dense, rtol=0.0, atol=1e-10)
         assert kernel == tp.betti_from_laplacian(dense_lap)
     return dims, kernel
+
+
+def _z2_column(facets) -> int:
+    """One boundary column over Z2 as an int bitset: bit r set per facet row r."""
+    bits = 0
+    for r in facets.tolist():
+        bits |= 1 << r
+    return bits
+
+
+def _gf2_rank(vectors) -> int:
+    pivots: dict = {}
+    rank = 0
+    for v in vectors:
+        while v:
+            h = v.bit_length() - 1
+            p = pivots.get(h)
+            if p is None:
+                pivots[h] = v
+                rank += 1
+                break
+            v ^= p
+    return rank
+
+
+def _z2_columns(complex_, k, eps):
+    """Z2 bitset columns of the k-boundary of the subcomplex at scale eps."""
+    if not 1 <= k <= complex_.max_dim:
+        return []
+    return [_z2_column(row) for row in boundary_matrix(complex_, k)[:complex_.count_at(k, eps)]]
+
+
+def column_rank_oracle(complex_, k, eps1, eps2):
+    """Persistent Betti number by three GF(2) ranks of boundary columns.
+
+    beta = n1 - rank d_k(eps1) - rank d_{k+1}(eps2) + rank R2, where n1 counts
+    the k-simplices born by eps1 and R2 is the (k+1)-boundary at eps2 on the
+    later k-simplices (each column shifted right by n1).
+    """
+    n1 = complex_.count_at(k, eps1)
+    boundaries = _z2_columns(complex_, k + 1, eps2)
+    return (n1 - _gf2_rank(_z2_columns(complex_, k, eps1)) - _gf2_rank(boundaries)
+            + _gf2_rank(col >> n1 for col in boundaries))
 
 
 def homology_reduce(complex_):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import topophase as tp
+from topophase import simplicial
 from topophase.persistence import PersistenceDiagram, _saturates
 from topophase.simplicial import boundary_dense_at
-from helpers import brute_force_bottleneck, components_at_scale, gf2_matrix_rank, random_cloud
+from helpers import (brute_force_bottleneck, column_rank_oracle, components_at_scale, gf2_matrix_rank,
+                     homology_reduce, random_cloud)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 HALF_DIAG = np.sqrt(2.0) / 2.0
@@ -149,6 +151,41 @@ def test_oracle_matches_reduction_random():
         e1, e2 = sorted(rng.uniform(0.0, fc.eps_max, size=2))
         for k in (0, 1, 2):
             assert tp.persistent_betti(dg, k, e1, e2) == tp.betti_oracle(fc, k, e1, e2)
+
+
+def noisy_circles(seed, n=60, count=3, sigma=0.05):
+    """Noisy n-gons under random rotations, drawn as the barcode benchmark draws them."""
+    rng = np.random.default_rng(seed)
+    clouds = []
+    for _ in range(count):
+        theta = 2.0 * np.pi * (np.arange(n) + rng.random()) / n
+        clouds.append(np.column_stack([np.cos(theta), np.sin(theta)]) + rng.normal(0.0, sigma, (n, 2)))
+    return clouds
+
+
+@pytest.mark.parametrize("points", noisy_circles(seed=17), ids=["circle0", "circle1", "circle2"])
+def test_detectors_agree_on_benchmark_size_circles(points):
+    fc = tp.vr_filtration(points, max_dim=2)
+    dg = tp.reduce(fc)
+    assert tp.diagram_to_json(dg) == tp.diagram_to_json(homology_reduce(fc))
+    assert tp.betti_oracle(fc, 1, 0.6, 0.75) == tp.persistent_betti(dg, 1, 0.6, 0.75) == 1
+    assert column_rank_oracle(fc, 1, 0.6, 0.75) == 1
+    births = np.unique(np.concatenate(fc.births))
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        eps1, eps2 = np.sort(rng.choice(births, size=2))
+        for k in (0, 1, 2):
+            oracle = tp.betti_oracle(fc, k, eps1, eps2)
+            assert oracle == tp.persistent_betti(dg, k, eps1, eps2) == column_rank_oracle(fc, k, eps1, eps2)
+
+
+def test_oracle_refuses_rows_above_dense_limit(monkeypatch):
+    fc = tp.vr_filtration(noisy_circles(seed=5, count=1)[0], max_dim=2)
+    # the whole 2-boundary packs 1,770 edge rows of 34,220 triangle bits, about 7 MB
+    monkeypatch.setattr(simplicial, "DENSE_LIMIT_BYTES", 2 ** 20)
+    with pytest.raises(ValueError, match="exceeds the 1 MB limit"):
+        tp.betti_oracle(fc, 1, 0.6, fc.eps_max)
+    assert tp.betti_oracle(fc, 0, 0.0, 0.01) == column_rank_oracle(fc, 0, 0.0, 0.01)
 
 
 def test_relabel_invariance():

@@ -1,6 +1,7 @@
-"""Property test of the cohomology reduction against the boundary-matrix
+"""Property tests of the cohomology reduction against the boundary-matrix
 reduction it replaced: the serialized diagrams must be byte-identical, and
-the bar counts must equal the rank oracle at exact simplex births."""
+the bar counts must equal the rank oracle at exact simplex births.  The
+row-form rank oracle must equal the column-form one it replaced."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import topophase as tp
-from helpers import homology_reduce
+from helpers import column_rank_oracle, homology_reduce
 
 
 @st.composite
@@ -42,3 +43,17 @@ def test_cohomology_matches_homology_reduction(pts, data):
                                       label="probe"))
         for k in range(max_dim + 1):
             assert tp.persistent_betti(diagram, k, eps1, eps2) == tp.betti_oracle(fc, k, eps1, eps2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pts=clouds(), data=st.data())
+def test_row_oracle_matches_column_oracle(pts, data):
+    max_dim = data.draw(st.integers(0, 3), label="max_dim")
+    fc = tp.vr_filtration(pts, max_dim=max_dim)
+    births = np.unique(np.concatenate(fc.births)).tolist()
+    for _ in range(2):
+        eps1, eps2 = sorted(data.draw(st.lists(st.sampled_from(births), min_size=2, max_size=2),
+                                      label="probe"))
+        for e1, e2 in ((eps1, eps2), (eps1, eps1), (eps2, eps2)):
+            for k in range(max_dim + 2):
+                assert tp.betti_oracle(fc, k, e1, e2) == column_rank_oracle(fc, k, e1, e2)
