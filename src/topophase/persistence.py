@@ -53,12 +53,26 @@ diagonal copies pair with each other.  By the Mendelsohn-Dulmage theorem
 (1958) such a matching exists iff the far points of P1 can all be matched
 into P2 and the far points of P2 into P1, so each step of the binary search
 over the candidate costs is two saturation checks on the rows and columns of
-``cost <= delta``, with no diagonal vertices.
+``cost <= delta``, with no diagonal vertices.  As in Hera (Kerber, Morozov
+and Nigmetov, "Geometry helps to compare persistence diagrams", 2017), the
+cost is in building and searching each step's graph.  So the rows of
+``cost`` and of its transpose are argsorted once, into Python lists.  At
+each delta a far point's neighbours are then a prefix of its list, cheapest
+first, cut at the count of its costs <= delta.  A saturation check first
+matches greedily: each far point, fewest neighbours first, takes its first
+free neighbour.  It then searches Kuhn's augmenting paths only from the
+points still unmatched.  The answer stays exact whatever matching the search
+starts from: if some matching covers every far point, its symmetric
+difference with the current one holds an augmenting path from each far point
+left unmatched (Berge, 1957), so a point with none answers no.
+The difference array and the neighbour lists are checked against
+``DENSE_LIMIT_BYTES`` before any of them is allocated.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -295,14 +309,24 @@ def betti_oracle(complex_: FilteredComplex, k: int, eps1: float, eps2: float) ->
 # -- bottleneck distance ------------------------------------------------------
 
 def _saturates(adj, n_right) -> bool:
-    """Kuhn's augmenting paths: can every left vertex ``i`` be matched into ``adj[i]``?
+    """Can every left vertex ``i`` be matched into ``adj[i]``?
 
-    Each path is searched depth-first on an explicit stack, so it may be as
-    long as the graph.  A left vertex with no augmenting path never gains one
-    later, so the first such vertex answers no.
+    A greedy pass first gives each left vertex, fewest neighbours first, its
+    first free neighbour.  Kuhn's augmenting paths are then searched only
+    from the left vertices still unmatched, each depth-first on an explicit
+    stack, so a path may be as long as the graph.  The first vertex without
+    one answers no (see the module docstring).
     """
     match_v = [-1] * n_right
-    for root in range(len(adj)):
+    unmatched = []
+    for root in sorted(range(len(adj)), key=lambda u: len(adj[u])):
+        for v in adj[root]:
+            if match_v[v] == -1:
+                match_v[v] = root
+                break
+        else:
+            unmatched.append(root)
+    for root in unmatched:
         seen = [False] * n_right
         stack, path = [iter(adj[root])], []
         while stack:
@@ -330,18 +354,29 @@ def _saturates(adj, n_right) -> bool:
 def _finite_bottleneck(p1: np.ndarray, p2: np.ndarray) -> float:
     """Exact bottleneck between finite-point diagrams, given as (n, 2) [birth, death] arrays.
 
-    The least candidate delta at which both far sets saturate (see the module docstring).
+    The least candidate delta at which both far sets saturate (see the module
+    docstring).  Each point's neighbours are sorted by cost once, so at any
+    delta they are a prefix of its list, cheapest first.  Raises
+    ``ValueError`` before allocating above ``DENSE_LIMIT_BYTES``.
     """
     n1, n2 = len(p1), len(p2)
+    _check_dense(n1 * n2, 2, "array of bar differences")
+    # per side, a Python list of neighbours: an 8-byte pointer and a 28-byte int per entry
+    _check_dense(n1, n2, "list of neighbours by cost", itemsize=36)
     diag1 = (p1[:, 1] - p1[:, 0]) / 2.0
     diag2 = (p2[:, 1] - p2[:, 0]) / 2.0
     cost = np.abs(p1[:, None, :] - p2[None, :, :]).max(axis=2)  # L-infinity, n1 x n2
     grid = np.unique(np.concatenate(([0.0], diag1, diag2, cost.ravel())))
+    by_cost1 = np.argsort(cost, axis=1).tolist()
+    by_cost2 = np.argsort(cost.T, axis=1).tolist()
+
+    def far_prefixes(by_cost, counts, far):
+        return [row[:c] for row, c in itertools.compress(zip(by_cost, counts.tolist()), far.tolist())]
 
     def feasible(delta):
         near = cost <= delta
-        return (_saturates([np.flatnonzero(row).tolist() for row in near[diag1 > delta]], n2)
-                and _saturates([np.flatnonzero(col).tolist() for col in near.T[diag2 > delta]], n1))
+        return (_saturates(far_prefixes(by_cost1, np.count_nonzero(near, axis=1), diag1 > delta), n2)
+                and _saturates(far_prefixes(by_cost2, np.count_nonzero(near, axis=0), diag2 > delta), n1))
 
     lo, hi = 0, len(grid) - 1
     while lo < hi:

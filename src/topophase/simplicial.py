@@ -13,6 +13,26 @@ first one.  These arrays are the only form of the complex: reduction, the
 rank oracle and the spectral layer read them, and ``len(complex_)`` counts
 all dimensions together.
 
+Generation order: as in Ripser (Bauer, 2021), each dimension is generated in
+lexicographic order and never sorted by vertices.  The k-simplices are kept
+in lexicographic order while the (k+1)-simplices are built from them, so the
+nonzero entries, by parent and then by top vertex, come out in lexicographic
+order too.  A simplex's birth is the largest birth of its facets (half the
+distance for an edge).  It is carried as a level, the index of that value
+among the distinct edge births, in the narrowest unsigned integer type that
+holds it.  One stable argsort of the levels, a radix sort at 16 bits or
+fewer, gives the (birth, vertices) order, because tied births keep their
+lexicographic order.  The facets come from the same loop.  The facet without
+the top vertex is the parent row.  The facet without vertex i of the parent
+is facet i of the parent plus the top vertex, so its lexicographic index is
+found by ``searchsorted`` of (that facet's index * n + top) among the
+dimension's keys (parent index * n + top), which increase in lexicographic
+order.  Every simplex's faces are in the complex, so every search hits.  The
+lower dimension's inverse filtration permutation maps these indices into
+filtration order.  ``_facet_indices``, which sorts base-n vertex keys and
+searches them, serves only complexes given to the public ``FilteredComplex``
+constructor.
+
 Window sweeps: the complex of a window [lo, hi) of consecutive points at its
 default ``eps_max`` is the full simplex on those points, so every window is
 an induced subcomplex of one banded complex, the simplices whose vertex
@@ -22,18 +42,20 @@ band once per block of windows with the same clique loop as
 slices each window out of it, arrays byte-identical to
 ``vr_filtration(points[lo:hi])``.
 
-Boundary core: a ``FilteredComplex`` maps facets to indices once, at
-construction, into one (n_k, k+1) integer array per dimension k >= 1; entry
-[j, i] is the dimension-(k-1) index of the facet of k-simplex j that omits
-vertex position i.  ``boundary_matrix`` returns it, and it is the only
-boundary object: reduction and the rank oracle read it as Z2 columns, the
-spectral layer scatters its Gram matrix from it, and ``boundary_dense_at``
-is the one dense form, real with sign (-1)^i at position i (its absolute
-value is the Z2 matrix).
+Boundary core: a ``FilteredComplex`` holds one (n_k, k+1) integer facet
+array per dimension k >= 1, from the clique loop or, for a complex built
+from given vertex arrays, mapped once at construction; entry [j, i] is the
+dimension-(k-1) index of the facet of k-simplex j that omits vertex position
+i.  ``boundary_matrix`` returns it, and it is the only boundary object:
+reduction and the rank oracle read it as Z2 columns, the spectral layer
+scatters its Gram matrix from it, and ``boundary_dense_at`` is the one dense
+form, real with sign (-1)^i at position i (its absolute value is the Z2
+matrix).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,7 +129,9 @@ class FilteredComplex:
 def _facet_indices(lower: np.ndarray, upper: np.ndarray, n_points: int) -> np.ndarray:
     """Entry [j, i]: row of ``lower`` equal to row j of ``upper`` without column i.
 
-    Rows match through base-``n_points`` keys, Python integers where int64 could overflow.
+    Rows match through base-``n_points`` keys, Python integers where int64
+    could overflow.  Only the public ``FilteredComplex`` constructor needs
+    this; ``vr_filtration`` takes its facets from the clique loop.
     """
     k = lower.shape[1]
     dtype = np.int64 if n_points ** k < 2 ** 63 else object
@@ -156,37 +180,63 @@ def _distances(pts: np.ndarray) -> np.ndarray:
 
 
 def _cliques(dist: np.ndarray, adjacency: np.ndarray, max_dim: int, span: int) -> tuple:
-    """Vertex and births arrays, per dimension, of the clique complex of ``adjacency``.
+    """Vertex, births and facet arrays, per dimension, of the clique complex of ``adjacency``.
 
     ``adjacency`` is the strictly upper-triangular edge mask.  Only simplices
     whose vertex indices span at most ``span`` are built (all of them when
     ``span`` >= n - 1): a k-simplex's candidates are the ``span`` vertices
     after its first one, an (n_k, span) array, kept where adjacent to every
-    vertex of the simplex (so above its last one).
+    vertex of the simplex (so above its last one).  Each dimension is built
+    in lexicographic order and put in (birth, vertices) order by one stable
+    sort of its birth levels; the facet arrays equal what ``_facet_indices``
+    gives (see the module docstring).
     """
     n = len(dist)
     padded = np.zeros((n, n + span), dtype=bool)
     padded[:, :n] = adjacency
     ahead = sliding_window_view(padded, span, axis=1)  # ahead[v, s] is padded[v, s:s + span]
-    verts = [np.arange(n, dtype=np.intp)[:, None]]
-    births = [np.zeros(n)]
+    lex = [np.arange(n, dtype=np.intp)]  # vertex columns of the current dimension, lexicographic
+    rank = lex[0]  # filtration index of each lexicographic row
+    verts, births, facets = [lex[0][:, None]], [np.zeros(n)], [None]
     for k in range(max_dim):
-        lower = verts[-1]
-        _check_dense(len(lower), span, f"array of {k + 1}-simplex candidates", itemsize=1)
-        start = lower[:, 0] + 1
-        common = ahead[lower[:, 0], start]
-        for c in range(1, k + 1):
-            common &= ahead[lower[:, c], start]
+        _check_dense(len(lex[0]), span, f"array of {k + 1}-simplex candidates", itemsize=1)
+        start = lex[0] + 1
+        common = ahead[lex[0], start]
+        for col in lex[1:]:
+            common &= ahead[col, start]
         _check_dense(np.count_nonzero(common), k + 2, f"array of {k + 1}-simplex vertices")
-        rows, offset = np.nonzero(common)
-        parents = lower[rows]
-        top = start[rows] + offset
-        upper = np.column_stack([parents, top])
-        birth = np.maximum(births[-1][rows], dist[parents, top[:, None]].max(axis=1) / 2.0)
-        order = np.lexsort((*upper.T[::-1], birth))
-        verts.append(upper[order])
-        births.append(birth[order])
-    return verts, births
+        rows, top = np.divmod(np.flatnonzero(common), span)  # by parent, then by top vertex
+        del common
+        top += np.take(start, rows)
+        # lex_facets[i]: lexicographic index of the facet without vertex i, the last one the parent
+        if k == 0:  # values: the distinct edge births; level: a birth as an index into values
+            values, level = np.unique(dist[rows, top] / 2.0, return_inverse=True)
+            level = level.astype(np.min_scalar_type(max(len(values) - 1, 0)))
+            lex_facets = [top, rows]
+        else:
+            lex_facets = [np.searchsorted(keys, np.take(f, rows) * n + top) for f in lex_facets]
+            lex_facets.append(rows)
+            level = functools.reduce(np.maximum, (np.take(level, f) for f in lex_facets))
+        order = np.argsort(level, kind="stable")  # a radix sort; tied births stay lexicographic
+        births.append(np.take(values, np.take(level, order)))
+        vert = np.empty((len(order), k + 2), dtype=np.intp)
+        parent = np.take(rows, order)
+        for i, col in enumerate(lex):
+            vert[:, i] = np.take(col, parent)
+        vert[:, k + 1] = np.take(top, order)
+        del parent
+        verts.append(vert)
+        facet = np.empty_like(vert)
+        for i, f in enumerate(lex_facets):
+            facet[:, i] = np.take(rank, np.take(f, order))
+        facet.flags.writeable = False
+        facets.append(facet)
+        if k + 1 < max_dim:  # what the next dimension reads
+            keys = rows * n + top  # increasing; below n_k * n, far inside int64
+            lex = [np.take(col, rows) for col in lex] + [top]
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+    return verts, births, facets
 
 
 def vr_filtration(cloud, eps_max: float | None = None, max_dim: int = 2) -> FilteredComplex:
@@ -208,8 +258,9 @@ def vr_filtration(cloud, eps_max: float | None = None, max_dim: int = 2) -> Filt
     elif not eps_max >= 0:
         raise ValueError("eps_max must be >= 0")
     adjacency = np.triu(dist <= 2.0 * eps_max, k=1)
-    verts, births = _cliques(dist, adjacency, max_dim, n)
-    return FilteredComplex(tuple(verts), tuple(births), n, dist, float(eps_max))
+    verts, births, facets = _cliques(dist, adjacency, max_dim, n)
+    return FilteredComplex(tuple(verts), tuple(births), n, dist, float(eps_max),
+                           _facets=tuple(facets))
 
 
 def _window_filtrations(cloud, halfwidth: int, max_dim: int):
@@ -233,9 +284,8 @@ def _window_filtrations(cloud, halfwidth: int, max_dim: int):
         base, end = max(0, first - halfwidth), min(n, first + block + halfwidth)
         m = end - base
         dist = _distances(pts[base:end])
-        verts, births = _cliques(dist, np.triu(np.ones((m, m), dtype=bool), k=1), max_dim,
-                                 min(2 * halfwidth, m - 1))
-        facets = [None] + [_facet_indices(lo, hi, m) for lo, hi in zip(verts, verts[1:])]
+        verts, births, facets = _cliques(dist, np.triu(np.ones((m, m), dtype=bool), k=1),
+                                         max_dim, min(2 * halfwidth, m - 1))
         for centre in range(first, min(n, first + block)):
             lo, hi = max(0, centre - halfwidth) - base, min(n, centre + halfwidth + 1) - base
             yield _band_window(verts, births, facets, dist, lo, hi)
@@ -246,7 +296,7 @@ def _band_window(verts: list, births: list, facets: list, dist: np.ndarray,
     """The full-simplex complex on points [lo, hi) of a band, renumbered from 0.
 
     A facet's window index is the number of selected simplices before it in
-    its dimension: one prefix sum per dimension replaces ``_facet_indices``.
+    its dimension: one prefix sum per dimension renumbers the band's facets.
     """
     out_verts, out_births, out_facets = [], [], [None]
     index = None

@@ -7,8 +7,10 @@ are ``assert_matches_dense``, which checks the Schur Laplacian and the
 closed-form Dirac spectrum against the dense assembled operator that the
 library keeps as their reference, ``homology_reduce``, the boundary-matrix
 reduction that the cohomology reduction in ``topophase.persistence``
-replaced, and ``column_rank_oracle``, the column-form rank formula that the
-library's row-form ``betti_oracle`` replaced.
+replaced, ``column_rank_oracle``, the column-form rank formula that the
+library's row-form ``betti_oracle`` replaced, and ``kuhn_bottleneck``, the
+Kuhn-only matcher that the library's presorted, greedy-first ``bottleneck``
+replaced.
 """
 
 import itertools
@@ -146,6 +148,75 @@ def brute_force_bottleneck(p1, p2):
         cost[n1:, j] = (d2 - b2) / 2.0
     perms = np.array(list(itertools.permutations(range(size))), dtype=np.intp)
     return float(cost[np.arange(size), perms].max(axis=1, initial=0.0).min())
+
+
+def kuhn_saturates(adj, n_right) -> bool:
+    """Kuhn's augmenting paths from every left vertex in turn: is each ``i`` matched into ``adj[i]``?
+
+    Each path is searched depth-first on an explicit stack.  A left vertex
+    with no augmenting path never gains one later, so the first such vertex
+    answers no.
+    """
+    match_v = [-1] * n_right
+    for root in range(len(adj)):
+        seen = [False] * n_right
+        stack, path = [iter(adj[root])], []
+        while stack:
+            for v in stack[-1]:
+                if not seen[v]:
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+                continue
+            seen[v] = True
+            path.append(v)
+            if match_v[v] == -1:
+                u = root
+                for pv in path:
+                    match_v[pv], u = u, match_v[pv]
+                break
+            stack.append(iter(adj[match_v[v]]))
+        else:
+            return False
+    return True
+
+
+def kuhn_bottleneck(d1, d2, k) -> float:
+    """Exact bottleneck distance between the degree-k parts of two diagrams, by Kuhn alone.
+
+    Infinite bars match infinite bars on birth.  For the finite points: the
+    least candidate delta (0, a half-length or a pairwise L-infinity cost) at
+    which the far points of each side (half-length above delta) saturate into
+    the other side along ``cost <= delta``, with neighbours in index order.
+    """
+    (births1, deaths1), (births2, deaths2) = d1._in_dim(k), d2._in_dim(k)
+    inf1, inf2 = deaths1 == INF, deaths2 == INF
+    if np.count_nonzero(inf1) != np.count_nonzero(inf2):
+        return INF
+    inf_part = float(np.max(np.abs(births1[inf1] - births2[inf2]), initial=0.0))
+    p1 = np.column_stack([births1[~inf1], deaths1[~inf1]])
+    p2 = np.column_stack([births2[~inf2], deaths2[~inf2]])
+    n1, n2 = len(p1), len(p2)
+    diag1 = (p1[:, 1] - p1[:, 0]) / 2.0
+    diag2 = (p2[:, 1] - p2[:, 0]) / 2.0
+    cost = np.abs(p1[:, None, :] - p2[None, :, :]).max(axis=2)
+    grid = np.unique(np.concatenate(([0.0], diag1, diag2, cost.ravel())))
+
+    def feasible(delta):
+        near = cost <= delta
+        return (kuhn_saturates([np.flatnonzero(row).tolist() for row in near[diag1 > delta]], n2)
+                and kuhn_saturates([np.flatnonzero(col).tolist() for col in near.T[diag2 > delta]], n1))
+
+    lo, hi = 0, len(grid) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(grid[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return max(inf_part, float(grid[lo]))
 
 
 def dense_reference(fc, k, eps, eps_prime, xi):

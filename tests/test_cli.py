@@ -429,6 +429,21 @@ class TestBottleneck:
         assert "k must be >= 0" in captured.err
         assert captured.out == ""
 
+    def test_diagrams_above_dense_limit_exit_2(self, tmp_path, capsys, monkeypatch):
+        from topophase import simplicial
+        from topophase.persistence import PersistenceDiagram
+
+        births = np.arange(400) / 400
+        path = tmp_path / "d.json"
+        path.write_text(tp.diagram_to_json(PersistenceDiagram(dims=[1] * 400, births=births,
+                                                              deaths=births + 0.5)))
+        monkeypatch.setattr(simplicial, "DENSE_LIMIT_BYTES", 2 ** 20)
+        rc = main(["bottleneck", str(path), str(path), "--dim", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "exceeds the 1 MB limit" in captured.err
+        assert captured.out == ""
+
     def test_roundtrip_distance_zero(self, square_csv, tmp_path, capsys):
         out = tmp_path / "d.json"
         main(["barcode", "--cloud", square_csv, "--out", str(out)])

@@ -8,7 +8,7 @@ from topophase import simplicial
 from topophase.persistence import PersistenceDiagram, _saturates
 from topophase.simplicial import boundary_dense_at
 from helpers import (brute_force_bottleneck, column_rank_oracle, components_at_scale, gf2_matrix_rank,
-                     homology_reduce, random_cloud)
+                     homology_reduce, kuhn_bottleneck, random_cloud)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 HALF_DIAG = np.sqrt(2.0) / 2.0
@@ -254,6 +254,50 @@ class TestBottleneck:
             expected = brute_force_bottleneck(p1, p2)
             assert tp.bottleneck(d1, d2, 1) == expected, (p1, p2)
             assert tp.bottleneck(d2, d1, 1) == expected, (p1, p2)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_kuhn_reference_on_benchmark_size_circles(self, seed):
+        d1, d2 = (tp.reduce(tp.vr_filtration(points, max_dim=2))
+                  for points in noisy_circles(seed=seed, count=2))
+        for k in (0, 1):
+            assert tp.bottleneck(d1, d2, k) == kuhn_bottleneck(d1, d2, k)
+            assert tp.bottleneck(d2, d1, k) == kuhn_bottleneck(d2, d1, k)
+
+    def test_equals_kuhn_reference_on_lattice_diagrams(self):
+        # quarter-lattice bars: exact cost ties, bars repeated within and shared between sides
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            n_essential = int(rng.integers(0, 3))
+            sides = []
+            for _ in range(2):
+                n = int(rng.integers(16, 64))
+                births = rng.integers(0, 8, n) / 4.0
+                deaths = births + rng.integers(0, 8, n) / 4.0
+                repeat = rng.integers(0, n, n // 4)
+                births = np.concatenate([births, births[repeat], rng.integers(0, 8, n_essential) / 4.0])
+                deaths = np.concatenate([deaths, deaths[repeat], np.full(n_essential, INF)])
+                sides.append((births, deaths))
+            (b1, e1), (b2, e2) = sides
+            b2[:5], e2[:5] = b1[:5], e1[:5]
+            d1, d2 = (PersistenceDiagram(dims=np.ones(len(b), dtype=int), births=b, deaths=e)
+                      for b, e in ((b1, e1), (b2, e2)))
+            assert tp.bottleneck(d1, d2, 1) == kuhn_bottleneck(d1, d2, 1)
+            assert tp.bottleneck(d2, d1, 1) == kuhn_bottleneck(d2, d1, 1)
+
+    def test_refuses_arrays_above_dense_limit(self, monkeypatch):
+        def diagram(n):
+            births = np.arange(n) / n
+            return PersistenceDiagram(dims=np.ones(n, dtype=int), births=births, deaths=births + 0.5)
+
+        small = kuhn_bottleneck(diagram(50), diagram(60), 1)
+        monkeypatch.setattr(simplicial, "DENSE_LIMIT_BYTES", 2 ** 20)
+        # 400 x 400 bars: the differences alone take 2.4 MB
+        with pytest.raises(ValueError, match="array of bar differences .* exceeds the 1 MB limit"):
+            tp.bottleneck(diagram(400), diagram(400), 1)
+        # 200 x 200 bars: differences 0.6 MB, but each side's neighbour lists about 1.4 MB
+        with pytest.raises(ValueError, match="list of neighbours by cost .* exceeds the 1 MB limit"):
+            tp.bottleneck(diagram(200), diagram(200), 1)
+        assert tp.bottleneck(diagram(50), diagram(60), 1) == small
 
     def test_identical(self):
         dg = diagram_of(SQUARE)

@@ -32,6 +32,34 @@ def brute_force_complex(fc, max_dim):
     return out
 
 
+def benchmark_size_clouds():
+    """An n = 60 noisy circle, as the barcode benchmark draws it, and a 40-point lattice cloud.
+
+    The lattice cloud takes 36 points of {0..3}^3 and repeats four of them, so
+    it has exact distance ties and duplicate points.
+    """
+    rng = np.random.default_rng(3)
+    theta = 2.0 * np.pi * (np.arange(60) + rng.random()) / 60
+    circle = np.column_stack([np.cos(theta), np.sin(theta)]) + rng.normal(0.0, 0.05, (60, 2))
+    lattice = rng.integers(0, 4, (36, 3)).astype(float)
+    return [circle, np.vstack([lattice, lattice[[0, 5, 5, 17]]])]
+
+
+@pytest.mark.parametrize("pts", benchmark_size_clouds(), ids=["circle60", "lattice40"])
+def test_vr_matches_brute_force_at_benchmark_size(pts):
+    fc = tp.vr_filtration(pts, max_dim=2)
+    for k, (verts, births) in enumerate(brute_force_complex(fc, 2)):
+        assert fc.vertices[k].dtype == np.intp and np.array_equal(fc.vertices[k], verts)
+        assert fc.births[k].dtype == np.float64 and np.array_equal(fc.births[k], births)
+    for k in (1, 2):
+        index = {v: i for i, v in enumerate(map(tuple, fc.vertices[k - 1].tolist()))}
+        expected = [[index[tuple(v[:i] + v[i + 1:])] for i in range(k + 1)]
+                    for v in fc.vertices[k].tolist()]
+        facets = tp.boundary_matrix(fc, k)
+        assert facets.dtype == np.intp and not facets.flags.writeable
+        assert np.array_equal(facets, np.array(expected, dtype=np.intp).reshape(-1, k + 1))
+
+
 @st.composite
 def clouds(draw):
     n = draw(st.integers(1, 20), label="n")
