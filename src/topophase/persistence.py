@@ -18,10 +18,24 @@ by radix.  A column j is apparent when it is the latest facet of its
 earliest cofacet c (Bauer, "Ripser", 2021): no column after j has c in its
 coboundary, so c is free when j is reached and the pair (j, c) is found
 before the loop, with numpy, for all such columns at once.  The loop visits
-the other columns.  A column is held as an int bitset (bit n - 1 - r for
-cofacet row r, so the pivot is ``n - bit_length()``), built from its slice
-of the cofacet array only when its first pivot is already taken or a later
-column needs it.
+the other columns.  A column is held as an int bitset (bit e - 1 - r for
+cofacet row r, with e the end of its component's rows, below; so the pivot
+is ``e - bit_length()``), built from its slice of the cofacet array only
+when its first pivot is already taken or a later column needs it.
+
+Disjoint unions: one core, ``_bars``, reduces the arrays (births and facet
+indices per dimension) of a disjoint union of complexes, each component's
+simplices a contiguous segment of every dimension in its own filtration
+order; ``reduce`` passes one complex as the union of one, and a window sweep
+passes a block of windows.  The result is each component's own reduction.
+A simplex's cofacets lie in its own component, so the union's coboundary
+matrix is block-diagonal: no column addition crosses components, the
+apparent-pair test and clearing act column by column, and the last-first
+order restricted to a component is that component's order.  So the union's
+pairing restricted to a component is the component's pairing, and a
+component's diagram is its share of the union's bars.  Bits are counted from
+the end of the column's component, so a bitset is no wider than one
+component.
 
 Diagram: a ``PersistenceDiagram`` stores its bars as three read-only arrays
 (``dims``, ``births``, ``deaths``) ordered by (dim, birth, death).  Persistent
@@ -146,21 +160,22 @@ def _cofacets(facets: np.ndarray, n_k: int):
     flat = facets.ravel()
     starts = np.zeros(n_k + 1, dtype=np.intp)
     np.cumsum(np.bincount(flat, minlength=n_k), out=starts[1:])
-    keys = flat.astype(np.min_scalar_type(n_k - 1))
-    return starts, np.argsort(keys, kind="stable") // facets.shape[1]
+    rows = np.argsort(flat.astype(np.min_scalar_type(n_k - 1)), kind="stable")
+    rows //= facets.shape[1]
+    return starts, rows
 
 
-def _reduce_coboundaries(starts, rows, latest, cleared):
+def _reduce_coboundaries(starts, rows, latest, cleared, row_offsets):
     """Reduce one dimension's coboundary columns, last simplex first, skipping ``cleared``.
 
-    ``latest[c]`` is the latest facet of cofacet row c.  Returns the paired
-    columns, their pivot rows and the columns that reduce to zero.  An
-    apparent column, the latest facet of its earliest cofacet, pairs with
-    that cofacet before the loop; the loop visits the other columns, and a
-    column's bitset is built only when it is reduced or a later column
-    needs it.
+    ``latest[c]`` is the latest facet of cofacet row c, and ``row_offsets``
+    are where the rows of each component of a disjoint union start (see
+    the module docstring).  Returns the paired columns, their pivot rows and
+    the columns that reduce to zero.  An apparent column, the latest facet
+    of its earliest cofacet, pairs with that cofacet before the loop; the
+    loop visits the other columns, and a column's bitset is built only when
+    it is reduced or a later column needs it.
     """
-    n_rows = len(latest)
     nonempty = starts[1:] > starts[:-1]
     columns = np.flatnonzero(~cleared & nonempty)
     first = rows[starts[columns]]
@@ -168,26 +183,28 @@ def _reduce_coboundaries(starts, rows, latest, cleared):
     owner = dict(zip(first[apparent].tolist(), columns[apparent].tolist()))  # pivot row -> column
     reduced: dict = {}  # column -> reduced bitset, for columns that have been built
     starts = starts.tolist()
-    width = -(-n_rows // 8)
-    pad = width * 8 - n_rows
 
-    def column(j):
-        flags = np.zeros(width * 8, dtype=bool)
-        flags[rows[starts[j]:starts[j + 1]]] = True
-        return int.from_bytes(np.packbits(flags, bitorder="big").tobytes(), "big") >> pad
+    def column(j, end):
+        """Column j as an int with bit end - 1 - r for cofacet row r, all rows below ``end``."""
+        cofacets = rows[starts[j]:starts[j + 1]]
+        n_bytes = -(-(end - int(cofacets[0])) // 8)
+        flags = np.zeros(n_bytes * 8, dtype=bool)
+        flags[cofacets - (end - n_bytes * 8)] = True
+        return int.from_bytes(np.packbits(flags, bitorder="big").tobytes(), "big")
 
     paired, pivots, zero = [], [], []
     rest = ~apparent
-    for j, piv in zip(columns[rest][::-1].tolist(), first[rest][::-1].tolist()):
+    ends = row_offsets[np.searchsorted(row_offsets, first[rest], side="right")]  # of each component
+    for j, piv, end in zip(columns[rest][::-1].tolist(), first[rest][::-1].tolist(), ends[::-1].tolist()):
         if piv in owner:
-            col = column(j)
+            col = column(j, end)
             while col:
-                piv = n_rows - col.bit_length()
+                piv = end - col.bit_length()
                 other = owner.get(piv)
                 if other is None:
                     break
                 if other not in reduced:
-                    reduced[other] = column(other)
+                    reduced[other] = column(other, end)
                 col ^= reduced[other]
             if not col:
                 zero.append(j)
@@ -201,46 +218,67 @@ def _reduce_coboundaries(starts, rows, latest, cleared):
             np.concatenate([np.flatnonzero(~cleared & ~nonempty), np.asarray(zero, dtype=np.intp)]))
 
 
+def _bars(births: tuple, facets: tuple, offsets: tuple) -> list:
+    """Creator index and death of every bar, zero-length ones included, per dimension.
+
+    ``births[k]`` and ``facets[k]`` (k >= 1) are the arrays of a disjoint
+    union of complexes whose k-simplices start at ``offsets[k]``, one complex
+    being the union of one (see the module docstring).  Entry k is
+    (creators, deaths): the k-simplices that create a bar, ascending, and
+    where each bar dies, ``inf`` for an essential one.
+    """
+    bars = []
+    cleared = np.zeros(len(births[0]), dtype=bool)
+    for k in range(len(births) - 1):
+        latest = functools.reduce(np.maximum, facets[k + 1].T)  # faster than max(axis=1) on k + 2 columns
+        paired, pivots, zero = _reduce_coboundaries(*_cofacets(facets[k + 1], len(births[k])),
+                                                    latest, cleared, offsets[k + 1])
+        death = np.full(len(births[k]), np.nan)
+        death[paired] = births[k + 1][pivots]
+        death[zero] = INF
+        creators = np.flatnonzero(~cleared)  # every column not cleared is paired or zero
+        bars.append((creators, death[creators]))
+        cleared = np.zeros(len(births[k + 1]), dtype=bool)
+        cleared[pivots] = True
+    essential = np.flatnonzero(~cleared)
+    bars.append((essential, np.full(len(essential), INF)))
+    return bars
+
+
+def _diagram(births: tuple, bars: list, spans, n_points: int) -> PersistenceDiagram:
+    """Diagram of the union component whose k-simplices are rows [lo, hi) = ``spans[k]`` of ``_bars``."""
+    dims, bar_births, bar_deaths = [], [], []
+    dropped: dict = {}
+    for k, ((creators, deaths), span) in enumerate(zip(bars, spans)):
+        lo, hi = np.searchsorted(creators, span)
+        birth, death = births[k][creators[lo:hi]], deaths[lo:hi]
+        kept = death > birth
+        if not kept.all():
+            dropped[k] = int(np.count_nonzero(~kept))
+            birth, death = birth[kept], death[kept]
+        bar_births.append(birth)
+        bar_deaths.append(death)
+        dims.append(np.full(len(birth), k))
+    return PersistenceDiagram(
+        max_dim=len(bars) - 1,
+        n_points=n_points,
+        dropped_zero_bars=dropped,
+        dims=np.concatenate(dims),
+        births=np.concatenate(bar_births),
+        deaths=np.concatenate(bar_deaths),
+    )
+
+
 def reduce(complex_: FilteredComplex) -> PersistenceDiagram:
     """Persistent cohomology with clearing (see the module docstring).
 
     The diagram equals that of the standard boundary-matrix reduction of
     the same filtration order.  Output is deterministic given that order.
     """
-    max_dim = complex_.max_dim
     births = complex_.births
-    dims, bar_births, bar_deaths = [], [], []
-    dropped: dict = {}
-    cleared = np.zeros(complex_.count_dim(0), dtype=bool)
-
-    for k in range(max_dim):
-        facets = boundary_matrix(complex_, k + 1)
-        latest = functools.reduce(np.maximum, facets.T)  # faster than max(axis=1) on k + 2 columns
-        paired, pivots, zero = _reduce_coboundaries(*_cofacets(facets, complex_.count_dim(k)),
-                                                    latest, cleared)
-        birth = births[k][paired]
-        death = births[k + 1][pivots]
-        kept = death > birth
-        if not kept.all():
-            dropped[k] = int(np.count_nonzero(~kept))
-        bar_births += [birth[kept], births[k][zero]]
-        bar_deaths += [death[kept], np.full(len(zero), INF)]
-        dims.append(np.full(np.count_nonzero(kept) + len(zero), k))
-        cleared = np.zeros(complex_.count_dim(k + 1), dtype=bool)
-        cleared[pivots] = True
-
-    essential = births[max_dim][~cleared]
-    bar_births.append(essential)
-    bar_deaths.append(np.full(len(essential), INF))
-    dims.append(np.full(len(essential), max_dim))
-    return PersistenceDiagram(
-        max_dim=max_dim,
-        n_points=complex_.n_points,
-        dropped_zero_bars=dropped,
-        dims=np.concatenate(dims),
-        births=np.concatenate(bar_births),
-        deaths=np.concatenate(bar_deaths),
-    )
+    facets = (None,) + tuple(boundary_matrix(complex_, k) for k in range(1, complex_.max_dim + 1))
+    offsets = tuple(np.array([0, len(b)]) for b in births)
+    return _diagram(births, _bars(births, facets, offsets), offsets, complex_.n_points)
 
 
 def persistent_betti(diagram: PersistenceDiagram, k: int, eps1: float, eps2: float) -> int:
@@ -249,6 +287,16 @@ def persistent_betti(diagram: PersistenceDiagram, k: int, eps1: float, eps2: flo
         raise ValueError(f"eps1 ({eps1}) must be <= eps2 ({eps2})")
     births, deaths = diagram._in_dim(k)
     return int(np.count_nonzero((births <= eps1) & (deaths > eps2)))
+
+
+def _betti_counts(births: tuple, bars: list, offsets: tuple, k: int, eps1: float, eps2: float) -> np.ndarray:
+    """``persistent_betti`` of every component of a union, whose k-simplices start at ``offsets[k]``."""
+    n_parts = len(offsets[0]) - 1
+    if k >= len(bars):
+        return np.zeros(n_parts, dtype=np.intp)
+    creators, deaths = bars[k]
+    spanning = creators[(births[k][creators] <= eps1) & (deaths > eps2)]
+    return np.bincount(np.searchsorted(offsets[k], spanning, side="right") - 1, minlength=n_parts)
 
 
 # -- independent oracle: persistent Betti numbers by Z2 rank computations ----

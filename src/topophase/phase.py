@@ -6,12 +6,16 @@ one global cloud), evaluates every probe interval both by barcode counting
 and by persistent-Laplacian kernel dimension, and reports each adjacent
 lambda pair where any probe value changes.
 
-Window filtrations are sliced from one banded complex per block of
-2 * window_halfwidth + 1 centres (``simplicial._window_filtrations``), so a
-sweep holds at most one block's complex however many lambdas it has.  When
-spectra are not kept, a kernel the barcode says is empty is settled by a
-certificate (``dirac._kernel_count``) rather than an eigensolve; the
-reports are the same either way.
+Window filtrations come as disjoint unions of consecutive windows, cut from
+one banded complex per block of 2 * window_halfwidth + 1 centres
+(``simplicial._window_unions``), so a sweep holds at most one block's
+complex however many lambdas it has.  Each union is reduced once
+(``persistence._bars``); every window's persistent Betti numbers for a probe
+are one ``bincount`` of the bars' windows, and a kept diagram is its
+window's share of the bars.  A global sweep is the union of one complex.
+Kernels are counted per window.  When spectra are not kept, a kernel the
+barcode says is empty is settled by a certificate (``dirac._kernel_count``)
+rather than an eigensolve; the reports are the same either way.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import dirac as _dirac
 from . import persistence as _persistence
-from .simplicial import _window_filtrations, vr_filtration
+from .simplicial import _check_dense, _window_unions, _WindowUnion, vr_filtration
 from .statecloud import (
     DEFAULT_GAP_TOL,
     SSHChain,
@@ -79,6 +83,10 @@ class ScanConfig:
             raise ValueError("lambda_min must not exceed lambda_max")
         if self.step <= 0:
             raise ValueError("step must be positive")
+        if not np.isfinite((self.lambda_max - self.lambda_min) / self.step):
+            raise ValueError(f"step {self.step!r} gives no finite number of lambda steps "
+                             f"from {self.lambda_min!r} to {self.lambda_max!r}")
+        _check_dense(self._n_steps() + 1, 1, "lambda grid")
         if self.cloud_mode not in (WINDOW, GLOBAL):
             raise ValueError(f"cloud_mode must be {WINDOW!r} or {GLOBAL!r}")
         if self.window_halfwidth < 0:
@@ -99,11 +107,15 @@ class ScanConfig:
                 raise ValueError(f"probe interval has eps1 > eps2: ({k}, {e1}, {e2})")
         object.__setattr__(self, "intervals", intervals)
 
-    def lambdas(self) -> np.ndarray:
+    def _n_steps(self) -> int:
         span = self.lambda_max - self.lambda_min
         n_steps = int(round(span / self.step))
         if abs(self.lambda_min + n_steps * self.step - self.lambda_max) > 1e-9 * self.step:
             n_steps = int(np.floor(span / self.step + 1e-12))
+        return n_steps
+
+    def lambdas(self) -> np.ndarray:
+        n_steps = self._n_steps()
         if n_steps == 0:
             return np.array([self.lambda_min])
         grid = np.linspace(self.lambda_min, self.lambda_min + n_steps * self.step, n_steps + 1)
@@ -135,25 +147,36 @@ class PhaseScanReport:
         return self.lambdas if self.config.cloud_mode == WINDOW else (None,)
 
 
-def _probe_cloud(filtration, config: ScanConfig):
-    """Barcode and per-probe detector values for one filtration.
+def _probe_union(union, config: ScanConfig) -> list:
+    """Barcode and per-probe detector values for every window of a ``_WindowUnion``.
 
+    The union is reduced once and each probe's persistent Betti numbers are
+    counted for all its windows at once; kernels are counted per window.
     Without kept spectra the kernel is counted alone, so a probe whose bars
     say 0 may be settled by a certificate instead of a spectrum.
     """
-    diagram = _persistence.reduce(filtration)
-    betti = {}
-    kernels = {}
-    spectra = {} if config.keep_spectra else None
-    for k, e1, e2 in config.intervals:
-        key = probe_key(k, e1, e2)
-        betti[key] = _persistence.persistent_betti(diagram, k, e1, e2)
-        if spectra is None:
-            kernels[key] = _dirac._kernel_count(filtration, k, e1, e2, betti[key])
-        else:
-            evals, kernels[key] = _dirac.dirac_spectrum(filtration, k, e1, e2, xi=config.xi)
-            spectra[key] = [float(x) for x in evals]
-    return betti, kernels, diagram, spectra
+    bars = _persistence._bars(union.births, union.facets, union.offsets)
+    counts = [_persistence._betti_counts(union.births, bars, union.offsets, *probe).tolist()
+              for probe in config.intervals]
+    results = []
+    for w, filtration in enumerate(union.windows):
+        betti = {}
+        kernels = {}
+        spectra = {} if config.keep_spectra else None
+        for (k, e1, e2), count in zip(config.intervals, counts):
+            key = probe_key(k, e1, e2)
+            betti[key] = count[w]
+            if spectra is None:
+                kernels[key] = _dirac._kernel_count(filtration, k, e1, e2, betti[key])
+            else:
+                evals, kernels[key] = _dirac.dirac_spectrum(filtration, k, e1, e2, xi=config.xi)
+                spectra[key] = [float(x) for x in evals]
+        diagram = None
+        if config.keep_diagrams:
+            spans = [(o[w], o[w + 1]) for o in union.offsets]
+            diagram = _persistence._diagram(union.births, bars, spans, filtration.n_points)
+        results.append((betti, kernels, diagram, spectra))
+    return results
 
 
 def _detect(lambdas, betti_dicts, keys):
@@ -197,13 +220,16 @@ def sweep(config: ScanConfig, unitary=None) -> PhaseScanReport:
     lambdas = cloud.params
 
     if config.cloud_mode == GLOBAL:
-        filtrations = [vr_filtration(cloud.points, eps_max=None, max_dim=config.max_dim)]
+        unions = [_WindowUnion.of(vr_filtration(cloud.points, eps_max=None, max_dim=config.max_dim))]
         entry_lambdas = [None]
     else:
-        filtrations = _window_filtrations(cloud.points, config.window_halfwidth, config.max_dim)
+        unions = _window_unions(cloud.points, config.window_halfwidth, config.max_dim)
         entry_lambdas = [float(x) for x in lambdas]
 
-    results = [_probe_cloud(fc, config) for fc in filtrations]
+    results = []
+    for union in unions:
+        results += _probe_union(union, config)
+        del union  # free it before the next union is built
 
     betti = tuple(r[0] for r in results)
     kernels = tuple(r[1] for r in results)

@@ -36,11 +36,18 @@ constructor.
 Window sweeps: the complex of a window [lo, hi) of consecutive points at its
 default ``eps_max`` is the full simplex on those points, so every window is
 an induced subcomplex of one banded complex, the simplices whose vertex
-indices span at most the window width.  ``_window_filtrations`` builds that
-band once per block of windows with the same clique loop as
-``vr_filtration`` (its candidate array n_k x 2h instead of n_k x n) and
-slices each window out of it, arrays byte-identical to
-``vr_filtration(points[lo:hi])``.
+indices span at most the window width.  ``_window_unions`` builds that band
+once per block of windows with the same clique loop as ``vr_filtration``
+(its candidate array n_k x 2h instead of n_k x n) and cuts out the disjoint
+union of the block's windows: per dimension, one (windows, band rows) mask
+lists the union's rows window-major, shifts their vertices by each window's
+lo and renumbers their facets by one prefix sum of the lower dimension's
+mask.  Each window is a contiguous segment of the union, in its own (birth,
+vertices) order, and its ``FilteredComplex`` is slices of the union's
+arrays, byte-identical to ``vr_filtration(points[lo:hi])``.  A block whose
+union would pass ``DENSE_LIMIT_BYTES // _UNION_SHARE`` is cut into groups of
+consecutive windows that fit, one window at least, so the budget never
+refuses a sweep.
 
 Boundary core: a ``FilteredComplex`` holds one (n_k, k+1) integer facet
 array per dimension k >= 1, from the clique loop or, for a complex built
@@ -56,12 +63,14 @@ matrix).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 DENSE_LIMIT_BYTES = 2 ** 28  # largest dense array vr_filtration or the spectral layer will allocate
+_UNION_SHARE = 16  # a union of window complexes takes at most DENSE_LIMIT_BYTES // _UNION_SHARE
 
 
 def _check_dense(n_rows: int, n_cols: int, what: str = "matrix", itemsize: int = 8) -> None:
@@ -263,19 +272,49 @@ def vr_filtration(cloud, eps_max: float | None = None, max_dim: int = 2) -> Filt
                            _facets=tuple(facets))
 
 
+@dataclass(frozen=True, eq=False)
+class _WindowUnion:
+    """The disjoint union of consecutive windows' complexes, window-major.
+
+    Window w's k-simplices are rows ``offsets[k][w]:offsets[k][w + 1]`` of
+    ``births[k]`` and ``facets[k]`` (k >= 1; union indices into dimension
+    k - 1), in its own (birth, vertices) order.  ``windows[w]`` is its
+    ``FilteredComplex``, whose arrays are slices of the union's, with facets
+    numbered within the window.
+    """
+
+    births: tuple
+    facets: tuple
+    offsets: tuple
+    windows: tuple
+
+    @classmethod
+    def of(cls, complex_: FilteredComplex) -> "_WindowUnion":
+        """One complex as a union of one window."""
+        return cls(complex_.births, complex_._facets,
+                   tuple(np.array([0, len(b)]) for b in complex_.births), (complex_,))
+
+
 def _window_filtrations(cloud, halfwidth: int, max_dim: int):
-    """``vr_filtration(points[lo:hi], max_dim=max_dim)`` for every sliding window, in order.
+    """``vr_filtration(points[lo:hi], max_dim=max_dim)`` for every sliding window, in order."""
+    for union in _window_unions(cloud, halfwidth, max_dim):
+        yield from union.windows
+
+
+def _window_unions(cloud, halfwidth: int, max_dim: int):
+    """Every sliding window's complex, in order, as ``_WindowUnion``s of consecutive windows.
 
     The window of centre c is [c - halfwidth, c + halfwidth + 1), cut to the
     cloud.  A window's complex is the full simplex on its points, so it is
     the induced subcomplex of the band: every simplex whose vertex indices
     span at most 2 * halfwidth.  Centres are taken in blocks of
     2 * halfwidth + 1; each block builds the band over its 4 * halfwidth + 1
-    points once (distances, cliques, facet indices) and slices its windows
-    out of it, so what is held at once does not grow with the cloud's
-    length.  Every array equals the one ``vr_filtration`` builds:
-    renumbering by -lo keeps the (birth, vertices) order, and a pair's
-    distance does not depend on the other points.
+    points once (distances, cliques, facet indices) and cuts its windows'
+    union out of it, in groups that fit a byte budget, so what is held at
+    once does not grow with the cloud's length.  Every window's arrays equal
+    the ones ``vr_filtration`` builds: renumbering by -lo keeps the (birth,
+    vertices) order, and a pair's distance does not depend on the other
+    points.
     """
     pts = _points(cloud)
     n = pts.shape[0]
@@ -286,32 +325,78 @@ def _window_filtrations(cloud, halfwidth: int, max_dim: int):
         dist = _distances(pts[base:end])
         verts, births, facets = _cliques(dist, np.triu(np.ones((m, m), dtype=bool), k=1),
                                          max_dim, min(2 * halfwidth, m - 1))
-        for centre in range(first, min(n, first + block)):
-            lo, hi = max(0, centre - halfwidth) - base, min(n, centre + halfwidth + 1) - base
-            yield _band_window(verts, births, facets, dist, lo, hi)
+        centres = np.arange(first, min(n, first + block))
+        lo = np.maximum(centres - halfwidth, 0) - base
+        hi = np.minimum(centres + halfwidth + 1, n) - base
+        for group in _window_groups((hi - lo).tolist(), [len(b) for b in births]):
+            yield _band_union(verts, births, facets, dist, lo[group], hi[group])
 
 
-def _band_window(verts: list, births: list, facets: list, dist: np.ndarray,
-                 lo: int, hi: int) -> FilteredComplex:
-    """The full-simplex complex on points [lo, hi) of a band, renumbered from 0.
+def _window_groups(sizes: list, band_counts: list):
+    """Runs of consecutive windows (slices) whose union fits the budget, one window at least.
 
-    A facet's window index is the number of selected simplices before it in
-    its dimension: one prefix sum per dimension renumbers the band's facets.
+    The budget, ``DENSE_LIMIT_BYTES // _UNION_SHARE``, is read at call time.
+
+    A window of s points has comb(s, k + 1) k-simplices.  Each takes about
+    5 (k + 1) + 4 eight-byte entries in the union (vertices, births, both
+    facet numberings and the reduction's cofacet arrays), and each window
+    adds one mask byte and one prefix-sum entry per band simplex.
     """
-    out_verts, out_births, out_facets = [], [], [None]
+    budget = DENSE_LIMIT_BYTES // _UNION_SHARE
+    start, total = 0, 0
+    for w, size in enumerate(sizes):
+        cost = sum(9 * n_band + 8 * (5 * (k + 1) + 4) * math.comb(size, k + 1)
+                   for k, n_band in enumerate(band_counts))
+        if w > start and total + cost > budget:
+            yield slice(start, w)
+            start, total = w, 0
+        total += cost
+    yield slice(start, len(sizes))
+
+
+def _band_union(verts: list, births: list, facets: list, dist: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray) -> _WindowUnion:
+    """The disjoint union of the full-simplex complexes on points [lo[w], hi[w]) of a band.
+
+    Per dimension, a (windows, band rows) mask selects each window's
+    simplices; its nonzero entries, window-major, list the union's rows, so
+    each window's rows are contiguous and in band order.  A facet's union
+    index is the number of selected entries before it in the lower
+    dimension's flattened mask: one prefix sum renumbers every window's
+    facets at once.
+    """
+    u_births, u_facets, offsets, local_verts, local_facets = [], [None], [], [], [None]
     index = None
     for k, (v, b) in enumerate(zip(verts, births)):
-        keep = (v[:, 0] >= lo) & (v[:, -1] < hi)  # rows are increasing
-        out_verts.append(v[keep] - lo)
-        out_births.append(b[keep])
+        inside = (v[:, 0] >= lo[:, None]) & (v[:, -1] < hi[:, None])  # rows are increasing
+        win, row = np.nonzero(inside)
+        offset = np.zeros(len(lo) + 1, dtype=np.intp)
+        np.cumsum(np.count_nonzero(inside, axis=1), out=offset[1:])
+        offsets.append(offset)
+        vert = np.take(v, row, axis=0)
+        vert -= np.take(lo, win)[:, None]
+        local_verts.append(vert)
+        u_births.append(_read_only(np.take(b, row)))
         if k:
-            rows = index[facets[k][keep]]
-            rows.flags.writeable = False
-            out_facets.append(rows)
-        index = np.cumsum(keep) - 1
-    sub = dist[lo:hi, lo:hi]
-    return FilteredComplex(tuple(out_verts), tuple(out_births), hi - lo, sub, float(sub.max()) / 2.0,
-                           _facets=tuple(out_facets))
+            flat = np.take(facets[k], row, axis=0)
+            flat += (win * len(verts[k - 1]))[:, None]  # entries of the lower mask, flattened
+            union = np.take(index, flat)
+            local = np.subtract(union, np.take(offsets[k - 1], win)[:, None], out=flat)
+            u_facets.append(_read_only(union))
+            local_facets.append(_read_only(local))
+        if k < len(verts) - 1:
+            index = np.cumsum(inside.ravel())
+            index -= 1
+    windows = []
+    bounds = [o.tolist() for o in offsets]
+    for w, (a, z) in enumerate(zip(lo.tolist(), hi.tolist())):
+        rows = [slice(o[w], o[w + 1]) for o in bounds]
+        sub = dist[a:z, a:z]
+        windows.append(FilteredComplex(
+            tuple(v[r] for v, r in zip(local_verts, rows)), tuple(b[r] for b, r in zip(u_births, rows)),
+            z - a, sub, float(sub.max()) / 2.0,
+            _facets=(None,) + tuple(f[r] for f, r in zip(local_facets[1:], rows[1:]))))
+    return _WindowUnion(tuple(u_births), tuple(u_facets), tuple(offsets), tuple(windows))
 
 
 def boundary_matrix(complex_: FilteredComplex, k: int) -> np.ndarray:

@@ -108,6 +108,16 @@ class TestScan:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid, named", [
+        (["--lmin", "0", "--lmax", "1000000", "--step", "1e-9"], "lambda grid"),
+        (["--lmin", "0", "--lmax", "1", "--step", "1e-320"], "no finite number of lambda steps"),
+    ], ids=["too_many_lambdas", "infinite_step_count"])
+    def test_huge_lambda_grid_exits_2(self, tmp_path, capsys, grid, named):
+        out = tmp_path / "r.json"
+        assert main(["scan", *grid, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_unknown_field_named(self, tmp_path, capsys):
         cfg = tmp_path / "scan.json"
         cfg.write_text(json.dumps({"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1, "wndow": 2}))

@@ -1,15 +1,20 @@
 """Property tests of the cohomology reduction against the boundary-matrix
 reduction it replaced: the serialized diagrams must be byte-identical, and
 the bar counts must equal the rank oracle at exact simplex births.  The
-row-form rank oracle must equal the column-form one it replaced."""
+row-form rank oracle must equal the column-form one it replaced.  Reducing a
+union of sliding windows at once must give every window its own diagram and
+persistent Betti numbers."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import topophase as tp
 from helpers import column_rank_oracle, homology_reduce
+from test_simplicial_properties import sweep_clouds
+from topophase import persistence, simplicial
 
 
 @st.composite
@@ -57,3 +62,53 @@ def test_row_oracle_matches_column_oracle(pts, data):
         for e1, e2 in ((eps1, eps2), (eps1, eps1), (eps2, eps2)):
             for k in range(max_dim + 2):
                 assert tp.betti_oracle(fc, k, e1, e2) == column_rank_oracle(fc, k, e1, e2)
+
+
+def check_block_reduction(pts, data):
+    """Each window of each union: its diagram and Betti counts equal its own reduction's."""
+    n = len(pts)
+    halfwidth = data.draw(st.sampled_from((0, 1, 3, 8, n, n + 5)), label="halfwidth")
+    max_dim = data.draw(st.integers(0, 3), label="max_dim")
+    centre = 0
+    unions = []
+    for union in simplicial._window_unions(pts, halfwidth, max_dim):
+        unions.append(union)
+        bars = persistence._bars(union.births, union.facets, union.offsets)
+        scales = np.unique(np.concatenate(([0.0],) + union.births)).tolist()
+        probes = [sorted(data.draw(st.lists(st.sampled_from(scales), min_size=2, max_size=2),
+                                   label="probe")) for _ in range(2)]
+        counts = {(k, e1, e2): persistence._betti_counts(union.births, bars, union.offsets, k, e1, e2)
+                  for e1, e2 in probes for k in range(max_dim + 2)}
+        for w in range(len(union.windows)):
+            lo, hi = max(0, centre - halfwidth), min(n, centre + halfwidth + 1)
+            ref = tp.reduce(tp.vr_filtration(pts[lo:hi], max_dim=max_dim))
+            spans = [(o[w], o[w + 1]) for o in union.offsets]
+            diagram = persistence._diagram(union.births, bars, spans, union.windows[w].n_points)
+            for name in ("dims", "births", "deaths"):
+                got, want = getattr(diagram, name), getattr(ref, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            assert diagram.dropped_zero_bars == ref.dropped_zero_bars
+            assert (diagram.max_dim, diagram.n_points) == (ref.max_dim, ref.n_points)
+            for (k, e1, e2), count in counts.items():
+                assert count[w] == tp.persistent_betti(ref, k, e1, e2)
+            centre += 1
+    assert centre == n
+    return unions
+
+
+@settings(max_examples=60, deadline=None)
+@given(pts=sweep_clouds(), data=st.data())
+def test_block_reduction_matches_window_reduction(pts, data):
+    check_block_reduction(pts, data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pts=sweep_clouds(), data=st.data())
+def test_block_reduction_one_window_per_union(pts, data):
+    # a zero budget: each union holds the one window it may not refuse.  The
+    # share is patched rather than DENSE_LIMIT_BYTES, whose cut would refuse
+    # the band before its windows were grouped.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplicial, "_UNION_SHARE", simplicial.DENSE_LIMIT_BYTES + 1)
+        unions = check_block_reduction(pts, data)
+    assert all(len(union.windows) == 1 for union in unions)

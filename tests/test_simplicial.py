@@ -5,6 +5,7 @@ import pytest
 
 import topophase as tp
 from helpers import random_cloud
+from topophase import simplicial
 from topophase.simplicial import _facet_indices, boundary_dense_at
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -244,3 +245,17 @@ def test_accepts_statecloud_input():
     cloud = tp.build_cloud([0.0, 0.1, 0.2], tp.SSHChain(4), tp.ssh_observables(4))
     fc = tp.vr_filtration(cloud, max_dim=1)
     assert fc.n_points == 3
+
+
+def test_window_unions_group_whole_blocks_until_the_budget():
+    # 96 points at halfwidth 8: six blocks of 17 centres (the last of 11), each
+    # union far below DENSE_LIMIT_BYTES // _UNION_SHARE.  With the limit cut to
+    # the band's distance differences, the budget is below one window, so each
+    # union holds one window and nothing is refused
+    pts = np.random.default_rng(0).random((96, 10))
+    sizes = [len(u.windows) for u in simplicial._window_unions(pts, 8, 2)]
+    assert sizes == [17] * 5 + [11]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplicial, "DENSE_LIMIT_BYTES", 33 * 33 * 10 * 8)
+        split = [len(u.windows) for u in simplicial._window_unions(pts, 8, 2)]
+    assert split == [1] * 96
