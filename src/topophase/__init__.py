@@ -57,11 +57,9 @@ from .phase import (
     PhaseScanReport,
     ScanConfig,
     continuity_check,
-    detect_transitions,
     probe_key,
     report_from_json,
     report_to_json,
-    spectral_discontinuity,
     sweep,
     unitary_conjugate_scan,
 )
@@ -90,7 +88,6 @@ __all__ = [
     "cloud_from_csv",
     "cloud_to_csv",
     "continuity_check",
-    "detect_transitions",
     "diagram_from_json",
     "diagram_to_json",
     "dirac_operator",
@@ -110,7 +107,6 @@ __all__ = [
     "report_from_json",
     "report_to_json",
     "restricted_boundary",
-    "spectral_discontinuity",
     "spectrum",
     "spectrum_to_json",
     "ssh_observables",

@@ -4,7 +4,8 @@ All spectral objects use real coefficients.  The persistent Laplacian of a
 scale pair (eps, eps') is L_k = d_k^T d_k + M M^T, where d_k is the boundary
 operator at scale eps and M is the boundary of (k+1)-chains at eps' restricted
 to those whose boundary lies in the scale-eps complex; its kernel dimension is
-the persistent Betti number.
+the persistent Betti number.  L_k reads the (k+1)-simplices, so every entry
+point refuses k outside 0 <= k < max_dim (``simplicial._check_degree``).
 
 Two identities keep that computation small:
 
@@ -31,9 +32,8 @@ Two identities keep that computation small:
 ``restricted_boundary`` (the dense null-space basis, from an SVD) and
 ``dirac_operator`` (the full three-block matrix) still assemble dense
 matrices from ``boundary_dense_at``, which is defined for every k >= 0, so
-neither treats k = 0 or the top dimension apart; with ``spectrum`` they are
-the independent reference the tests check the Schur and closed-form paths
-against.
+neither treats k = 0 apart; with ``spectrum`` they are the independent
+reference the tests check the Schur and closed-form paths against.
 
 A sweep that keeps no spectra needs only the kernel dimension.  When the
 barcode says it is 0, ``_kernel_count`` first tries to prove that without a
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simplicial import DENSE_LIMIT_BYTES  # noqa: F401  (re-exported: the limit of the spectral layer too)
-from .simplicial import FilteredComplex, _check_dense, boundary_dense_at, boundary_matrix
+from .simplicial import FilteredComplex, _check_degree, _check_dense, boundary_dense_at, boundary_matrix
 
 NULLSPACE_TOL = 1e-10
 RANK_TOL = 1e-9
@@ -111,13 +111,12 @@ def restricted_boundary(complex_: FilteredComplex, k_plus_1: int, eps: float,
 
     Rows of the scale-eps' boundary are split into those indexing k-simplices
     of K_eps (R1) and the rest (R2); the domain basis spans null(R2) and the
-    returned matrix is R1 composed with that basis.
+    returned matrix is R1 composed with that basis; 1 <= k_plus_1 <= max_dim.
     """
     if not eps <= eps_prime:
         raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
     k = k_plus_1 - 1
-    if k < 0:
-        raise ValueError("k_plus_1 must be >= 1")
+    _check_degree(complex_, k)
     n_rows_eps = complex_.count_at(k, eps)
     full = boundary_dense_at(complex_, k_plus_1, eps_prime)
     n_cols = full.shape[1]
@@ -142,34 +141,31 @@ def restricted_boundary(complex_: FilteredComplex, k_plus_1: int, eps: float,
 def _schur_laplacian(complex_: FilteredComplex, k: int, eps: float, eps_prime: float) -> tuple:
     """L_k through the Schur complement of U = B B^T, and the restricted-domain dimension d.
 
-    Raises ``ValueError`` before allocating if U, the Laplacian or the
-    down boundary would exceed ``DENSE_LIMIT_BYTES``.
+    Raises ``ValueError`` unless 0 <= k < max_dim and eps <= eps', or before
+    allocating if U, the Laplacian or the down boundary would exceed
+    ``DENSE_LIMIT_BYTES``.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    _check_degree(complex_, k)
+    if not eps <= eps_prime:
+        raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
     n_k = complex_.count_at(k, eps)
-    has_up = k < complex_.max_dim
-    n_up = complex_.count_at(k, eps_prime) if has_up else n_k
+    n_up = complex_.count_at(k, eps_prime)
     _check_dense(n_up, n_up)
     _check_dense(complex_.count_at(k - 1, eps), n_k)
-    domain_dim = 0
-    if has_up:
-        facets = boundary_matrix(complex_, k + 1)[:complex_.count_at(k + 1, eps_prime)]
-        signs = (-1.0) ** np.add.outer(np.arange(k + 2), np.arange(k + 2))
-        pairs = facets[:, :, None] * n_up + facets[:, None, :]
-        gram = np.bincount(pairs.ravel(), weights=np.tile(signs.ravel(), len(facets)),
-                           minlength=n_up * n_up).reshape(n_up, n_up)
-        gram = gram.astype(float, copy=False)  # bincount gives int64 when there are no facets
-        lap = gram[:n_k, :n_k]  # updated in place: U is not needed again
-        domain_dim = len(facets)
-        if n_up > n_k:  # R2 is empty when every k-simplex born by eps' is born by eps
-            evals, evecs = np.linalg.eigh(gram[n_k:, n_k:])
-            keep = evals > NULLSPACE_TOL * evals.max(initial=0.0)
-            w = gram[:n_k, n_k:] @ (evecs[:, keep] / np.sqrt(evals[keep]))
-            lap -= w @ w.T
-            domain_dim -= int(np.count_nonzero(keep))
-    else:
-        lap = np.zeros((n_k, n_k))
+    facets = boundary_matrix(complex_, k + 1)[:complex_.count_at(k + 1, eps_prime)]
+    signs = (-1.0) ** np.add.outer(np.arange(k + 2), np.arange(k + 2))
+    pairs = facets[:, :, None] * n_up + facets[:, None, :]
+    gram = np.bincount(pairs.ravel(), weights=np.tile(signs.ravel(), len(facets)),
+                       minlength=n_up * n_up).reshape(n_up, n_up)
+    gram = gram.astype(float, copy=False)  # bincount gives int64 when there are no facets
+    lap = gram[:n_k, :n_k]  # updated in place: U is not needed again
+    domain_dim = len(facets)
+    if n_up > n_k:  # R2 is empty when every k-simplex born by eps' is born by eps
+        evals, evecs = np.linalg.eigh(gram[n_k:, n_k:])
+        keep = evals > NULLSPACE_TOL * evals.max(initial=0.0)
+        w = gram[:n_k, n_k:] @ (evecs[:, keep] / np.sqrt(evals[keep]))
+        lap -= w @ w.T
+        domain_dim -= int(np.count_nonzero(keep))
     if k > 0:
         bk = boundary_dense_at(complex_, k, eps)
         lap += bk.T @ bk
@@ -179,11 +175,7 @@ def _schur_laplacian(complex_: FilteredComplex, k: int, eps: float, eps_prime: f
 
 
 def persistent_laplacian(complex_: FilteredComplex, k: int, eps: float, eps_prime: float) -> np.ndarray:
-    """Positive-semidefinite persistent Laplacian on k-chains of K_eps."""
-    if not eps <= eps_prime:
-        raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
-    if complex_.count_at(k, eps) == 0:
-        return np.zeros((0, 0))
+    """Positive-semidefinite persistent Laplacian on k-chains of K_eps; needs 0 <= k < max_dim."""
     return _schur_laplacian(complex_, k, eps, eps_prime)[0]
 
 
@@ -228,8 +220,6 @@ def dirac_spectrum(complex_: FilteredComplex, k: int, eps: float, eps_prime: flo
     either dense operator: the spectrum follows from the eigenvalues of L_k
     in closed form (see the module docstring).
     """
-    if not eps <= eps_prime:
-        raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
     lap, domain_dim = _schur_laplacian(complex_, k, eps, eps_prime)
     evals = np.linalg.eigvalsh(lap)
     kernel = _kernel_dim(evals)
@@ -267,8 +257,6 @@ def _kernel_count(complex_: FilteredComplex, k: int, eps: float, eps_prime: floa
     count may come from a certificate instead of a spectrum (see
     ``_certified_kernel_dim``).
     """
-    if not eps <= eps_prime:
-        raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
     return _certified_kernel_dim(_schur_laplacian(complex_, k, eps, eps_prime)[0], betti)
 
 

@@ -4,24 +4,27 @@ Produces barcodes / persistence diagrams with half-open [birth, death) bars,
 an independent rank-based persistent-Betti oracle for cross-checking, and an
 exact bottleneck distance between diagrams.
 
+Degrees: as in Ripser (Bauer, 2021), ``reduce`` reports degrees 0 ..
+max_dim - 1, each read from the next dimension, and refuses ``max_dim`` < 1;
+diagram readers take whatever degrees a diagram holds.
+
 Reduction: for k = 0 .. max_dim - 1 the coboundary columns of the
 k-simplices are reduced last simplex first; a column's pivot is its earliest
 cofacet.  A k-simplex that was a pivot row in dimension k - 1 is cleared:
 its column is never built.  By the duality of de Silva, Morozov and
 Vejdemo-Johansson ("Dualities in persistent (co)homology", 2011) the pairs
-equal those of the boundary-matrix reduction, and the top simplices that are
-never a pivot are the essential top-degree bars, so no top-dimension column
-is reduced.  The cofacet lists come from inverting the (k+1)-simplices'
-facet array (read through ``boundary_matrix``) with one stable argsort of
-keys cast to the narrowest integer type that holds them, which numpy sorts
-by radix.  A column j is apparent when it is the latest facet of its
-earliest cofacet c (Bauer, "Ripser", 2021): no column after j has c in its
-coboundary, so c is free when j is reached and the pair (j, c) is found
-before the loop, with numpy, for all such columns at once.  The loop visits
-the other columns.  A column is held as an int bitset (bit e - 1 - r for
-cofacet row r, with e the end of its component's rows, below; so the pivot
-is ``e - bit_length()``), built from its slice of the cofacet array only
-when its first pivot is already taken or a later column needs it.
+equal those of the boundary-matrix reduction.  The cofacet lists come from
+inverting the (k+1)-simplices' facet array (read through
+``boundary_matrix``) with one stable argsort of keys cast to the narrowest
+integer type that holds them, which numpy sorts by radix.  A column j is
+apparent when it is the latest facet of its earliest cofacet c (Bauer,
+"Ripser", 2021): no column after j has c in its coboundary, so c is free
+when j is reached and the pair (j, c) is found before the loop, with numpy,
+for all such columns at once.  The loop visits the other columns.  A column
+is held as an int bitset (bit e - 1 - r for cofacet row r, with e the end of
+its component's rows, below; so the pivot is ``e - bit_length()``), built
+from its slice of the cofacet array only when its first pivot is already
+taken or a later column needs it.
 
 Disjoint unions: one core, ``_bars``, reduces the arrays (births and facet
 indices per dimension) of a disjoint union of complexes, each component's
@@ -93,7 +96,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplicial import FilteredComplex, _check_dense, boundary_matrix
+from .simplicial import FilteredComplex, _check_degree, _check_dense, boundary_matrix
 
 INF = math.inf
 
@@ -104,8 +107,8 @@ class PersistenceDiagram:
 
     The arrays hold one entry per bar, ordered by (dim, birth, death); an
     essential bar has death ``inf``.  The arrays may be passed in any order.
-    A NaN value, a non-finite or negative birth, or a death below its birth
-    raises ``ValueError``.
+    A negative dim, a NaN value, a non-finite or negative birth, or a death
+    below its birth raises ``ValueError``.
     Zero-length pairs are dropped from the bars but tallied per dimension in
     ``dropped_zero_bars`` so creator/destroyer counts stay auditable.
     """
@@ -124,11 +127,11 @@ class PersistenceDiagram:
         deaths = np.asarray(deaths, dtype=float)
         if not dims.ndim == 1 or not dims.shape == births.shape == deaths.shape:
             raise ValueError("dims, births and deaths must be 1-d arrays of one length")
-        invalid = ~np.isfinite(births) | (births < 0) | np.isnan(deaths) | (deaths < births)
+        invalid = (dims < 0) | ~np.isfinite(births) | (births < 0) | np.isnan(deaths) | (deaths < births)
         if invalid.any():
             i = int(np.argmax(invalid))
-            raise ValueError(f"invalid bar [{births[i]}, {deaths[i]}) in dim {dims[i]}: a birth "
-                             "must be finite and >= 0, a death not NaN and >= its birth")
+            raise ValueError(f"invalid bar [{births[i]}, {deaths[i]}) in dim {dims[i]}: a dim must be "
+                             ">= 0, a birth finite and >= 0, a death not NaN and >= its birth")
         order = np.lexsort((deaths, births, dims))
         for name, values in (("dims", dims), ("births", births), ("deaths", deaths)):
             values = values[order]
@@ -219,7 +222,7 @@ def _reduce_coboundaries(starts, rows, latest, cleared, row_offsets):
 
 
 def _bars(births: tuple, facets: tuple, offsets: tuple) -> list:
-    """Creator index and death of every bar, zero-length ones included, per dimension.
+    """Creator index and death of every bar, zero-length ones included, per degree k < max_dim.
 
     ``births[k]`` and ``facets[k]`` (k >= 1) are the arrays of a disjoint
     union of complexes whose k-simplices start at ``offsets[k]``, one complex
@@ -228,8 +231,10 @@ def _bars(births: tuple, facets: tuple, offsets: tuple) -> list:
     where each bar dies, ``inf`` for an essential one.
     """
     bars = []
-    cleared = np.zeros(len(births[0]), dtype=bool)
+    pivots = np.empty(0, dtype=np.intp)
     for k in range(len(births) - 1):
+        cleared = np.zeros(len(births[k]), dtype=bool)
+        cleared[pivots] = True
         latest = functools.reduce(np.maximum, facets[k + 1].T)  # faster than max(axis=1) on k + 2 columns
         paired, pivots, zero = _reduce_coboundaries(*_cofacets(facets[k + 1], len(births[k])),
                                                     latest, cleared, offsets[k + 1])
@@ -238,10 +243,6 @@ def _bars(births: tuple, facets: tuple, offsets: tuple) -> list:
         death[zero] = INF
         creators = np.flatnonzero(~cleared)  # every column not cleared is paired or zero
         bars.append((creators, death[creators]))
-        cleared = np.zeros(len(births[k + 1]), dtype=bool)
-        cleared[pivots] = True
-    essential = np.flatnonzero(~cleared)
-    bars.append((essential, np.full(len(essential), INF)))
     return bars
 
 
@@ -260,7 +261,7 @@ def _diagram(births: tuple, bars: list, spans, n_points: int) -> PersistenceDiag
         bar_deaths.append(death)
         dims.append(np.full(len(birth), k))
     return PersistenceDiagram(
-        max_dim=len(bars) - 1,
+        max_dim=len(births) - 1,
         n_points=n_points,
         dropped_zero_bars=dropped,
         dims=np.concatenate(dims),
@@ -272,9 +273,12 @@ def _diagram(births: tuple, bars: list, spans, n_points: int) -> PersistenceDiag
 def reduce(complex_: FilteredComplex) -> PersistenceDiagram:
     """Persistent cohomology with clearing (see the module docstring).
 
-    The diagram equals that of the standard boundary-matrix reduction of
-    the same filtration order.  Output is deterministic given that order.
+    The diagram holds degrees 0 .. max_dim - 1 (``max_dim`` >= 1), equal to
+    those of the standard boundary-matrix reduction of the same filtration
+    order.  Output is deterministic given that order.
     """
+    if complex_.max_dim < 1:
+        raise ValueError(f"reduce needs max_dim >= 1, got {complex_.max_dim}")
     births = complex_.births
     facets = (None,) + tuple(boundary_matrix(complex_, k) for k in range(1, complex_.max_dim + 1))
     offsets = tuple(np.array([0, len(b)]) for b in births)
@@ -283,6 +287,8 @@ def reduce(complex_: FilteredComplex) -> PersistenceDiagram:
 
 def persistent_betti(diagram: PersistenceDiagram, k: int, eps1: float, eps2: float) -> int:
     """Bars of degree k spanning [eps1, eps2]: birth <= eps1 and death > eps2."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if not eps1 <= eps2:
         raise ValueError(f"eps1 ({eps1}) must be <= eps2 ({eps2})")
     births, deaths = diagram._in_dim(k)
@@ -292,8 +298,6 @@ def persistent_betti(diagram: PersistenceDiagram, k: int, eps1: float, eps2: flo
 def _betti_counts(births: tuple, bars: list, offsets: tuple, k: int, eps1: float, eps2: float) -> np.ndarray:
     """``persistent_betti`` of every component of a union, whose k-simplices start at ``offsets[k]``."""
     n_parts = len(offsets[0]) - 1
-    if k >= len(bars):
-        return np.zeros(n_parts, dtype=np.intp)
     creators, deaths = bars[k]
     spanning = creators[(births[k][creators] <= eps1) & (deaths > eps2)]
     return np.bincount(np.searchsorted(offsets[k], spanning, side="right") - 1, minlength=n_parts)
@@ -323,7 +327,7 @@ def _z2_rows(complex_: FilteredComplex, k: int, eps: float) -> list:
     bits are packed into a uint8 array, one row per (k-1)-simplex born by eps,
     and each row is read as one little-endian integer.
     """
-    if not 1 <= k <= complex_.max_dim:
+    if k == 0:  # a vertex bounds nothing
         return []
     facets = boundary_matrix(complex_, k)[:complex_.count_at(k, eps)]
     n_rows, width = complex_.count_at(k - 1, eps), -(-len(facets) // 8)
@@ -342,8 +346,9 @@ def betti_oracle(complex_: FilteredComplex, k: int, eps1: float, eps2: float) ->
     With n1 the k-simplices born by eps1 and R2 the rows of the (k+1)-boundary
     at eps2 on the later k-simplices, beta = n1 - rank d_k(eps1)
     - rank d_{k+1}(eps2) + rank R2 (see the module docstring).  Raises
-    ``ValueError`` before packing rows above ``DENSE_LIMIT_BYTES``.
+    ``ValueError`` for k outside [0, max_dim) or rows above ``DENSE_LIMIT_BYTES``.
     """
+    _check_degree(complex_, k)
     if not eps1 <= eps2:
         raise ValueError(f"eps1 ({eps1}) must be <= eps2 ({eps2})")
     n1 = complex_.count_at(k, eps1)
@@ -475,14 +480,18 @@ def diagram_to_json(diagram: PersistenceDiagram) -> str:
 def diagram_from_json(text: str) -> PersistenceDiagram:
     """Parse ``diagram_to_json`` output; malformed structure or invalid bar values raise ``ValueError``.
 
-    Every diagram is over Z2, so a ``"field"`` other than ``"Z2"`` is refused too.
+    A bar dim that is not an integer is refused, and every diagram is over
+    Z2, so a ``"field"`` other than ``"Z2"`` is refused too.
     """
     payload = json.loads(text)
     try:
         if payload.get("field", "Z2") != "Z2":
             raise ValueError(f"diagram field must be 'Z2', got {payload['field']!r}")
         bars, meta = payload["bars"], payload.get("metadata", {})
-        dims = [int(b["dim"]) for b in bars]
+        dims = [b["dim"] for b in bars]
+        for dim in dims:
+            if not isinstance(dim, (int, float)) or not float(dim).is_integer():
+                raise ValueError(f"bar dim must be an integer, got {dim!r}")
         births = [float(b["birth"]) for b in bars]
         deaths = [INF if b["death"] is None else float(b["death"]) for b in bars]
         max_dim = int(meta.get("max_dim", max(dims, default=0)))

@@ -52,6 +52,7 @@ def probe_key(k: int, eps1: float, eps2: float) -> str:
 class ScanConfig:
     """Sweep definition: model, lambda grid, windowing, and probe intervals.
 
+    A probe (k, eps1, eps2) needs an integer degree 0 <= k < ``max_dim``.
     ``jobs`` is validated (>= 1) and kept for compatibility; sweeps run
     serially whatever its value.
     """
@@ -91,21 +92,20 @@ class ScanConfig:
             raise ValueError(f"cloud_mode must be {WINDOW!r} or {GLOBAL!r}")
         if self.window_halfwidth < 0:
             raise ValueError("window_halfwidth must be >= 0")
-        if self.max_dim < 0:
-            raise ValueError("max_dim must be >= 0")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        intervals = tuple((int(k), float(e1), float(e2)) for k, e1, e2 in self.intervals)
+        intervals = tuple((k, float(e1), float(e2)) for k, e1, e2 in self.intervals)
         if not intervals:
             raise ValueError("at least one probe interval is required")
         for k, e1, e2 in intervals:
-            if k < 0:
-                raise ValueError("probe dimension must be >= 0")
+            if not (float(k).is_integer() and 0 <= k < self.max_dim):
+                raise ValueError(f"intervals: probe degree must be an integer 0 <= k < max_dim "
+                                 f"({self.max_dim}), got ({k}, {e1}, {e2})")
             if not (e1 >= 0.0 and e2 >= 0.0):  # also refuses NaN
                 raise ValueError(f"intervals: probe scales must be >= 0, got ({k}, {e1}, {e2})")
             if e1 > e2:
                 raise ValueError(f"probe interval has eps1 > eps2: ({k}, {e1}, {e2})")
-        object.__setattr__(self, "intervals", intervals)
+        object.__setattr__(self, "intervals", tuple((int(k), e1, e2) for k, e1, e2 in intervals))
 
     def _n_steps(self) -> int:
         span = self.lambda_max - self.lambda_min
@@ -244,24 +244,6 @@ def sweep(config: ScanConfig, unitary=None) -> PhaseScanReport:
         diagrams=tuple(r[2] for r in results) if config.keep_diagrams else None,
         spectra=tuple(r[3] for r in results) if config.keep_spectra else None,
     )
-
-
-def detect_transitions(report: PhaseScanReport) -> list:
-    """Adjacent lambda pairs whose Betti vector differs in any probe."""
-    keys = report.config.probe_keys()
-    return [(lo, hi) for lo, hi, _ in _detect(report.entry_lambdas(), report.betti, keys)]
-
-
-def spectral_discontinuity(report: PhaseScanReport) -> list:
-    """Adjacent lambda pairs where a Laplacian kernel dimension jumps.
-
-    Refuses (``ConsistencyError``) if the report's barcode and kernel values
-    disagree anywhere: the two detectors must be interchangeable.
-    """
-    keys = report.config.probe_keys()
-    lams = report.entry_lambdas()
-    _check_agreement(lams, report.betti, report.kernel_dims, keys)
-    return [(lo, hi) for lo, hi, _ in _detect(lams, report.kernel_dims, keys)]
 
 
 def continuity_check(report: PhaseScanReport, exclude=None) -> bool:

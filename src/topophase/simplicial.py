@@ -58,6 +58,11 @@ reduction and the rank oracle read it as Z2 columns, the spectral layer
 scatters its Gram matrix from it, and ``boundary_dense_at`` is the one dense
 form, real with sign (-1)^i at position i (its absolute value is the Z2
 matrix).
+
+Degrees: a complex built to ``max_dim`` has no (max_dim + 1)-simplices, so
+no degree-``max_dim`` cycle ever bounds.  As in Ripser (Bauer, 2021), degree
+k is answered only for 0 <= k < ``max_dim``, from the (k+1)-skeleton;
+``_check_degree`` refuses any other k for every consumer of a complex.
 """
 
 from __future__ import annotations
@@ -79,6 +84,13 @@ def _check_dense(n_rows: int, n_cols: int, what: str = "matrix", itemsize: int =
     if size > DENSE_LIMIT_BYTES:
         raise ValueError(f"a dense {n_rows}x{n_cols} {what} ({size / 2 ** 20:.0f} MB) "
                          f"exceeds the {DENSE_LIMIT_BYTES // 2 ** 20} MB limit")
+
+
+def _check_degree(complex_: FilteredComplex, k: int) -> None:
+    """Refuse a homology degree k outside 0 <= k < ``complex_.max_dim`` (see the module docstring)."""
+    if not 0 <= k < complex_.max_dim:
+        raise ValueError(f"degree k = {k} needs 0 <= k < max_dim, and the complex has max_dim "
+                         f"{complex_.max_dim}: degree k reads the (k+1)-simplices")
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -198,7 +210,8 @@ def _cliques(dist: np.ndarray, adjacency: np.ndarray, max_dim: int, span: int) -
     vertex of the simplex (so above its last one).  Each dimension is built
     in lexicographic order and put in (birth, vertices) order by one stable
     sort of its birth levels; the facet arrays equal what ``_facet_indices``
-    gives (see the module docstring).
+    gives (see the module docstring).  The dimensions above an empty one are
+    empty too, and get the loop's empty arrays without a pass each.
     """
     n = len(dist)
     padded = np.zeros((n, n + span), dtype=bool)
@@ -240,6 +253,12 @@ def _cliques(dist: np.ndarray, adjacency: np.ndarray, max_dim: int, span: int) -
             facet[:, i] = np.take(rank, np.take(f, order))
         facet.flags.writeable = False
         facets.append(facet)
+        if not len(order):  # so is every higher dimension: fill them as this loop would
+            empty = [np.empty((0, j + 1), dtype=np.intp) for j in range(k + 2, max_dim + 1)]
+            verts += empty
+            births += [np.empty(0) for _ in empty]
+            facets += [_read_only(e) for e in empty]
+            break
         if k + 1 < max_dim:  # what the next dimension reads
             keys = rows * n + top  # increasing; below n_k * n, far inside int64
             lex = [np.take(col, rows) for col in lex] + [top]

@@ -7,7 +7,8 @@ are ``assert_matches_dense``, which checks the Schur Laplacian and the
 closed-form Dirac spectrum against the dense assembled operator that the
 library keeps as their reference, ``homology_reduce``, the boundary-matrix
 reduction that the cohomology reduction in ``topophase.persistence``
-replaced, ``column_rank_oracle``, the column-form rank formula that the
+replaced (``below_max_dim`` keeps the degrees that reduction reports),
+``column_rank_oracle``, the column-form rank formula that the
 library's row-form ``betti_oracle`` replaced, and ``kuhn_bottleneck``, the
 Kuhn-only matcher that the library's presorted, greedy-first ``bottleneck``
 replaced.
@@ -248,6 +249,15 @@ def assert_matches_dense(fc, k, eps, eps_prime, xis=(0.0, 0.3, -0.7)):
         assert np.allclose(got, dense, rtol=0.0, atol=1e-10)
         assert kernel == tp.betti_from_laplacian(dense_lap)
     return dims, kernel
+
+
+def below_max_dim(diagram):
+    """The diagram's bars and dropped zero-length pairs of degrees below its ``max_dim``."""
+    keep = diagram.dims < diagram.max_dim
+    dropped = {k: n for k, n in diagram.dropped_zero_bars.items() if k < diagram.max_dim}
+    return PersistenceDiagram(max_dim=diagram.max_dim, n_points=diagram.n_points, dropped_zero_bars=dropped,
+                              dims=diagram.dims[keep], births=diagram.births[keep],
+                              deaths=diagram.deaths[keep])
 
 
 def _z2_column(facets) -> int:

@@ -146,9 +146,10 @@ def test_c05_stability():
         moved = pts + direction * rng.uniform(0.0, eta, size=(len(pts), 1))
         eps_max = max(tp.vr_filtration(pts, max_dim=0).eps_max,
                       tp.vr_filtration(moved, max_dim=0).eps_max)
-        dg1 = tp.reduce(tp.vr_filtration(pts, eps_max=eps_max, max_dim=2))
-        dg2 = tp.reduce(tp.vr_filtration(moved, eps_max=eps_max, max_dim=2))
-        for k in (0, 1, 2):
+        # degree k is reported below max_dim, so degree 2 needs the 3-skeleton
+        dg1 = tp.reduce(tp.vr_filtration(pts, eps_max=eps_max, max_dim=3))
+        dg2 = tp.reduce(tp.vr_filtration(moved, eps_max=eps_max, max_dim=3))
+        for k in range(dg1.max_dim):
             dist = tp.bottleneck(dg1, dg2, k)
             assert dist <= eta + 1e-10, f"stability violated: d_B={dist} > eta={eta} (k={k})"
             if eta > 0:
@@ -159,7 +160,7 @@ def test_c05_stability():
 def test_c06_unitary_invariance():
     cfg = tp.ScanConfig(lambda_min=-0.5, lambda_max=0.5, step=0.1,
                         intervals=((1, 0.4, 0.8), (0, 0.02, 0.04)),
-                        keep_diagrams=True)
+                        max_dim=3, keep_diagrams=True)
     plain = tp.sweep(cfg)
     worst = 0.0
     for seed in range(10):
@@ -167,7 +168,7 @@ def test_c06_unitary_invariance():
         assert conj.betti == plain.betti, f"Betti vectors differ for seed {seed}"
         assert conj.kernel_dims == plain.kernel_dims
         for d1, d2 in zip(plain.diagrams, conj.diagrams):
-            for k in range(cfg.max_dim + 1):
+            for k in range(cfg.max_dim):
                 dist = tp.bottleneck(d1, d2, k)
                 worst = max(worst, dist)
                 assert dist < 1e-10, f"diagram moved by {dist} under seed {seed}"

@@ -99,8 +99,11 @@ class TestScan:
         (["--lmin", "-1", "--v", "nan"], "v must be finite"),
         (["--lmin", "-1", "--w", "inf"], "w must be finite"),
         (["--lmin", "-1", "--n", "200"], "dense 119600x200 stack of observables"),
+        (["--lmin", "-1", "--probe", "2:0.4:0.8"], "0 <= k < max_dim (2), got (2, 0.4, 0.8)"),
+        (["--lmin", "-1", "--max-dim", "0"], "0 <= k < max_dim (0), got (1, 0.4, 0.8)"),
     ], ids=["missing_lmin", "inf_lmin", "inf_lmax", "nan_step", "nan_xi", "nan_probe_scale",
-            "negative_probe_scale", "nan_gap_tol", "negative_gap_tol", "nan_v", "inf_w", "n_200"])
+            "negative_probe_scale", "nan_gap_tol", "negative_gap_tol", "nan_v", "inf_w", "n_200",
+            "top_degree_probe", "max_dim_0"])
     def test_bad_flag_exits_2(self, tmp_path, capsys, flags, named):
         out = tmp_path / "r.json"
         rc = main(["scan", "--lmax", "-0.8", "--step", "0.1", *flags, "--out", str(out)])
@@ -137,8 +140,10 @@ class TestScan:
         ({"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1, "intervals": [[1, 0.4, math.nan]]}, "intervals:"),
         ({"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1, "intervals": [[0, -0.1, 0.2]]}, "intervals:"),
         ({"lambda_min": -1.0, "lambda_max": -0.8, "step": 0.1, "gap_tol": 0.0}, "gap_tol must be"),
+        ({"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1, "intervals": [[1.5, 0.4, 0.8]]},
+         "probe degree must be an integer 0 <= k < max_dim (2), got (1.5, 0.4, 0.8)"),
     ], ids=["list", "lambda_min", "intervals", "rank_tol", "nan_lambda_min", "inf_lambda_max", "inf_step",
-            "inf_xi", "nan_probe_scale", "negative_probe_scale", "zero_gap_tol"])
+            "inf_xi", "nan_probe_scale", "negative_probe_scale", "zero_gap_tol", "fractional_probe_degree"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, payload, named):
         cfg = tmp_path / "scan.json"
         cfg.write_text(json.dumps(payload))
@@ -211,6 +216,20 @@ class TestBarcode:
         assert rc == 0
         assert svg.read_text().startswith("<svg")
         assert "dim 1: [0.5" in capsys.readouterr().out
+
+    def test_max_dim_0_exits_2(self, square_csv, tmp_path, capsys):
+        # degree k reads the (k+1)-simplices: a 0-skeleton has no degree to report
+        out = tmp_path / "d.json"
+        rc = main(["barcode", "--cloud", square_csv, "--max-dim", "0", "--out", str(out)])
+        assert rc == 2
+        assert "reduce needs max_dim >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_max_dim_2_reports_h0_and_h1(self, square_csv, tmp_path):
+        out = tmp_path / "d.json"
+        assert main(["barcode", "--cloud", square_csv, "--max-dim", "2", "--out", str(out)]) == 0
+        diagram = tp.diagram_from_json(out.read_text())
+        assert set(diagram.dims.tolist()) == {0, 1} and diagram.max_dim == 2
 
     def test_empty_csv_exits_2(self, tmp_path, capsys):
         src = tmp_path / "empty.csv"
@@ -437,6 +456,22 @@ class TestBottleneck:
         assert rc == 2
         captured = capsys.readouterr()
         assert "k must be >= 0" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("dim, named", [
+        ("1.7", "bar dim must be an integer, got 1.7"),
+        ("-1", "invalid bar [0.0, 1.0) in dim -1: a dim must be >= 0"),
+    ], ids=["fractional", "negative"])
+    def test_bad_bar_dim_exits_2(self, square_csv, tmp_path, capsys, dim, named):
+        good = tmp_path / "d.json"
+        main(["barcode", "--cloud", square_csv, "--out", str(good)])
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"field": "Z2", "bars": [{{"dim": {dim}, "birth": 0.0, "death": 1.0}}]}}')
+        capsys.readouterr()
+        rc = main(["bottleneck", str(good), str(bad), "--dim", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
         assert captured.out == ""
 
     def test_diagrams_above_dense_limit_exit_2(self, tmp_path, capsys, monkeypatch):

@@ -133,7 +133,7 @@ class TestPersistentLaplacian:
                 )
 
     def test_empty_scale(self):
-        fc = square_complex()
+        fc = tp.vr_filtration(SQUARE, eps_max=1.0, max_dim=3)
         lap = tp.persistent_laplacian(fc, 2, 0.5, 0.6)  # no triangles yet
         assert lap.shape == (0, 0)
         assert tp.betti_from_laplacian(lap) == 0
@@ -201,13 +201,14 @@ class TestDiracSpectrum:
         assert dims == (4, 4, 2) and kernel == 0
 
     def test_fewer_coupled_chains_than_k_chains(self):
-        # complete graph on 4 points with no triangles: p = 4 < q = 6, kernel = 3 cycles
-        fc = tp.vr_filtration(SQUARE, max_dim=1)
-        eps = fc.eps_max
-        (n1, n2, d), kernel = assert_matches_dense(fc, 1, eps, eps)
-        assert (n1 + d, n2, kernel) == (4, 6, 3)
-        got, _ = tp.dirac_spectrum(fc, 1, eps, eps, xi=0.3)
-        assert np.sum(got == 0.3) >= 2  # q - p structural +xi, emitted exactly
+        # a 2 x 3 unit grid at eps 0.5 has its 7 sides and no triangle (the
+        # diagonals are born at 0.707): p = 6 vertices < q = 7 edges, kernel = 2 cycles
+        grid = np.array([[x, y] for y in (0.0, 1.0) for x in (0.0, 1.0, 2.0)])
+        fc = tp.vr_filtration(grid, max_dim=2)
+        (n1, n2, d), kernel = assert_matches_dense(fc, 1, 0.5, 0.5)
+        assert (n1 + d, n2, kernel) == (6, 7, 2)
+        got, _ = tp.dirac_spectrum(fc, 1, 0.5, 0.5, xi=0.3)
+        assert np.sum(got == 0.3) >= 2  # q - p structural +xi and a kernel mode, emitted exactly
 
     def test_degree_zero_isolated_points(self):
         pts = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
@@ -216,21 +217,36 @@ class TestDiracSpectrum:
         assert np.allclose(got, [0.7, 0.7, 0.7], atol=1e-14)
         assert kernel == 3
 
-    def test_top_dimension_has_no_up_part(self):
-        (_, _, d), _ = assert_matches_dense(square_complex(), 2, 0.8, 0.9)
-        assert d == 0
+    def test_top_degree_refused_by_every_detector(self):
+        # degree k reads the (k+1)-simplices: each detector that takes a
+        # complex refuses k = max_dim and k < 0, naming k and max_dim
+        fc = square_complex()
+        detectors = {
+            "betti_oracle": lambda k: tp.betti_oracle(fc, k, 0.8, 0.9),
+            "dirac_spectrum": lambda k: tp.dirac_spectrum(fc, k, 0.8, 0.9),
+            "persistent_laplacian": lambda k: tp.persistent_laplacian(fc, k, 0.8, 0.9),
+            "_kernel_count": lambda k: _kernel_count(fc, k, 0.8, 0.9, 0),
+            "dirac_operator": lambda k: tp.dirac_operator(fc, k, 0.8, 0.9),
+            "restricted_boundary": lambda k: tp.restricted_boundary(fc, k + 1, 0.8, 0.9),
+        }
+        for name, detect in detectors.items():
+            for k in (2, 3, -1):
+                with pytest.raises(ValueError, match=f"degree k = {k} needs 0 <= k < max_dim, "
+                                                     "and the complex has max_dim 2"):
+                    detect(k)
+            detect(1)  # the degree below max_dim is answered
 
     def test_equal_scales(self):
         rng = np.random.default_rng(71)
         for _ in range(5):
-            fc = tp.vr_filtration(random_cloud(rng), max_dim=2)
+            fc = tp.vr_filtration(random_cloud(rng), max_dim=3)
             eps = float(rng.uniform(0.0, fc.eps_max))
             for k in (0, 1, 2):
                 assert_matches_dense(fc, k, eps, eps)
 
     def test_empty_lower_complex(self):
         # no triangles at 0.5: the spectrum is -xi on edges plus restricted triangles
-        fc = square_complex()
+        fc = tp.vr_filtration(SQUARE, eps_max=1.0, max_dim=3)
         (n1, n2, d), kernel = assert_matches_dense(fc, 2, 0.5, 0.75)
         assert n2 == 0 and kernel == 0
         got, _ = tp.dirac_spectrum(fc, 2, 0.5, 0.75, xi=0.3)

@@ -7,8 +7,8 @@ import topophase as tp
 from topophase import simplicial
 from topophase.persistence import PersistenceDiagram, _saturates
 from topophase.simplicial import boundary_dense_at
-from helpers import (brute_force_bottleneck, column_rank_oracle, components_at_scale, gf2_matrix_rank,
-                     homology_reduce, kuhn_bottleneck, random_cloud)
+from helpers import (below_max_dim, brute_force_bottleneck, column_rank_oracle, components_at_scale,
+                     gf2_matrix_rank, homology_reduce, kuhn_bottleneck, random_cloud)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 HALF_DIAG = np.sqrt(2.0) / 2.0
@@ -53,11 +53,11 @@ def test_bar_count_matches_cycle_creators():
     # bars per dimension (dropped included) == nullity of the boundary map,
     # computed here by an independent dense GF(2) elimination
     rng = np.random.default_rng(31)
-    for _ in range(12):
+    for trial in range(12):
         pts = random_cloud(rng)
-        fc = tp.vr_filtration(pts, max_dim=3)
+        fc = tp.vr_filtration(pts, max_dim=1 + trial % 3)
         dg = tp.reduce(fc)
-        for k in range(fc.max_dim + 1):
+        for k in range(fc.max_dim):
             n_k = fc.count_dim(k)
             if k == 0:
                 nullity = n_k
@@ -87,6 +87,23 @@ def test_persistent_betti_square():
     assert tp.persistent_betti(dg, 0, 0.0, 1e9) == 1
     with pytest.raises(ValueError):
         tp.persistent_betti(dg, 1, 0.7, 0.6)
+
+
+def test_negative_degree_refused():
+    dg = diagram_of(SQUARE)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        tp.persistent_betti(dg, -1, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"invalid bar \[0.0, 1.0\) in dim -1: a dim must be >= 0"):
+        PersistenceDiagram(dims=[0, -1], births=[0.0, 0.0], deaths=[INF, 1.0])
+
+
+def test_reduce_reports_degrees_below_max_dim():
+    # degree k reads the (k+1)-simplices, so max_dim 0 has no degree to report
+    with pytest.raises(ValueError, match="reduce needs max_dim >= 1, got 0"):
+        diagram_of(SQUARE, max_dim=0)
+    for max_dim in (1, 2, 3):
+        dg = diagram_of(SQUARE, max_dim=max_dim)
+        assert dg.max_dim == max_dim and set(dg.dims.tolist()) == set(range(min(max_dim, 2)))
 
 
 def test_persistent_betti_empty_diagram():
@@ -133,13 +150,14 @@ def test_nan_probe_scales_rejected_by_every_detector(detector, eps1, eps2):
 
 
 def test_oracle_matches_reduction_on_square():
-    fc = tp.vr_filtration(SQUARE, max_dim=2)
-    dg = tp.reduce(fc)
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        e1, e2 = sorted(rng.uniform(0.0, fc.eps_max, size=2))
-        for k in (0, 1, 2):
-            assert tp.persistent_betti(dg, k, e1, e2) == tp.betti_oracle(fc, k, e1, e2)
+    for max_dim in (1, 2, 3):
+        fc = tp.vr_filtration(SQUARE, max_dim=max_dim)
+        dg = tp.reduce(fc)
+        for _ in range(20):
+            e1, e2 = sorted(rng.uniform(0.0, fc.eps_max, size=2))
+            for k in range(max_dim):
+                assert tp.persistent_betti(dg, k, e1, e2) == tp.betti_oracle(fc, k, e1, e2)
 
 
 def test_oracle_matches_reduction_random():
@@ -167,14 +185,14 @@ def noisy_circles(seed, n=60, count=3, sigma=0.05):
 def test_detectors_agree_on_benchmark_size_circles(points):
     fc = tp.vr_filtration(points, max_dim=2)
     dg = tp.reduce(fc)
-    assert tp.diagram_to_json(dg) == tp.diagram_to_json(homology_reduce(fc))
+    assert tp.diagram_to_json(dg) == tp.diagram_to_json(below_max_dim(homology_reduce(fc)))
     assert tp.betti_oracle(fc, 1, 0.6, 0.75) == tp.persistent_betti(dg, 1, 0.6, 0.75) == 1
     assert column_rank_oracle(fc, 1, 0.6, 0.75) == 1
     births = np.unique(np.concatenate(fc.births))
     rng = np.random.default_rng(23)
     for _ in range(20):
         eps1, eps2 = np.sort(rng.choice(births, size=2))
-        for k in (0, 1, 2):
+        for k in (0, 1):
             oracle = tp.betti_oracle(fc, k, eps1, eps2)
             assert oracle == tp.persistent_betti(dg, k, eps1, eps2) == column_rank_oracle(fc, k, eps1, eps2)
 
@@ -402,12 +420,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="invalid bar"):
             tp.diagram_from_json(text)
 
+    @pytest.mark.parametrize("dim", ["1.7", "Infinity", "NaN", '"1"', "null"])
+    def test_non_integer_dim_rejected(self, dim):
+        text = f'{{"field": "Z2", "bars": [{{"dim": {dim}, "birth": 0.0, "death": 1.0}}]}}'
+        with pytest.raises(ValueError, match="bar dim must be an integer"):
+            tp.diagram_from_json(text)
+
+    def test_integral_dim_read_as_int(self):
+        text = '{"field": "Z2", "bars": [{"dim": 1.0, "birth": 0.0, "death": 1.0}]}'
+        assert tp.diagram_from_json(text).bars == ((1, 0.0, 1.0),)
+
     def test_render_text(self):
         text = tp.render_text(diagram_of(SQUARE))
         lines = text.strip().split("\n")
         assert lines[0] == "dim 0: [0, 0.5)"
-        assert "dim 1: [0.5, 0.707106781187)" in lines
-        assert lines[-1].startswith("dim 2: [0.707106781187, inf)")
+        assert lines[-1] == "dim 1: [0.5, 0.707106781187)"  # no degree-2 bars at max_dim 2
 
     def test_render_svg(self):
         svg = tp.render_svg(diagram_of(SQUARE))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import topophase as tp
-from helpers import column_rank_oracle, homology_reduce
+from helpers import below_max_dim, column_rank_oracle, homology_reduce
 from test_simplicial_properties import sweep_clouds
 from topophase import persistence, simplicial
 
@@ -34,33 +34,33 @@ def clouds(draw):
 @settings(max_examples=200, deadline=None)
 @given(pts=clouds(), data=st.data())
 def test_cohomology_matches_homology_reduction(pts, data):
-    max_dim = data.draw(st.integers(0, 3), label="max_dim")
+    max_dim = data.draw(st.integers(1, 3), label="max_dim")
     dist = tp.vr_filtration(pts, max_dim=0).distance_matrix
     half_distances = sorted({float(d) / 2.0 for d in dist[np.triu_indices(len(pts), 1)]})
     eps_max = data.draw(st.one_of(st.none(), st.sampled_from(half_distances or [0.0])),
                         label="eps_max")
     fc = tp.vr_filtration(pts, eps_max=eps_max, max_dim=max_dim)
     diagram = tp.reduce(fc)
-    assert tp.diagram_to_json(diagram) == tp.diagram_to_json(homology_reduce(fc))
+    assert tp.diagram_to_json(diagram) == tp.diagram_to_json(below_max_dim(homology_reduce(fc)))
     births = np.unique(np.concatenate(fc.births)).tolist()
     for _ in range(2):
         eps1, eps2 = sorted(data.draw(st.lists(st.sampled_from(births), min_size=2, max_size=2),
                                       label="probe"))
-        for k in range(max_dim + 1):
+        for k in range(max_dim):
             assert tp.persistent_betti(diagram, k, eps1, eps2) == tp.betti_oracle(fc, k, eps1, eps2)
 
 
 @settings(max_examples=150, deadline=None)
 @given(pts=clouds(), data=st.data())
 def test_row_oracle_matches_column_oracle(pts, data):
-    max_dim = data.draw(st.integers(0, 3), label="max_dim")
+    max_dim = data.draw(st.integers(1, 3), label="max_dim")
     fc = tp.vr_filtration(pts, max_dim=max_dim)
     births = np.unique(np.concatenate(fc.births)).tolist()
     for _ in range(2):
         eps1, eps2 = sorted(data.draw(st.lists(st.sampled_from(births), min_size=2, max_size=2),
                                       label="probe"))
         for e1, e2 in ((eps1, eps2), (eps1, eps1), (eps2, eps2)):
-            for k in range(max_dim + 2):
+            for k in range(max_dim):
                 assert tp.betti_oracle(fc, k, e1, e2) == column_rank_oracle(fc, k, e1, e2)
 
 
@@ -68,7 +68,7 @@ def check_block_reduction(pts, data):
     """Each window of each union: its diagram and Betti counts equal its own reduction's."""
     n = len(pts)
     halfwidth = data.draw(st.sampled_from((0, 1, 3, 8, n, n + 5)), label="halfwidth")
-    max_dim = data.draw(st.integers(0, 3), label="max_dim")
+    max_dim = data.draw(st.integers(1, 3), label="max_dim")
     centre = 0
     unions = []
     for union in simplicial._window_unions(pts, halfwidth, max_dim):
@@ -78,7 +78,7 @@ def check_block_reduction(pts, data):
         probes = [sorted(data.draw(st.lists(st.sampled_from(scales), min_size=2, max_size=2),
                                    label="probe")) for _ in range(2)]
         counts = {(k, e1, e2): persistence._betti_counts(union.births, bars, union.offsets, k, e1, e2)
-                  for e1, e2 in probes for k in range(max_dim + 2)}
+                  for e1, e2 in probes for k in range(max_dim)}
         for w in range(len(union.windows)):
             lo, hi = max(0, centre - halfwidth), min(n, centre + halfwidth + 1)
             ref = tp.reduce(tp.vr_filtration(pts[lo:hi], max_dim=max_dim))
@@ -112,3 +112,20 @@ def test_block_reduction_one_window_per_union(pts, data):
         patch.setattr(simplicial, "_UNION_SHARE", simplicial.DENSE_LIMIT_BYTES + 1)
         unions = check_block_reduction(pts, data)
     assert all(len(union.windows) == 1 for union in unions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pts=clouds(), data=st.data())
+def test_one_more_dimension_changes_no_reported_bar(pts, data):
+    # degree-k bars read only the (k+1)-skeleton: the diagram built to max_dim
+    # k + 1 is the part of degree <= k of the one built to k + 2, byte for byte
+    dist = tp.vr_filtration(pts, max_dim=0).distance_matrix
+    half_distances = sorted({float(d) / 2.0 for d in dist[np.triu_indices(len(pts), 1)]})
+    eps_max = data.draw(st.one_of(st.none(), st.sampled_from(half_distances or [0.0])), label="eps_max")
+    for k in (0, 1, 2):
+        low, high = (tp.reduce(tp.vr_filtration(pts, eps_max=eps_max, max_dim=m)) for m in (k + 1, k + 2))
+        kept = high.dims <= k
+        for name in ("dims", "births", "deaths"):
+            got, want = getattr(low, name), getattr(high, name)[kept]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (k, name)
+        assert low.dropped_zero_bars == {d: n for d, n in high.dropped_zero_bars.items() if d <= k}

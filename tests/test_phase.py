@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import topophase as tp
-from topophase import simplicial
-from topophase.phase import GLOBAL, PhaseScanReport, probe_key
+from topophase import dirac, simplicial
+from topophase.phase import GLOBAL, PhaseScanReport, _detect, probe_key
 
 CLEAN = dict(lambda_min=-0.9, lambda_max=1.0, step=0.1)
 PROBES = ((1, 0.4, 0.8), (0, 0.02, 0.04))
@@ -57,6 +57,22 @@ class TestScanConfig:
     def test_non_finite_or_negative_input_named(self, field, value):
         with pytest.raises(ValueError, match=field):
             tp.ScanConfig(**dict(CLEAN, **{field: value}))
+
+    @pytest.mark.parametrize("max_dim, intervals, named", [
+        (2, ((2, 0.4, 0.8),), r"0 <= k < max_dim \(2\), got \(2, 0.4, 0.8\)"),
+        (2, ((1, 0.4, 0.8), (3, 0.1, 0.2)), r"0 <= k < max_dim \(2\), got \(3, 0.1, 0.2\)"),
+        (2, ((-1, 0.4, 0.8),), r"0 <= k < max_dim \(2\), got \(-1, 0.4, 0.8\)"),
+        (0, ((0, 0.02, 0.04),), r"0 <= k < max_dim \(0\), got \(0, 0.02, 0.04\)"),
+        (2, ((1.5, 0.4, 0.8),), r"0 <= k < max_dim \(2\), got \(1.5, 0.4, 0.8\)"),
+        (2, ((math.inf, 0.4, 0.8),), r"0 <= k < max_dim \(2\), got \(inf, 0.4, 0.8\)"),
+    ], ids=["top_degree", "above_top", "negative", "max_dim_0", "fractional", "infinite"])
+    def test_probe_degree_refused(self, max_dim, intervals, named):
+        # degree k reads the (k+1)-simplices, so a probe needs an integer 0 <= k < max_dim
+        with pytest.raises(ValueError, match="intervals: probe degree must be an integer " + named):
+            tp.ScanConfig(**dict(CLEAN, max_dim=max_dim, intervals=intervals))
+
+    def test_integral_probe_degree_kept_as_int(self):
+        assert clean_config(intervals=((1.0, 0.4, 0.8),)).intervals == ((1, 0.4, 0.8),)
 
     def test_probe_keys(self):
         cfg = clean_config()
@@ -112,7 +128,6 @@ class TestSweep:
     def test_detectors_agree(self):
         report = tp.sweep(clean_config())
         assert report.betti == report.kernel_dims
-        assert tp.detect_transitions(report) == tp.spectral_discontinuity(report)
 
     def test_loop_probe_silent_on_arc_cloud(self):
         # the expectation cloud is an arc spanning < half a circle, so no
@@ -130,7 +145,6 @@ class TestSweep:
             if any(report.betti[i][key] != report.betti[i + 1][key] for key in keys):
                 expected.append((report.lambdas[i], report.lambdas[i + 1]))
         assert [(left, right) for left, right, _ in report.transitions] == expected
-        assert tp.detect_transitions(report) == expected
 
     def test_deterministic(self):
         a = tp.sweep(clean_config())
@@ -178,23 +192,36 @@ class TestDetectors:
         return PhaseScanReport(config=cfg, lambdas=lams, betti=betti,
                                kernel_dims=kernels, transitions=())
 
+    @staticmethod
+    def detect(report, values):
+        return _detect(report.lambdas, values, report.config.probe_keys())
+
     def test_single_step_change(self):
         report = self.synthetic_report([1, 1, 1, 2, 2])
-        assert tp.detect_transitions(report) == [(0.2, 0.3)]
+        assert self.detect(report, report.betti) == ((0.2, 0.3, ("k1_0.4_0.8",)),)
 
     def test_all_equal(self):
         report = self.synthetic_report([1, 1, 1, 1, 1])
-        assert tp.detect_transitions(report) == []
-        assert tp.spectral_discontinuity(report) == []
+        assert self.detect(report, report.betti) == ()
+        assert self.detect(report, report.kernel_dims) == ()
 
     def test_spectral_agrees(self):
         report = self.synthetic_report([0, 1, 1, 0, 0])
-        assert tp.spectral_discontinuity(report) == tp.detect_transitions(report)
+        assert self.detect(report, report.kernel_dims) == self.detect(report, report.betti)
 
-    def test_injected_mismatch_refused(self):
-        report = self.synthetic_report([1, 1, 1, 1, 1], kernel_values=[1, 2, 1, 1, 1])
-        with pytest.raises(tp.ConsistencyError, match="probe k1_0.4_0.8"):
-            tp.spectral_discontinuity(report)
+    def test_injected_mismatch_refused(self, monkeypatch):
+        # the third window's first probe gets a kernel one above its bars
+        real = dirac._kernel_count
+        calls = []
+
+        def off_by_one(filtration, k, eps1, eps2, betti):
+            calls.append(k)
+            return betti + 1 if len(calls) == 1 + len(PROBES) * 2 else real(filtration, k, eps1, eps2, betti)
+
+        monkeypatch.setattr(dirac, "_kernel_count", off_by_one)
+        with pytest.raises(tp.ConsistencyError, match=r"lambda=-0\.3, probe k1_0\.4_0\.8: persistent Betti 0 "
+                                                      r"vs Laplacian kernel 1"):
+            tp.sweep(clean_config(lambda_min=-0.5, lambda_max=0.5))
 
 
 class TestContinuity:

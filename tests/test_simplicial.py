@@ -1,3 +1,4 @@
+import time
 from bisect import bisect_right
 
 import numpy as np
@@ -160,6 +161,30 @@ def test_boundary_dense_at_shape_outside_boundary_dimensions():
         assert at_zero.shape == (0, fc.count_at(0, eps)) and at_zero.dtype == np.float64
         above = boundary_dense_at(fc, fc.max_dim + 1, eps)
         assert above.shape == (fc.count_at(fc.max_dim, eps), 0) and above.dtype == np.float64
+
+
+def test_dimensions_past_the_last_simplex_match_the_loop():
+    # 10 points span at most a 9-simplex.  At max_dim 10 the clique loop
+    # builds dimension 10, empty; above it the dimensions are filled without
+    # a pass each, with arrays of the loop's shapes, dtypes and flags
+    pts = np.random.default_rng(5).random((10, 2))
+    loop = tp.vr_filtration(pts, max_dim=10)
+    fc = tp.vr_filtration(pts, max_dim=14)
+    for k in range(11):
+        assert fc.vertices[k].tobytes() == loop.vertices[k].tobytes()
+        assert fc.births[k].tobytes() == loop.births[k].tobytes()
+        if k:
+            got, want = simplicial.boundary_matrix(fc, k), simplicial.boundary_matrix(loop, k)
+            assert got.tobytes() == want.tobytes()
+    empty = (loop.vertices[10], loop.births[10], simplicial.boundary_matrix(loop, 10))
+    for k in range(10, 15):
+        for got, want in zip((fc.vertices[k], fc.births[k], simplicial.boundary_matrix(fc, k)), empty):
+            assert got.shape == want.shape[:1] + (k + 1,) * (want.ndim - 1)
+            assert got.dtype == want.dtype and got.flags.writeable == want.flags.writeable
+    start = time.perf_counter()
+    deep = tp.vr_filtration(pts, max_dim=2000)
+    assert time.perf_counter() - start < 2.0
+    assert deep.max_dim == 2000 and len(deep) == len(loop)
 
 
 def test_boundary_triangle_signs():
