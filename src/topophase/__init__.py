@@ -43,13 +43,8 @@ from .persistence import (
     render_text,
 )
 from .dirac import (
-    betti_from_laplacian,
-    dirac_operator,
     dirac_spectrum,
-    persistent_laplacian,
     qpe_distribution,
-    restricted_boundary,
-    spectrum,
     spectrum_to_json,
 )
 from .phase import (
@@ -78,7 +73,6 @@ __all__ = [
     "SSHChain",
     "ScanConfig",
     "StateCloud",
-    "betti_from_laplacian",
     "betti_oracle",
     "bottleneck",
     "boundary_matrix",
@@ -90,14 +84,12 @@ __all__ = [
     "continuity_check",
     "diagram_from_json",
     "diagram_to_json",
-    "dirac_operator",
     "dirac_spectrum",
     "expectation",
     "ground_state",
     "haar_unitary",
     "is_hermitian",
     "persistent_betti",
-    "persistent_laplacian",
     "phi_map",
     "probe_key",
     "qpe_distribution",
@@ -106,8 +98,6 @@ __all__ = [
     "render_text",
     "report_from_json",
     "report_to_json",
-    "restricted_boundary",
-    "spectrum",
     "spectrum_to_json",
     "ssh_observables",
     "sweep",

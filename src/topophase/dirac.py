@@ -58,7 +58,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplicial import DENSE_LIMIT_BYTES  # noqa: F401  (re-exported: the limit of the spectral layer too)
 from .simplicial import FilteredComplex, _check_degree, _check_dense, boundary_dense_at, boundary_matrix
 
 NULLSPACE_TOL = 1e-10
@@ -139,19 +138,23 @@ def restricted_boundary(complex_: FilteredComplex, k_plus_1: int, eps: float,
 
 
 def _schur_laplacian(complex_: FilteredComplex, k: int, eps: float, eps_prime: float) -> tuple:
-    """L_k through the Schur complement of U = B B^T, and the restricted-domain dimension d.
+    """L_k through the Schur complement of U = B B^T, and p = n_{k-1}(eps) + d.
+
+    d is the restricted-domain dimension, so p is the order of the Dirac
+    operator's block on C_{k-1} (+) the restricted (k+1)-domain.
 
     Raises ``ValueError`` unless 0 <= k < max_dim and eps <= eps', or before
     allocating if U, the Laplacian or the down boundary would exceed
     ``DENSE_LIMIT_BYTES``.
     """
-    _check_degree(complex_, k)
+    k = _check_degree(complex_, k)
     if not eps <= eps_prime:
         raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
     n_k = complex_.count_at(k, eps)
     n_up = complex_.count_at(k, eps_prime)
+    n_down = complex_.count_at(k - 1, eps)
     _check_dense(n_up, n_up)
-    _check_dense(complex_.count_at(k - 1, eps), n_k)
+    _check_dense(n_down, n_k)
     facets = boundary_matrix(complex_, k + 1)[:complex_.count_at(k + 1, eps_prime)]
     signs = (-1.0) ** np.add.outer(np.arange(k + 2), np.arange(k + 2))
     pairs = facets[:, :, None] * n_up + facets[:, None, :]
@@ -171,7 +174,7 @@ def _schur_laplacian(complex_: FilteredComplex, k: int, eps: float, eps_prime: f
         lap += bk.T @ bk
     sym = lap + lap.T
     sym *= 0.5
-    return sym, domain_dim
+    return sym, n_down + domain_dim
 
 
 def persistent_laplacian(complex_: FilteredComplex, k: int, eps: float, eps_prime: float) -> np.ndarray:
@@ -220,13 +223,12 @@ def dirac_spectrum(complex_: FilteredComplex, k: int, eps: float, eps_prime: flo
     either dense operator: the spectrum follows from the eigenvalues of L_k
     in closed form (see the module docstring).
     """
-    lap, domain_dim = _schur_laplacian(complex_, k, eps, eps_prime)
+    lap, p = _schur_laplacian(complex_, k, eps, eps_prime)
     evals = np.linalg.eigvalsh(lap)
     kernel = _kernel_dim(evals)
     # kernel modes are zero, not round-off: they come out as exactly +-xi
     mu = np.clip(evals, 0.0, None)
     mu[:kernel] = 0.0
-    p = complex_.count_at(k - 1, eps) + domain_dim
     q = mu.size
     if p >= q:
         flat = np.full(p - q, -xi)

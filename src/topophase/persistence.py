@@ -26,11 +26,13 @@ its component's rows, below; so the pivot is ``e - bit_length()``), built
 from its slice of the cofacet array only when its first pivot is already
 taken or a later column needs it.
 
-Disjoint unions: one core, ``_bars``, reduces the arrays (births and facet
-indices per dimension) of a disjoint union of complexes, each component's
-simplices a contiguous segment of every dimension in its own filtration
-order; ``reduce`` passes one complex as the union of one, and a window sweep
-passes a block of windows.  The result is each component's own reduction.
+Disjoint unions: one core, ``_bars``, reduces a ``simplicial._WindowUnion``
+(the births and facet indices per dimension of a disjoint union of
+complexes, each component's simplices a contiguous segment of every
+dimension in its own filtration order), and ``_betti_counts`` and
+``_diagram`` read each component's share of its bars; ``reduce`` passes one
+complex as the union of one, and a window sweep passes a block of windows.
+The result is each component's own reduction.
 A simplex's cofacets lie in its own component, so the union's coboundary
 matrix is block-diagonal: no column addition crosses components, the
 apparent-pair test and clearing act column by column, and the last-first
@@ -96,7 +98,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplicial import FilteredComplex, _check_degree, _check_dense, boundary_matrix
+from .simplicial import FilteredComplex, _check_degree, _check_dense, _WindowUnion, boundary_matrix
 
 INF = math.inf
 
@@ -147,7 +149,9 @@ class PersistenceDiagram:
         return tuple(zip(self.dims.tolist(), self.births.tolist(), self.deaths.tolist()))
 
     def _in_dim(self, k: int):
-        """Births and deaths of the degree-k bars (views, ordered by birth)."""
+        """Births and deaths of the degree-k bars (views, ordered by birth); k must be an integer >= 0."""
+        if not (float(k).is_integer() and k >= 0):  # a k between degrees would read the next one's bars
+            raise ValueError(f"k must be >= 0 and an integer, got {k}")
         lo, hi = np.searchsorted(self.dims, (k, k + 1))
         return self.births[lo:hi], self.deaths[lo:hi]
 
@@ -221,23 +225,26 @@ def _reduce_coboundaries(starts, rows, latest, cleared, row_offsets):
             np.concatenate([np.flatnonzero(~cleared & ~nonempty), np.asarray(zero, dtype=np.intp)]))
 
 
-def _bars(births: tuple, facets: tuple, offsets: tuple) -> list:
+def _bars(union: _WindowUnion) -> list:
     """Creator index and death of every bar, zero-length ones included, per degree k < max_dim.
 
-    ``births[k]`` and ``facets[k]`` (k >= 1) are the arrays of a disjoint
-    union of complexes whose k-simplices start at ``offsets[k]``, one complex
-    being the union of one (see the module docstring).  Entry k is
-    (creators, deaths): the k-simplices that create a bar, ascending, and
-    where each bar dies, ``inf`` for an essential one.
+    Entry k is (creators, deaths): the union's k-simplices that create a
+    bar, ascending, and where each bar dies, ``inf`` for an essential one.
+    A dimension with no simplices has none above it either, so from there
+    on every degree is empty without a pass.
     """
+    births, facets = union.births, union.facets
     bars = []
     pivots = np.empty(0, dtype=np.intp)
     for k in range(len(births) - 1):
+        if not len(births[k]):
+            bars += [(np.empty(0, dtype=np.intp), np.empty(0))] * (len(births) - 1 - k)
+            break
         cleared = np.zeros(len(births[k]), dtype=bool)
         cleared[pivots] = True
         latest = functools.reduce(np.maximum, facets[k + 1].T)  # faster than max(axis=1) on k + 2 columns
         paired, pivots, zero = _reduce_coboundaries(*_cofacets(facets[k + 1], len(births[k])),
-                                                    latest, cleared, offsets[k + 1])
+                                                    latest, cleared, union.offsets[k + 1])
         death = np.full(len(births[k]), np.nan)
         death[paired] = births[k + 1][pivots]
         death[zero] = INF
@@ -246,13 +253,14 @@ def _bars(births: tuple, facets: tuple, offsets: tuple) -> list:
     return bars
 
 
-def _diagram(births: tuple, bars: list, spans, n_points: int) -> PersistenceDiagram:
-    """Diagram of the union component whose k-simplices are rows [lo, hi) = ``spans[k]`` of ``_bars``."""
+def _diagram(union: _WindowUnion, bars: list, w: int) -> PersistenceDiagram:
+    """Diagram of window w of the union, its share of the union's ``_bars``."""
     dims, bar_births, bar_deaths = [], [], []
     dropped: dict = {}
-    for k, ((creators, deaths), span) in enumerate(zip(bars, spans)):
-        lo, hi = np.searchsorted(creators, span)
-        birth, death = births[k][creators[lo:hi]], deaths[lo:hi]
+    for k, (creators, deaths) in enumerate(bars):
+        offsets = union.offsets[k]
+        lo, hi = np.searchsorted(creators, (offsets[w], offsets[w + 1]))
+        birth, death = union.births[k][creators[lo:hi]], deaths[lo:hi]
         kept = death > birth
         if not kept.all():
             dropped[k] = int(np.count_nonzero(~kept))
@@ -261,8 +269,8 @@ def _diagram(births: tuple, bars: list, spans, n_points: int) -> PersistenceDiag
         bar_deaths.append(death)
         dims.append(np.full(len(birth), k))
     return PersistenceDiagram(
-        max_dim=len(births) - 1,
-        n_points=n_points,
+        max_dim=len(union.births) - 1,
+        n_points=union.windows[w].n_points,
         dropped_zero_bars=dropped,
         dims=np.concatenate(dims),
         births=np.concatenate(bar_births),
@@ -279,28 +287,24 @@ def reduce(complex_: FilteredComplex) -> PersistenceDiagram:
     """
     if complex_.max_dim < 1:
         raise ValueError(f"reduce needs max_dim >= 1, got {complex_.max_dim}")
-    births = complex_.births
-    facets = (None,) + tuple(boundary_matrix(complex_, k) for k in range(1, complex_.max_dim + 1))
-    offsets = tuple(np.array([0, len(b)]) for b in births)
-    return _diagram(births, _bars(births, facets, offsets), offsets, complex_.n_points)
+    union = _WindowUnion.of(complex_)
+    return _diagram(union, _bars(union), 0)
 
 
 def persistent_betti(diagram: PersistenceDiagram, k: int, eps1: float, eps2: float) -> int:
     """Bars of degree k spanning [eps1, eps2]: birth <= eps1 and death > eps2."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
     if not eps1 <= eps2:
         raise ValueError(f"eps1 ({eps1}) must be <= eps2 ({eps2})")
     births, deaths = diagram._in_dim(k)
     return int(np.count_nonzero((births <= eps1) & (deaths > eps2)))
 
 
-def _betti_counts(births: tuple, bars: list, offsets: tuple, k: int, eps1: float, eps2: float) -> np.ndarray:
-    """``persistent_betti`` of every component of a union, whose k-simplices start at ``offsets[k]``."""
-    n_parts = len(offsets[0]) - 1
+def _betti_counts(union: _WindowUnion, bars: list, k: int, eps1: float, eps2: float) -> np.ndarray:
+    """``persistent_betti`` of every window of the union, from its ``_bars``."""
     creators, deaths = bars[k]
-    spanning = creators[(births[k][creators] <= eps1) & (deaths > eps2)]
-    return np.bincount(np.searchsorted(offsets[k], spanning, side="right") - 1, minlength=n_parts)
+    spanning = creators[(union.births[k][creators] <= eps1) & (deaths > eps2)]
+    offsets = union.offsets[k]
+    return np.bincount(np.searchsorted(offsets, spanning, side="right") - 1, minlength=len(offsets) - 1)
 
 
 # -- independent oracle: persistent Betti numbers by Z2 rank computations ----
@@ -348,7 +352,7 @@ def betti_oracle(complex_: FilteredComplex, k: int, eps1: float, eps2: float) ->
     - rank d_{k+1}(eps2) + rank R2 (see the module docstring).  Raises
     ``ValueError`` for k outside [0, max_dim) or rows above ``DENSE_LIMIT_BYTES``.
     """
-    _check_degree(complex_, k)
+    k = _check_degree(complex_, k)
     if not eps1 <= eps2:
         raise ValueError(f"eps1 ({eps1}) must be <= eps2 ({eps2})")
     n1 = complex_.count_at(k, eps1)
@@ -447,8 +451,6 @@ def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram, k: int) -> float:
     Infinite bars must match infinite bars (on birth); diagrams with unequal
     infinite-bar counts are infinitely far apart.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     (births1, deaths1), (births2, deaths2) = d1._in_dim(k), d2._in_dim(k)
     inf1, inf2 = deaths1 == INF, deaths2 == INF
     if np.count_nonzero(inf1) != np.count_nonzero(inf2):

@@ -155,9 +155,8 @@ def _probe_union(union, config: ScanConfig) -> list:
     Without kept spectra the kernel is counted alone, so a probe whose bars
     say 0 may be settled by a certificate instead of a spectrum.
     """
-    bars = _persistence._bars(union.births, union.facets, union.offsets)
-    counts = [_persistence._betti_counts(union.births, bars, union.offsets, *probe).tolist()
-              for probe in config.intervals]
+    bars = _persistence._bars(union)
+    counts = [_persistence._betti_counts(union, bars, *probe).tolist() for probe in config.intervals]
     results = []
     for w, filtration in enumerate(union.windows):
         betti = {}
@@ -171,10 +170,7 @@ def _probe_union(union, config: ScanConfig) -> list:
             else:
                 evals, kernels[key] = _dirac.dirac_spectrum(filtration, k, e1, e2, xi=config.xi)
                 spectra[key] = [float(x) for x in evals]
-        diagram = None
-        if config.keep_diagrams:
-            spans = [(o[w], o[w + 1]) for o in union.offsets]
-            diagram = _persistence._diagram(union.births, bars, spans, filtration.n_points)
+        diagram = _persistence._diagram(union, bars, w) if config.keep_diagrams else None
         results.append((betti, kernels, diagram, spectra))
     return results
 

@@ -29,9 +29,7 @@ found by ``searchsorted`` of (that facet's index * n + top) among the
 dimension's keys (parent index * n + top), which increase in lexicographic
 order.  Every simplex's faces are in the complex, so every search hits.  The
 lower dimension's inverse filtration permutation maps these indices into
-filtration order.  ``_facet_indices``, which sorts base-n vertex keys and
-searches them, serves only complexes given to the public ``FilteredComplex``
-constructor.
+filtration order.  This loop is the only source of a complex's facets.
 
 Window sweeps: the complex of a window [lo, hi) of consecutive points at its
 default ``eps_max`` is the full simplex on those points, so every window is
@@ -50,8 +48,7 @@ consecutive windows that fit, one window at least, so the budget never
 refuses a sweep.
 
 Boundary core: a ``FilteredComplex`` holds one (n_k, k+1) integer facet
-array per dimension k >= 1, from the clique loop or, for a complex built
-from given vertex arrays, mapped once at construction; entry [j, i] is the
+array per dimension k >= 1, from the clique loop; entry [j, i] is the
 dimension-(k-1) index of the facet of k-simplex j that omits vertex position
 i.  ``boundary_matrix`` returns it, and it is the only boundary object:
 reduction and the rank oracle read it as Z2 columns, the spectral layer
@@ -86,11 +83,12 @@ def _check_dense(n_rows: int, n_cols: int, what: str = "matrix", itemsize: int =
                          f"exceeds the {DENSE_LIMIT_BYTES // 2 ** 20} MB limit")
 
 
-def _check_degree(complex_: FilteredComplex, k: int) -> None:
-    """Refuse a homology degree k outside 0 <= k < ``complex_.max_dim`` (see the module docstring)."""
-    if not 0 <= k < complex_.max_dim:
+def _check_degree(complex_: FilteredComplex, k: int) -> int:
+    """Degree k as an int; refuses all but an integer 0 <= k < ``complex_.max_dim``."""
+    if not (float(k).is_integer() and 0 <= k < complex_.max_dim):
         raise ValueError(f"degree k = {k} needs 0 <= k < max_dim, and the complex has max_dim "
-                         f"{complex_.max_dim}: degree k reads the (k+1)-simplices")
+                         f"{complex_.max_dim}: degree k is an integer and reads the (k+1)-simplices")
+    return int(k)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -105,7 +103,9 @@ class FilteredComplex:
 
     ``vertices[k]`` is an (n_k, k+1) integer array of strictly increasing
     vertex rows and ``births[k]`` their births, both ordered by (birth,
-    vertices); ``max_dim`` is ``len(vertices) - 1``.
+    vertices); ``max_dim`` is ``len(vertices) - 1``.  Instances come from
+    ``vr_filtration`` or a window sweep, whose clique loop also gives the
+    facet arrays (see the module docstring).
     """
 
     vertices: tuple
@@ -113,7 +113,7 @@ class FilteredComplex:
     n_points: int
     distance_matrix: np.ndarray
     eps_max: float
-    _facets: tuple = field(repr=False, default=())
+    _facets: tuple = field(repr=False)
 
     def __post_init__(self):
         if len(self.vertices) != len(self.births) or not self.vertices:
@@ -123,11 +123,9 @@ class FilteredComplex:
         births = tuple(_read_only(np.asarray(b, dtype=float)) for b in self.births)
         if any(len(v) != len(b) for v, b in zip(verts, births)):
             raise ValueError("each dimension needs one birth per simplex")
-        facets = self._facets or [None] + [_facet_indices(lo, hi, self.n_points)
-                                           for lo, hi in zip(verts, verts[1:])]
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "births", births)
-        object.__setattr__(self, "_facets", tuple(facets))
+        object.__setattr__(self, "_facets", tuple(self._facets))
 
     @property
     def max_dim(self) -> int:
@@ -145,30 +143,6 @@ class FilteredComplex:
         if not 0 <= k <= self.max_dim:
             return 0
         return int(np.searchsorted(self.births[k], eps, side="right"))
-
-
-def _facet_indices(lower: np.ndarray, upper: np.ndarray, n_points: int) -> np.ndarray:
-    """Entry [j, i]: row of ``lower`` equal to row j of ``upper`` without column i.
-
-    Rows match through base-``n_points`` keys, Python integers where int64
-    could overflow.  Only the public ``FilteredComplex`` constructor needs
-    this; ``vr_filtration`` takes its facets from the clique loop.
-    """
-    k = lower.shape[1]
-    dtype = np.int64 if n_points ** k < 2 ** 63 else object
-    place = np.array([n_points ** p for p in range(k - 1, -1, -1)], dtype=dtype)
-    keys = lower.astype(dtype) @ place
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = np.append(keys[order], n_points ** k)  # sentinel above every key
-    out = np.empty(upper.shape, dtype=np.intp)
-    for i in range(k + 1):
-        facet_keys = np.delete(upper, i, axis=1).astype(dtype) @ place
-        pos = np.searchsorted(sorted_keys, facet_keys)
-        if np.any(sorted_keys[pos] != facet_keys):
-            raise ValueError(f"a {k}-simplex has a facet that is not in the complex")
-        out[:, i] = order[pos]
-    out.flags.writeable = False
-    return out
 
 
 def _points(cloud) -> np.ndarray:
@@ -209,9 +183,9 @@ def _cliques(dist: np.ndarray, adjacency: np.ndarray, max_dim: int, span: int) -
     after its first one, an (n_k, span) array, kept where adjacent to every
     vertex of the simplex (so above its last one).  Each dimension is built
     in lexicographic order and put in (birth, vertices) order by one stable
-    sort of its birth levels; the facet arrays equal what ``_facet_indices``
-    gives (see the module docstring).  The dimensions above an empty one are
-    empty too, and get the loop's empty arrays without a pass each.
+    sort of its birth levels, and its facet arrays come from the same loop
+    (see the module docstring).  The dimensions above an empty one are empty
+    too, and get the loop's empty arrays without a pass each.
     """
     n = len(dist)
     padded = np.zeros((n, n + span), dtype=bool)
@@ -312,12 +286,6 @@ class _WindowUnion:
         """One complex as a union of one window."""
         return cls(complex_.births, complex_._facets,
                    tuple(np.array([0, len(b)]) for b in complex_.births), (complex_,))
-
-
-def _window_filtrations(cloud, halfwidth: int, max_dim: int):
-    """``vr_filtration(points[lo:hi], max_dim=max_dim)`` for every sliding window, in order."""
-    for union in _window_unions(cloud, halfwidth, max_dim):
-        yield from union.windows
 
 
 def _window_unions(cloud, halfwidth: int, max_dim: int):

@@ -4,8 +4,11 @@ Everything here is deliberately independent of the library code paths it is
 used to check: closed-form eigenpairs, union-find component counting,
 brute-force GF(2) ranks and brute-force bottleneck matchings.  The exceptions
 are ``assert_matches_dense``, which checks the Schur Laplacian and the
-closed-form Dirac spectrum against the dense assembled operator that the
-library keeps as their reference, ``homology_reduce``, the boundary-matrix
+closed-form Dirac spectrum against the dense assembled operator that
+``topophase.dirac`` keeps as their reference, ``facet_indices``, the
+vertex-key facet lookup that the clique loop's facets are checked against,
+``window_filtrations``, every sliding window's complex from the sweep's
+band unions, ``homology_reduce``, the boundary-matrix
 reduction that the cohomology reduction in ``topophase.persistence``
 replaced (``below_max_dim`` keeps the degrees that reduction reports),
 ``column_rank_oracle``, the column-form rank formula that the
@@ -19,8 +22,9 @@ import itertools
 import numpy as np
 
 import topophase as tp
+from topophase import dirac
 from topophase.persistence import INF, PersistenceDiagram
-from topophase.simplicial import boundary_matrix
+from topophase.simplicial import _window_unions, boundary_matrix
 
 
 def random_cloud(rng, n_min=4, n_max=8, dim_min=1, dim_max=3, scale=1.0):
@@ -226,7 +230,7 @@ def dense_reference(fc, k, eps, eps_prime, xi):
     The blocks are the scale-eps boundary and the ``restricted_boundary``
     matrix M, so the Laplacian is built from the dense null-space basis.
     """
-    op = tp.dirac_operator(fc, k, eps, eps_prime, xi=xi)
+    op = dirac.dirac_operator(fc, k, eps, eps_prime, xi=xi)
     n1, n2, _ = op.block_dims
     down = op.matrix[:n1, n1:n1 + n2]
     up = op.matrix[n1:n1 + n2, n1 + n2:]
@@ -235,7 +239,7 @@ def dense_reference(fc, k, eps, eps_prime, xi):
 
 def assert_matches_dense(fc, k, eps, eps_prime, xis=(0.0, 0.3, -0.7)):
     """Schur Laplacian, closed-form spectrum and kernel against the dense reference."""
-    lap = tp.persistent_laplacian(fc, k, eps, eps_prime)
+    lap = dirac.persistent_laplacian(fc, k, eps, eps_prime)
     for xi in xis:
         dense, dense_lap, dims = dense_reference(fc, k, eps, eps_prime, xi)
         assert lap.shape == dense_lap.shape
@@ -247,8 +251,37 @@ def assert_matches_dense(fc, k, eps, eps_prime, xis=(0.0, 0.3, -0.7)):
         scale = max(1.0, float(np.max(dense ** 2))) if dense.size else 1.0
         assert np.all(np.abs(got ** 2 - dense ** 2) <= 1e-10 * scale)
         assert np.allclose(got, dense, rtol=0.0, atol=1e-10)
-        assert kernel == tp.betti_from_laplacian(dense_lap)
+        assert kernel == dirac.betti_from_laplacian(dense_lap)
     return dims, kernel
+
+
+def facet_indices(lower: np.ndarray, upper: np.ndarray, n_points: int) -> np.ndarray:
+    """Entry [j, i]: row of ``lower`` equal to row j of ``upper`` without column i.
+
+    Rows match through base-``n_points`` keys, Python integers where int64
+    could overflow.  A facet that is not a row of ``lower`` raises
+    ``ValueError``.
+    """
+    k = lower.shape[1]
+    dtype = np.int64 if n_points ** k < 2 ** 63 else object
+    place = np.array([n_points ** p for p in range(k - 1, -1, -1)], dtype=dtype)
+    keys = lower.astype(dtype) @ place
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = np.append(keys[order], n_points ** k)  # sentinel above every key
+    out = np.empty(upper.shape, dtype=np.intp)
+    for i in range(k + 1):
+        facet_keys = np.delete(upper, i, axis=1).astype(dtype) @ place
+        pos = np.searchsorted(sorted_keys, facet_keys)
+        if np.any(sorted_keys[pos] != facet_keys):
+            raise ValueError(f"a {k}-simplex has a facet that is not in the complex")
+        out[:, i] = order[pos]
+    return out
+
+
+def window_filtrations(cloud, halfwidth, max_dim):
+    """``vr_filtration(points[lo:hi], max_dim=max_dim)`` for every sliding window, in order."""
+    for union in _window_unions(cloud, halfwidth, max_dim):
+        yield from union.windows
 
 
 def below_max_dim(diagram):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import topophase as tp
+from topophase import dirac
 from topophase.persistence import PersistenceDiagram
 from topophase.simplicial import boundary_dense_at
 from helpers import random_cloud, ssh4_expectations_closed_form, ssh4_ground_closed_form
@@ -76,7 +77,7 @@ def test_c02_reduction_oracle_spectral_agreement():
         for k in (0, 1, 2):
             a = tp.persistent_betti(dg, k, e1, e2)
             b = tp.betti_oracle(fc, k, e1, e2)
-            c = tp.betti_from_laplacian(tp.persistent_laplacian(fc, k, e1, e2))
+            c = dirac.betti_from_laplacian(dirac.persistent_laplacian(fc, k, e1, e2))
             assert a == b == c, (
                 f"disagreement on {len(pts)} pts, k={k}, interval=({e1:.4f},{e2:.4f}): "
                 f"reduction={a} oracle={b} spectral={c}"
@@ -98,8 +99,8 @@ def test_c03_dirac_block_identity():
         fc = tp.vr_filtration(pts, max_dim=3)
         e1, e2 = sorted(rng.uniform(0.0, fc.eps_max, size=2))
         k = int(rng.integers(0, 3))
-        op = tp.dirac_operator(fc, k, e1, e2, xi=0.0)
-        lap = tp.persistent_laplacian(fc, k, e1, e2)
+        op = dirac.dirac_operator(fc, k, e1, e2, xi=0.0)
+        lap = dirac.persistent_laplacian(fc, k, e1, e2)
         mid = op.middle_block(op.matrix @ op.matrix)
         if lap.size:
             worst_mid = max(worst_mid, float(np.max(np.abs(mid - lap))))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import topophase as tp
-from topophase import cli
+from topophase import cli, dirac
 from topophase.cli import main
 
 SQUARE_CSV = "lambda,x,y\n0,0,0\n1,1,0\n2,1,1\n3,0,1\n"
@@ -329,7 +329,7 @@ class TestDirac:
                    "--eps2", "0.75", "--xi", "0.3", "--out", str(out)])
         assert rc == 0
         fc = tp.vr_filtration(tp.cloud_from_csv(square_csv), max_dim=2)
-        dense = tp.spectrum(tp.dirac_operator(fc, 1, 0.55, 0.75, xi=0.3).matrix)
+        dense = dirac.spectrum(dirac.dirac_operator(fc, 1, 0.55, 0.75, xi=0.3).matrix)
         got = json.loads(out.read_text())["eigenvalues"]
         assert len(got) == len(dense)
         assert np.allclose(got, dense, atol=1e-12)

@@ -3,16 +3,16 @@ import pytest
 
 import topophase as tp
 from helpers import assert_matches_dense, components_at_scale, random_cloud
+from topophase import dirac
 from topophase.dirac import (
     CERTIFICATE_MARGIN,
-    DENSE_LIMIT_BYTES,
     RANK_TOL,
     _certified_kernel_dim,
     _kernel_count,
     _kernel_dim,
     _schur_laplacian,
 )
-from topophase.simplicial import boundary_dense_at
+from topophase.simplicial import DENSE_LIMIT_BYTES, boundary_dense_at
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -24,7 +24,7 @@ def square_complex():
 class TestRestrictedBoundary:
     def test_equal_scales_same_singular_values(self):
         fc = square_complex()
-        rb = tp.restricted_boundary(fc, 1, 0.8, 0.8)
+        rb = dirac.restricted_boundary(fc, 1, 0.8, 0.8)
         plain = boundary_dense_at(fc, 1, np.inf)
         n_edges = fc.count_at(1, 0.8)
         assert rb.domain_dim == n_edges
@@ -34,7 +34,7 @@ class TestRestrictedBoundary:
 
     def test_no_simplices_at_upper_scale(self):
         fc = square_complex()
-        rb = tp.restricted_boundary(fc, 2, 0.3, 0.5)  # triangles appear only at ~0.707
+        rb = dirac.restricted_boundary(fc, 2, 0.3, 0.5)  # triangles appear only at ~0.707
         assert rb.domain_dim == 0
         assert rb.matrix.shape == (fc.count_at(1, 0.3), 0)
 
@@ -43,7 +43,7 @@ class TestRestrictedBoundary:
         # but opposite-triangle sums cancel the diagonal: the domain is the
         # two-dimensional space spanned by those sums
         fc = square_complex()
-        rb = tp.restricted_boundary(fc, 2, 0.6, 0.75)
+        rb = dirac.restricted_boundary(fc, 2, 0.6, 0.75)
         assert rb.domain_dim == 2
         assert np.linalg.matrix_rank(rb.matrix, tol=1e-10) == 1
 
@@ -53,7 +53,7 @@ class TestRestrictedBoundary:
             fc = tp.vr_filtration(random_cloud(rng), max_dim=3)
             e1, e2 = sorted(rng.uniform(0.0, fc.eps_max, size=2))
             for k_plus_1 in (1, 2, 3):
-                rb = tp.restricted_boundary(fc, k_plus_1, e1, e2)
+                rb = dirac.restricted_boundary(fc, k_plus_1, e1, e2)
                 basis = rb.domain_basis
                 if basis.size:
                     gram = basis.T @ basis
@@ -65,10 +65,10 @@ class TestRestrictedBoundary:
             fc = tp.vr_filtration(random_cloud(rng), max_dim=3)
             e1, e2 = sorted(rng.uniform(0.0, fc.eps_max, size=2))
             for k_plus_1 in (1, 2, 3):
-                rb = tp.restricted_boundary(fc, k_plus_1, e1, e2)
+                rb = dirac.restricted_boundary(fc, k_plus_1, e1, e2)
                 if rb.domain_dim == 0:
                     continue
-                from topophase.simplicial import boundary_dense_at
+                from topophase.simplicial import DENSE_LIMIT_BYTES, boundary_dense_at
 
                 full = boundary_dense_at(fc, k_plus_1, e2)
                 image = full @ rb.domain_basis
@@ -78,17 +78,17 @@ class TestRestrictedBoundary:
 
     def test_scale_order_enforced(self):
         with pytest.raises(ValueError):
-            tp.restricted_boundary(square_complex(), 2, 0.9, 0.5)
+            dirac.restricted_boundary(square_complex(), 2, 0.9, 0.5)
 
 
 class TestPersistentLaplacian:
     def test_degree_zero_is_graph_laplacian(self):
         fc = square_complex()
         eps = fc.eps_max
-        lap = tp.persistent_laplacian(fc, 0, eps, eps)
+        lap = dirac.persistent_laplacian(fc, 0, eps, eps)
         edges = boundary_dense_at(fc, 1, np.inf)
         assert np.allclose(lap, edges @ edges.T, atol=1e-12)
-        assert tp.betti_from_laplacian(lap) == components_at_scale(SQUARE, eps)
+        assert dirac.betti_from_laplacian(lap) == components_at_scale(SQUARE, eps)
 
     def test_component_count_across_scales(self):
         rng = np.random.default_rng(29)
@@ -96,12 +96,12 @@ class TestPersistentLaplacian:
             pts = random_cloud(rng)
             fc = tp.vr_filtration(pts, max_dim=2)
             eps = float(rng.uniform(0.0, fc.eps_max))
-            lap = tp.persistent_laplacian(fc, 0, eps, eps)
-            assert tp.betti_from_laplacian(lap) == components_at_scale(pts, eps)
+            lap = dirac.persistent_laplacian(fc, 0, eps, eps)
+            assert dirac.betti_from_laplacian(lap) == components_at_scale(pts, eps)
 
     def test_square_loop_kernel(self):
-        lap = tp.persistent_laplacian(square_complex(), 1, 0.55, 0.65)
-        assert tp.betti_from_laplacian(lap) == 1
+        lap = dirac.persistent_laplacian(square_complex(), 1, 0.55, 0.65)
+        assert dirac.betti_from_laplacian(lap) == 1
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(37)
@@ -109,7 +109,7 @@ class TestPersistentLaplacian:
             fc = tp.vr_filtration(random_cloud(rng), max_dim=3)
             e1, e2 = sorted(rng.uniform(0.0, fc.eps_max, size=2))
             for k in (0, 1, 2):
-                lap = tp.persistent_laplacian(fc, k, e1, e2)
+                lap = dirac.persistent_laplacian(fc, k, e1, e2)
                 if lap.size:
                     assert float(np.linalg.eigvalsh(lap)[0]) >= -1e-10
 
@@ -122,27 +122,27 @@ class TestPersistentLaplacian:
                 n_k = fc.count_at(k, eps)
                 if n_k == 0:
                     continue
-                from topophase.simplicial import boundary_dense_at
+                from topophase.simplicial import DENSE_LIMIT_BYTES, boundary_dense_at
 
                 up = boundary_dense_at(fc, k + 1, eps)
                 down = boundary_dense_at(fc, k, eps) if k else np.zeros((0, n_k))
                 combinatorial = down.T @ down + up @ up.T
-                lap = tp.persistent_laplacian(fc, k, eps, eps)
+                lap = dirac.persistent_laplacian(fc, k, eps, eps)
                 assert np.allclose(
                     np.linalg.eigvalsh(lap), np.linalg.eigvalsh(combinatorial), atol=1e-10
                 )
 
     def test_empty_scale(self):
         fc = tp.vr_filtration(SQUARE, eps_max=1.0, max_dim=3)
-        lap = tp.persistent_laplacian(fc, 2, 0.5, 0.6)  # no triangles yet
+        lap = dirac.persistent_laplacian(fc, 2, 0.5, 0.6)  # no triangles yet
         assert lap.shape == (0, 0)
-        assert tp.betti_from_laplacian(lap) == 0
+        assert dirac.betti_from_laplacian(lap) == 0
 
 
 class TestDiracOperator:
     def test_block_shapes_and_symmetry(self):
         fc = square_complex()
-        op = tp.dirac_operator(fc, 1, 0.55, 0.75, xi=0.3)
+        op = dirac.dirac_operator(fc, 1, 0.55, 0.75, xi=0.3)
         n1, n2, d = op.block_dims
         assert n1 == 4 and n2 == 4
         assert op.matrix.shape == (n1 + n2 + d, n1 + n2 + d)
@@ -154,8 +154,8 @@ class TestDiracOperator:
             fc = tp.vr_filtration(random_cloud(rng), max_dim=3)
             e1, e2 = sorted(rng.uniform(0.0, fc.eps_max, size=2))
             for k in (0, 1, 2):
-                op = tp.dirac_operator(fc, k, e1, e2, xi=0.0)
-                lap = tp.persistent_laplacian(fc, k, e1, e2)
+                op = dirac.dirac_operator(fc, k, e1, e2, xi=0.0)
+                lap = dirac.persistent_laplacian(fc, k, e1, e2)
                 mid = op.middle_block(op.matrix @ op.matrix)
                 if lap.size:
                     assert np.max(np.abs(mid - lap)) < 1e-10
@@ -167,7 +167,7 @@ class TestDiracOperator:
             fc = tp.vr_filtration(random_cloud(rng), max_dim=3)
             e1, e2 = sorted(rng.uniform(0.0, fc.eps_max, size=2))
             for k in (1, 2):
-                op = tp.dirac_operator(fc, k, e1, e2, xi=0.0)
+                op = dirac.dirac_operator(fc, k, e1, e2, xi=0.0)
                 n1, n2, d = op.block_dims
                 corner = op.matrix[:n1, n1:n1 + n2] @ op.matrix[n1:n1 + n2, n1 + n2:]
                 if corner.size:
@@ -176,20 +176,20 @@ class TestDiracOperator:
     def test_isolated_points_spectrum_is_xi(self):
         pts = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         fc = tp.vr_filtration(pts, eps_max=6.0, max_dim=2)
-        op = tp.dirac_operator(fc, 0, 0.1, 0.2, xi=0.7)  # no edges below 0.2
+        op = dirac.dirac_operator(fc, 0, 0.1, 0.2, xi=0.7)  # no edges below 0.2
         assert op.block_dims == (0, 3, 0)
-        assert np.allclose(tp.spectrum(op.matrix), [0.7, 0.7, 0.7], atol=1e-14)
+        assert np.allclose(dirac.spectrum(op.matrix), [0.7, 0.7, 0.7], atol=1e-14)
 
     def test_xi_shifts_degenerate_middle_block(self):
         pts = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         fc = tp.vr_filtration(pts, eps_max=6.0, max_dim=2)
-        base = tp.spectrum(tp.dirac_operator(fc, 0, 0.1, 0.2, xi=0.0).matrix)
-        shifted = tp.spectrum(tp.dirac_operator(fc, 0, 0.1, 0.2, xi=1.3).matrix)
+        base = dirac.spectrum(dirac.dirac_operator(fc, 0, 0.1, 0.2, xi=0.0).matrix)
+        shifted = dirac.spectrum(dirac.dirac_operator(fc, 0, 0.1, 0.2, xi=1.3).matrix)
         assert np.allclose(shifted, base + 1.3, atol=1e-14)
 
     def test_scale_order_enforced(self):
         with pytest.raises(ValueError):
-            tp.dirac_operator(square_complex(), 1, 0.8, 0.2)
+            dirac.dirac_operator(square_complex(), 1, 0.8, 0.2)
 
 
 class TestDiracSpectrum:
@@ -224,10 +224,10 @@ class TestDiracSpectrum:
         detectors = {
             "betti_oracle": lambda k: tp.betti_oracle(fc, k, 0.8, 0.9),
             "dirac_spectrum": lambda k: tp.dirac_spectrum(fc, k, 0.8, 0.9),
-            "persistent_laplacian": lambda k: tp.persistent_laplacian(fc, k, 0.8, 0.9),
+            "persistent_laplacian": lambda k: dirac.persistent_laplacian(fc, k, 0.8, 0.9),
             "_kernel_count": lambda k: _kernel_count(fc, k, 0.8, 0.9, 0),
-            "dirac_operator": lambda k: tp.dirac_operator(fc, k, 0.8, 0.9),
-            "restricted_boundary": lambda k: tp.restricted_boundary(fc, k + 1, 0.8, 0.9),
+            "dirac_operator": lambda k: dirac.dirac_operator(fc, k, 0.8, 0.9),
+            "restricted_boundary": lambda k: dirac.restricted_boundary(fc, k + 1, 0.8, 0.9),
         }
         for name, detect in detectors.items():
             for k in (2, 3, -1):
@@ -284,7 +284,7 @@ class TestDiracSpectrum:
         with pytest.raises(ValueError, match=f"dense {n_2}x{n_2} matrix"):
             tp.dirac_spectrum(fc, 2, 0.3, 0.3)
         with pytest.raises(ValueError, match="exceeds"):
-            tp.persistent_laplacian(fc, 2, 0.3, 0.3)
+            dirac.persistent_laplacian(fc, 2, 0.3, 0.3)
 
 
 class TestKernelCertificate:
@@ -351,28 +351,28 @@ class TestKernelCertificate:
 
 class TestSpectrum:
     def test_identity(self):
-        assert np.allclose(tp.spectrum(np.eye(3)), [1.0, 1.0, 1.0])
+        assert np.allclose(dirac.spectrum(np.eye(3)), [1.0, 1.0, 1.0])
 
     def test_diagonal_sorted(self):
-        assert np.allclose(tp.spectrum(np.diag([2.0, -1.0])), [-1.0, 2.0])
+        assert np.allclose(dirac.spectrum(np.diag([2.0, -1.0])), [-1.0, 2.0])
 
     def test_path_graph_laplacian(self):
         lap = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-        assert np.allclose(tp.spectrum(lap), [0.0, 1.0, 3.0], atol=1e-12)
+        assert np.allclose(dirac.spectrum(lap), [0.0, 1.0, 3.0], atol=1e-12)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
-            tp.spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            dirac.spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestBettiFromLaplacian:
     def test_zero_matrix(self):
-        assert tp.betti_from_laplacian(np.zeros((5, 5))) == 5
+        assert dirac.betti_from_laplacian(np.zeros((5, 5))) == 5
 
     def test_square_case(self):
         fc = square_complex()
-        lap = tp.persistent_laplacian(fc, 1, 0.55, 0.65)
-        assert tp.betti_from_laplacian(lap) == tp.persistent_betti(tp.reduce(fc), 1, 0.55, 0.65)
+        lap = dirac.persistent_laplacian(fc, 1, 0.55, 0.65)
+        assert dirac.betti_from_laplacian(lap) == tp.persistent_betti(tp.reduce(fc), 1, 0.55, 0.65)
 
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(67)
@@ -381,12 +381,12 @@ class TestBettiFromLaplacian:
             fc = tp.vr_filtration(pts, max_dim=3)
             e1, e2 = sorted(rng.uniform(0.0, fc.eps_max, size=2))
             for k in (0, 1, 2):
-                lap = tp.persistent_laplacian(fc, k, e1, e2)
-                assert tp.betti_from_laplacian(lap) == tp.betti_oracle(fc, k, e1, e2)
+                lap = dirac.persistent_laplacian(fc, k, e1, e2)
+                assert dirac.betti_from_laplacian(lap) == tp.betti_oracle(fc, k, e1, e2)
 
     def test_not_psd_rejected(self):
         with pytest.raises(ValueError):
-            tp.betti_from_laplacian(np.diag([-1.0, 1.0]))
+            dirac.betti_from_laplacian(np.diag([-1.0, 1.0]))
 
 
 class TestQpeDistribution:

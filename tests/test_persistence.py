@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -95,6 +96,38 @@ def test_negative_degree_refused():
         tp.persistent_betti(dg, -1, 0.0, 1.0)
     with pytest.raises(ValueError, match=r"invalid bar \[0.0, 1.0\) in dim -1: a dim must be >= 0"):
         PersistenceDiagram(dims=[0, -1], births=[0.0, 0.0], deaths=[INF, 1.0])
+
+
+@pytest.mark.parametrize("entry", ["persistent_betti", "bottleneck", "betti_oracle", "dirac_spectrum"])
+def test_non_integer_degree_refused(entry):
+    # degree 1.5 lies between the bars of degrees 1 and 2; it must not read either
+    dg = PersistenceDiagram(dims=[1, 2], births=[0.1, 0.2], deaths=[0.4, 2.0])
+    fc = tp.vr_filtration(SQUARE, max_dim=3)
+    call = {
+        "persistent_betti": lambda k: tp.persistent_betti(dg, k, 0.3, 0.5),
+        "bottleneck": lambda k: tp.bottleneck(dg, PersistenceDiagram(), k),
+        "betti_oracle": lambda k: tp.betti_oracle(fc, k, 0.55, 0.65),
+        "dirac_spectrum": lambda k: tp.dirac_spectrum(fc, k, 0.55, 0.65)[1],
+    }[entry]
+    with pytest.raises(ValueError, match="integer"):
+        call(1.5)
+    assert call(1.0) == call(np.int64(1)) == call(1)
+
+
+def test_empty_degrees_take_no_pass():
+    # 10 points span no simplex above dimension 9.  A pass over an empty
+    # dimension k still walks k + 2 empty facet columns, so passes over all
+    # of them would grow as max_dim squared
+    pts = np.random.default_rng(5).random((10, 2))
+    want = tp.reduce(tp.vr_filtration(pts, max_dim=10))
+    fc = tp.vr_filtration(pts, max_dim=2000)
+    start = time.perf_counter()
+    got = tp.reduce(fc)
+    elapsed = time.perf_counter() - start
+    for name in ("dims", "births", "deaths"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.dropped_zero_bars == want.dropped_zero_bars
+    assert elapsed < 0.25
 
 
 def test_reduce_reports_degrees_below_max_dim():

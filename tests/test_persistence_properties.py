@@ -73,17 +73,16 @@ def check_block_reduction(pts, data):
     unions = []
     for union in simplicial._window_unions(pts, halfwidth, max_dim):
         unions.append(union)
-        bars = persistence._bars(union.births, union.facets, union.offsets)
+        bars = persistence._bars(union)
         scales = np.unique(np.concatenate(([0.0],) + union.births)).tolist()
         probes = [sorted(data.draw(st.lists(st.sampled_from(scales), min_size=2, max_size=2),
                                    label="probe")) for _ in range(2)]
-        counts = {(k, e1, e2): persistence._betti_counts(union.births, bars, union.offsets, k, e1, e2)
+        counts = {(k, e1, e2): persistence._betti_counts(union, bars, k, e1, e2)
                   for e1, e2 in probes for k in range(max_dim)}
         for w in range(len(union.windows)):
             lo, hi = max(0, centre - halfwidth), min(n, centre + halfwidth + 1)
             ref = tp.reduce(tp.vr_filtration(pts[lo:hi], max_dim=max_dim))
-            spans = [(o[w], o[w + 1]) for o in union.offsets]
-            diagram = persistence._diagram(union.births, bars, spans, union.windows[w].n_points)
+            diagram = persistence._diagram(union, bars, w)
             for name in ("dims", "births", "deaths"):
                 got, want = getattr(diagram, name), getattr(ref, name)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name

@@ -93,7 +93,7 @@ class TestSweep:
         cloud = tp.build_cloud(cfg.lambdas(), tp.SSHChain(4), tp.ssh_observables(4))
         fc = tp.vr_filtration(cloud.points[0:4], max_dim=cfg.max_dim)  # window of the first lambda
         for k, e1, e2 in cfg.intervals:
-            dense = tp.spectrum(tp.dirac_operator(fc, k, e1, e2, xi=0.3).matrix)
+            dense = dirac.spectrum(dirac.dirac_operator(fc, k, e1, e2, xi=0.3).matrix)
             got = report.spectra[0][probe_key(k, e1, e2)]
             assert len(got) == len(dense)
             assert np.allclose(got, dense, atol=1e-10)
@@ -173,6 +173,18 @@ class TestSweep:
         assert report.kernel_dims == report.betti
         with pytest.raises(ValueError, match="exceeds"):
             tp.vr_filtration(np.zeros((span + 1, n_obs)))
+
+    @pytest.mark.parametrize("max_dim", [1, 2, 3])
+    def test_global_kept_diagram_is_the_cloud_reduction(self, max_dim):
+        cfg = clean_config(cloud_mode=GLOBAL, keep_diagrams=True, max_dim=max_dim,
+                           intervals=((0, 0.02, 0.04),))
+        (got,) = tp.sweep(cfg).diagrams
+        cloud = tp.build_cloud(cfg.lambdas(), tp.SSHChain(4), tp.ssh_observables(4))
+        want = tp.reduce(tp.vr_filtration(cloud.points, max_dim=max_dim))
+        for name in ("dims", "births", "deaths"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.dropped_zero_bars == want.dropped_zero_bars
+        assert (got.max_dim, got.n_points) == (want.max_dim, want.n_points)
 
     def test_global_mode_single_entry(self):
         report = tp.sweep(clean_config(cloud_mode=GLOBAL))

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import topophase as tp
-from helpers import random_cloud
+from helpers import facet_indices, random_cloud
 from topophase import simplicial
-from topophase.simplicial import _facet_indices, boundary_dense_at
+from topophase.simplicial import boundary_dense_at
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 HALF_DIAG = np.sqrt(2.0) / 2.0
@@ -232,13 +232,17 @@ def test_facet_keys_do_not_overflow():
     fc = tp.vr_filtration(random_cloud(np.random.default_rng(29), n_min=8), max_dim=3)
     for k in (1, 2, 3):
         lower, upper = fc.vertices[k - 1], fc.vertices[k]
-        assert np.array_equal(_facet_indices(lower, upper, 2 ** 40), tp.boundary_matrix(fc, k))
+        assert np.array_equal(facet_indices(lower, upper, 2 ** 40), tp.boundary_matrix(fc, k))
 
 
 def test_complex_missing_a_facet_rejected():
+    # the vertex-key lookup refuses a facet that is not in the complex, and a
+    # complex cannot be built without the facet arrays of a clique loop
     vertices = (np.array([[0], [1], [2]]), np.array([[0, 1], [1, 2]]), np.array([[0, 1, 2]]))
     births = tuple(np.zeros(len(v)) for v in vertices)
     with pytest.raises(ValueError, match="facet that is not in the complex"):
+        facet_indices(vertices[1], vertices[2], 3)
+    with pytest.raises(TypeError):
         tp.FilteredComplex(vertices, births, 3, np.zeros((3, 3)), 0.0)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import topophase as tp
-from topophase.simplicial import _window_filtrations
+from helpers import window_filtrations
 
 
 def brute_force_complex(fc, max_dim):
@@ -121,7 +121,7 @@ def test_band_windows_are_window_filtrations(pts, data):
     n = len(pts)
     halfwidth = data.draw(st.sampled_from((0, 1, 3, 8, n, n + 5)), label="halfwidth")
     max_dim = data.draw(st.integers(0, 3), label="max_dim")
-    windows = list(_window_filtrations(pts, halfwidth, max_dim))
+    windows = list(window_filtrations(pts, halfwidth, max_dim))
     assert len(windows) == n
     for centre, fc in enumerate(windows):
         lo, hi = max(0, centre - halfwidth), min(n, centre + halfwidth + 1)
