@@ -114,8 +114,8 @@ def restricted_boundary(complex_: FilteredComplex, k_plus_1: int, eps: float,
     """
     if not eps <= eps_prime:
         raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
-    k = k_plus_1 - 1
-    _check_degree(complex_, k)
+    k = _check_degree(complex_, k_plus_1 - 1)
+    k_plus_1 = k + 1
     n_rows_eps = complex_.count_at(k, eps)
     full = boundary_dense_at(complex_, k_plus_1, eps_prime)
     n_cols = full.shape[1]
@@ -192,6 +192,7 @@ def dirac_operator(complex_: FilteredComplex, k: int, eps: float, eps_prime: flo
     """
     if not eps <= eps_prime:
         raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
+    k = _check_degree(complex_, k)
     down = boundary_dense_at(complex_, k, eps)
     n1, n2 = down.shape
     up = restricted_boundary(complex_, k + 1, eps, eps_prime)

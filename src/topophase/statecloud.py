@@ -2,7 +2,8 @@
 
 A parameterized Hamiltonian family is mapped to a cloud of points in R^m by
 evaluating a fixed set of Hermitian observables in the ground state at each
-parameter value.  The resulting ``StateCloud`` is the geometric input for the
+parameter value: one contraction of the observables' (m, n, n) stack with the
+state.  The resulting ``StateCloud`` is the geometric input for the
 filtration / persistence machinery in the sibling modules.
 """
 
@@ -79,55 +80,50 @@ class QuantumState:
 
 @dataclass(frozen=True, eq=False)
 class ObservableSet:
-    """Labelled family of same-dimension Hermitian observables, held as read-only copies."""
+    """Labelled Hermitian observables as one read-only (m, n, n) complex stack.
 
-    matrices: tuple
+    Each matrix of ``matrices``, any iterable, is copied into the stack as it is
+    read, so a set built from a generator peaks at the stack plus one matrix.  A
+    stack above ``simplicial.DENSE_LIMIT_BYTES`` is refused before it is allocated.
+    """
+
+    matrices: np.ndarray
     labels: tuple
 
     def __post_init__(self):
-        self._freeze(copy=True)
-
-    @classmethod
-    def _owned(cls, matrices: tuple, labels: tuple) -> "ObservableSet":
-        """The set of ``matrices`` themselves, made read-only; no other reference to them may remain."""
-        obs = object.__new__(cls)
-        object.__setattr__(obs, "matrices", matrices)
-        object.__setattr__(obs, "labels", labels)
-        obs._freeze(copy=False)
-        return obs
-
-    def _freeze(self, copy: bool) -> None:
-        mats = tuple(np.asarray(m) for m in self.matrices)
         labels = tuple(str(s) for s in self.labels)
-        if not mats:
+        stack = None
+        for i, m in enumerate(self.matrices):
+            m = np.asarray(m)
+            if stack is None:
+                n = m.shape[0] if m.ndim else 0
+                _check_dense(len(labels) * n, n, "stack of observables", itemsize=16)
+                stack = np.empty((len(labels), n, n), dtype=complex)
+            if i == len(stack):
+                raise ValueError("labels and matrices differ in length")
+            if m.shape != stack.shape[1:]:
+                raise ValueError(f"observable {labels[i]!r} has shape {m.shape}, expected {stack.shape[1:]}")
+            stack[i] = m
+            _require_hermitian(stack[i], f"observable {labels[i]!r}")
+        if stack is None:
             raise ValueError("observable set is empty")
-        if len(mats) != len(labels):
+        if i + 1 != len(stack):
             raise ValueError("labels and matrices differ in length")
-        dim = mats[0].shape[0]
-        for label, m in zip(labels, mats):
-            if m.shape != (dim, dim):
-                raise ValueError(f"observable {label!r} has shape {m.shape}, expected ({dim}, {dim})")
-            _require_hermitian(m, f"observable {label!r}")
-        frozen = []
-        for m in mats:
-            if copy:
-                m = m.copy()
-            m.flags.writeable = False
-            frozen.append(m)
-        object.__setattr__(self, "matrices", tuple(frozen))
+        stack.flags.writeable = False
+        object.__setattr__(self, "matrices", stack)
         object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.matrices.shape[1]
 
     def __len__(self) -> int:
         return len(self.matrices)
 
     def conjugated(self, unitary) -> "ObservableSet":
-        """The set {U O U^dagger} under a fixed unitary U."""
+        """The set {U O U^dagger} under a fixed unitary U, as one batched product."""
         u = np.asarray(unitary, dtype=complex)
-        return ObservableSet(tuple(u @ m @ u.conj().T for m in self.matrices), self.labels)
+        return ObservableSet(u @ self.matrices @ u.conj().T, self.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,40 +238,39 @@ def ssh_observables(n_sites: int = 4) -> ObservableSet:
     if n_sites < 2:
         raise InvalidModelError(f"n_sites must be >= 2, got {n_sites}")
     _check_dense((3 * n_sites - 2) * n_sites, n_sites, "stack of observables", itemsize=16)
-    mats = []
-    labels = []
-    for i in range(n_sites):
+    terms = [(i, i, 1.0, f"n{i + 1}") for i in range(n_sites)]
+    terms += [(i, i + 1, a, f"{part}{i + 1}_{i + 2}")
+              for i in range(n_sites - 1) for part, a in (("re", 1.0), ("im", 1.0j))]
+
+    def matrix(i, j, a):  # the Hermitian matrix with a at (i, j) and conj(a) at (j, i)
         m = np.zeros((n_sites, n_sites), dtype=complex)
-        m[i, i] = 1.0
-        mats.append(m)
-        labels.append(f"n{i + 1}")
-    for i in range(n_sites - 1):
-        re = np.zeros((n_sites, n_sites), dtype=complex)
-        re[i, i + 1] = re[i + 1, i] = 1.0
-        im = np.zeros((n_sites, n_sites), dtype=complex)
-        im[i, i + 1] = 1.0j
-        im[i + 1, i] = -1.0j
-        mats.append(re)
-        labels.append(f"re{i + 1}_{i + 2}")
-        mats.append(im)
-        labels.append(f"im{i + 1}_{i + 2}")
-    return ObservableSet._owned(tuple(mats), tuple(labels))  # no copy: nothing else holds them
+        m[i, j] = a
+        m[j, i] = np.conj(a)
+        return m
+
+    return ObservableSet((matrix(i, j, a) for i, j, a, _ in terms), [label for *_, label in terms])
+
+
+def _expectations(stack: np.ndarray, state: QuantumState) -> np.ndarray:
+    """<psi|O_i|psi> for every matrix O_i of an (m, n, n) stack, by two matrix-vector products."""
+    if stack.shape[1:] != (state.dim, state.dim):
+        raise ValueError(f"observable shape {stack.shape[1:]} does not match state dimension {state.dim}")
+    a = state.amplitudes
+    vals = (stack.reshape(-1, state.dim) @ a).reshape(len(stack), state.dim) @ a.conj()
+    worst = vals.imag[np.argmax(np.abs(vals.imag))]
+    if abs(worst) >= EXPECTATION_IMAG_TOL:
+        raise ValueError(f"expectation value has imaginary residue {worst:.3e}; observable not Hermitian enough")
+    return vals.real
 
 
 def expectation(state: QuantumState, observable) -> float:
     """Real expectation value <psi|O|psi>; rejects a large imaginary residue."""
-    o = np.asarray(observable)
-    if o.ndim != 2 or o.shape != (state.dim, state.dim):
-        raise ValueError(f"observable shape {o.shape} does not match state dimension {state.dim}")
-    val = complex(np.vdot(state.amplitudes, o @ state.amplitudes))
-    if abs(val.imag) >= EXPECTATION_IMAG_TOL:
-        raise ValueError(f"expectation value has imaginary residue {val.imag:.3e}; observable not Hermitian enough")
-    return float(val.real)
+    return float(_expectations(np.asarray(observable)[None], state)[0])
 
 
 def phi_map(state: QuantumState, observables: ObservableSet) -> np.ndarray:
     """Point in R^m whose i-th coordinate is the i-th observable expectation."""
-    return np.array([expectation(state, o) for o in observables.matrices])
+    return _expectations(observables.matrices, state)
 
 
 def build_cloud(lambdas, model: SSHChain, observables: ObservableSet,

@@ -3,10 +3,12 @@
 Everything here is deliberately independent of the library code paths it is
 used to check: closed-form eigenpairs, union-find component counting,
 brute-force GF(2) ranks and brute-force bottleneck matchings.  The exceptions
-are ``assert_matches_dense``, which checks the Schur Laplacian and the
-closed-form Dirac spectrum against the dense assembled operator that
-``topophase.dirac`` keeps as their reference, ``facet_indices``, the
-vertex-key facet lookup that the clique loop's facets are checked against,
+are ``vdot_cloud``, the per-observable expectation loop that the stack
+contraction in ``topophase.statecloud`` replaced, ``assert_matches_dense``,
+which checks the Schur Laplacian and the closed-form Dirac spectrum against
+the dense assembled operator that ``topophase.dirac`` keeps as their
+reference, ``facet_indices``, the vertex-key facet lookup that the clique
+loop's facets are checked against,
 ``window_filtrations``, every sliding window's complex from the sweep's
 band unions, ``homology_reduce``, the boundary-matrix
 reduction that the cohomology reduction in ``topophase.persistence``
@@ -111,6 +113,23 @@ def ssh4_cloud_angle(lam):
 def ssh4_cloud_chord(lam1, lam2):
     du = abs(ssh4_cloud_angle(lam1) - ssh4_cloud_angle(lam2))
     return float(np.sqrt(2.0) * np.sin(du / 2.0))
+
+
+def vdot_cloud(lambdas, model, matrices, unitary=None):
+    """Cloud points as one ``np.vdot(a, o @ a)`` per observable on ``ground_state`` amplitudes.
+
+    With ``unitary`` U each state is U a and each observable U O U^dagger,
+    conjugated one matrix at a time.
+    """
+    rows = []
+    for lam in lambdas:
+        a = tp.ground_state(model.hamiltonian(lam)).amplitudes
+        mats = matrices
+        if unitary is not None:
+            a = unitary @ a
+            mats = [unitary @ o @ unitary.conj().T for o in matrices]
+        rows.append([complex(np.vdot(a, o @ a)).real for o in mats])
+    return np.array(rows)
 
 
 def gf2_matrix_rank(rows):

@@ -47,6 +47,14 @@ class TestRestrictedBoundary:
         assert rb.domain_dim == 2
         assert np.linalg.matrix_rank(rb.matrix, tol=1e-10) == 1
 
+    def test_integral_float_degree(self):
+        fc = square_complex()
+        for k_plus_1 in (2.0, np.int64(2)):
+            assert np.array_equal(dirac.restricted_boundary(fc, k_plus_1, 0.6, 0.75).matrix,
+                                  dirac.restricted_boundary(fc, 2, 0.6, 0.75).matrix)
+        with pytest.raises(ValueError, match="degree k = 0.5"):
+            dirac.restricted_boundary(fc, 1.5, 0.6, 0.75)
+
     def test_domain_basis_orthonormal(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
@@ -190,6 +198,15 @@ class TestDiracOperator:
     def test_scale_order_enforced(self):
         with pytest.raises(ValueError):
             dirac.dirac_operator(square_complex(), 1, 0.8, 0.2)
+
+    def test_integral_float_degree(self):
+        fc = square_complex()
+        expected = dirac.dirac_operator(fc, 1, 0.55, 0.75, xi=0.3).matrix
+        for k in (1.0, np.int64(1)):
+            op = dirac.dirac_operator(fc, k, 0.55, 0.75, xi=0.3)
+            assert op.k == 1 and np.array_equal(op.matrix, expected)
+        with pytest.raises(ValueError, match="degree k = 1.5"):
+            dirac.dirac_operator(fc, 1.5, 0.55, 0.75)
 
 
 class TestDiracSpectrum:

@@ -9,6 +9,7 @@ from helpers import (
     ssh4_cloud_chord,
     ssh4_expectations_closed_form,
     ssh4_ground_closed_form,
+    vdot_cloud,
 )
 
 
@@ -150,6 +151,79 @@ class TestObservables:
         owned[0, 0] = 5.0
         assert obs.matrices[0][0, 0] == obs.matrices[1][0, 0] == 1.0
 
+    @pytest.mark.parametrize("as_generator", [False, True])
+    def test_empty_set_refused(self, as_generator):
+        matrices = (m for m in ()) if as_generator else ()
+        with pytest.raises(ValueError, match="observable set is empty"):
+            tp.ObservableSet(matrices, ())
+
+    @pytest.mark.parametrize("as_generator", [False, True])
+    @pytest.mark.parametrize("n_matrices, labels", [(2, ("a", "b", "c")), (3, ("a", "b")), (1, ())])
+    def test_length_mismatch_refused(self, as_generator, n_matrices, labels):
+        matrices = tuple(np.eye(2) for _ in range(n_matrices))
+        if as_generator:
+            matrices = (m for m in matrices)
+        with pytest.raises(ValueError, match="labels and matrices differ in length"):
+            tp.ObservableSet(matrices, labels)
+
+    @pytest.mark.parametrize("bad, shape", [(np.ones((2, 3)), r"\(2, 3\)"), (np.eye(3), r"\(3, 3\)"),
+                                            (np.ones(2), r"\(2,\)")])
+    def test_wrong_shape_named(self, bad, shape):
+        with pytest.raises(ValueError, match=rf"observable 'b' has shape {shape}, expected \(2, 2\)"):
+            tp.ObservableSet((np.eye(2), bad, np.eye(2)), ("a", "b", "c"))
+
+    def test_non_hermitian_named(self):
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="observable 'b' is not Hermitian"):
+            tp.ObservableSet((np.eye(2), skew, np.eye(2)), ("a", "b", "c"))
+
+    def test_stack_input_copied(self):
+        stack = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0]), np.ones((3, 3))])
+        obs = tp.ObservableSet(stack, ("a", "b", "c"))
+        assert obs.matrices.shape == (3, 3, 3) and obs.matrices.dtype == complex
+        assert np.array_equal(obs.matrices, stack) and not np.shares_memory(obs.matrices, stack)
+        assert not obs.matrices.flags.writeable
+        assert (len(obs), obs.dim) == (3, 3)
+
+    def test_generator_peaks_at_its_stack(self):
+        # 120 complex 80 x 80 matrices are 12.3 MB; a set that listed its inputs first would hold twice that
+        n, m = 80, 120
+        stack = m * n * n * 16
+        tracemalloc.start()
+        try:
+            obs = tp.ObservableSet((np.eye(n, dtype=complex) * i for i in range(m)), range(m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * stack
+        assert all(np.array_equal(o, np.eye(n) * i) for i, o in enumerate(obs.matrices))
+
+    def test_oversized_stack_refused_before_allocating(self):
+        # 1000 labels of 200 x 200 complex matrices need 610 MB; the first matrix fixes n
+        read = []
+
+        def matrices():
+            for i in range(1000):
+                read.append(i)
+                yield np.eye(200)
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dense 200000x200 stack of observables"):
+                tp.ObservableSet(matrices(), [str(i) for i in range(1000)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read == [0] and peak < 2 ** 20
+
+    def test_conjugated_is_each_matrix_conjugated(self):
+        obs = tp.ssh_observables(6)
+        u = tp.haar_unitary(6, 3)
+        conj = obs.conjugated(u)
+        assert conj.labels == obs.labels and not conj.matrices.flags.writeable
+        for o, c in zip(obs.matrices, conj.matrices):
+            assert np.max(np.abs(c - u @ o @ u.conj().T)) <= 1e-12
+
     def test_largest_set_within_budget(self, monkeypatch):
         class Checked(Exception):
             pass
@@ -254,6 +328,17 @@ class TestBuildCloud:
             tp.build_cloud([0.2, 0.1], tp.SSHChain(4), tp.ssh_observables(4))
         with pytest.raises(ValueError):
             tp.build_cloud([], tp.SSHChain(4), tp.ssh_observables(4))
+
+    @pytest.mark.parametrize("n_sites", [2, 4, 20])
+    def test_matches_per_observable_vdot(self, n_sites):
+        # the 96-lambda grid of the window-sweep benchmark
+        lams = tp.ScanConfig(lambda_min=-0.95, lambda_max=0.95, step=0.02).lambdas()
+        model, obs = tp.SSHChain(n_sites), tp.ssh_observables(n_sites)
+        cloud = tp.build_cloud(lams, model, obs)
+        assert np.array_equal(cloud.points, vdot_cloud(lams, model, obs.matrices))
+        u = tp.haar_unitary(n_sites, 11)
+        rotated = tp.build_cloud(lams, model, obs.conjugated(u), unitary=u)
+        assert np.max(np.abs(rotated.points - vdot_cloud(lams, model, obs.matrices, unitary=u))) <= 1e-12
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_rejected(self, bad):
