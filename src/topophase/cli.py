@@ -16,7 +16,7 @@ import tempfile
 from . import dirac as _dirac
 from . import persistence as _persistence
 from . import phase as _phase
-from .simplicial import vr_filtration
+from .simplicial import _check_probe, vr_filtration
 from .statecloud import DegenerateGroundStateError, cloud_csv_text, cloud_from_csv
 
 EXIT_OK = 0
@@ -158,11 +158,7 @@ def cmd_barcode(args) -> int:
 
 
 def cmd_dirac(args) -> int:
-    if not 0.0 <= args.eps <= args.eps2:
-        print(f"error: need 0 <= --eps ({args.eps}) <= --eps2 ({args.eps2})", file=sys.stderr)
-        return EXIT_USAGE
-    if args.k < 0:
-        raise ValueError(f"--k must be >= 0, got {args.k}")
+    _check_probe(args.k + 1, args.k, args.eps, args.eps2)
     cloud = cloud_from_csv(args.cloud)
     # the spectrum reads only dimensions k - 1, k and k + 1, born by eps2
     filtration = vr_filtration(cloud, eps_max=args.eps2, max_dim=args.k + 1)

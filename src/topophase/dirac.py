@@ -5,7 +5,8 @@ scale pair (eps, eps') is L_k = d_k^T d_k + M M^T, where d_k is the boundary
 operator at scale eps and M is the boundary of (k+1)-chains at eps' restricted
 to those whose boundary lies in the scale-eps complex; its kernel dimension is
 the persistent Betti number.  L_k reads the (k+1)-simplices, so every entry
-point refuses k outside 0 <= k < max_dim (``simplicial._check_degree``).
+point refuses k outside 0 <= k < max_dim, and scales outside
+0 <= eps <= eps' (``simplicial._check_probe``).
 
 Two identities keep that computation small:
 
@@ -35,13 +36,15 @@ matrices from ``boundary_dense_at``, which is defined for every k >= 0, so
 neither treats k = 0 apart; with ``spectrum`` they are the independent
 reference the tests check the Schur and closed-form paths against.
 
-A sweep that keeps no spectra needs only the kernel dimension.  When the
-barcode says it is 0, ``_kernel_count`` first tries to prove that without a
-spectrum.  Let c be ``RANK_TOL`` times the largest absolute row sum of L_k
-(or 1 if larger), a Gershgorin bound at or above the kernel cutoff.  Every
-eigenvalue exceeds ``CERTIFICATE_MARGIN`` * c if the Gershgorin discs of
-L_k all lie above that floor.  If they do not, it counts eigenvalues as
-``dirac_spectrum`` does, so a disagreement with the barcode still shows.
+A sweep that keeps no spectra needs only the kernel dimension of
+``persistent_laplacian``.  When the barcode says it is 0,
+``_certified_kernel_dim`` first tries to prove that without a spectrum.  Let
+c be ``RANK_TOL`` times the largest absolute row sum of L_k (or 1 if
+larger), a Gershgorin bound at or above the kernel cutoff.  Every eigenvalue
+exceeds ``CERTIFICATE_MARGIN`` * c if the Gershgorin discs of L_k all lie
+above that floor.  If they do not, ``betti_from_laplacian`` counts
+eigenvalues as ``dirac_spectrum`` does, so a disagreement with the barcode
+still shows.
 
 Tolerances are module constants: ``NULLSPACE_TOL`` is the relative cutoff
 for the rank of R2 (on its singular values in ``restricted_boundary``, on
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplicial import FilteredComplex, _check_degree, _check_dense, boundary_dense_at, boundary_matrix
+from .simplicial import FilteredComplex, _check_dense, _check_probe, boundary_dense_at, boundary_matrix
 
 NULLSPACE_TOL = 1e-10
 RANK_TOL = 1e-9
@@ -112,9 +115,7 @@ def restricted_boundary(complex_: FilteredComplex, k_plus_1: int, eps: float,
     of K_eps (R1) and the rest (R2); the domain basis spans null(R2) and the
     returned matrix is R1 composed with that basis; 1 <= k_plus_1 <= max_dim.
     """
-    if not eps <= eps_prime:
-        raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
-    k = _check_degree(complex_, k_plus_1 - 1)
+    k, eps, eps_prime = _check_probe(complex_.max_dim, k_plus_1 - 1, eps, eps_prime)
     k_plus_1 = k + 1
     n_rows_eps = complex_.count_at(k, eps)
     full = boundary_dense_at(complex_, k_plus_1, eps_prime)
@@ -130,8 +131,8 @@ def restricted_boundary(complex_: FilteredComplex, k_plus_1: int, eps: float,
         basis = vh[int(np.sum(svals > NULLSPACE_TOL * svals[0])):].conj().T
     return PersistentBoundary(
         k=k_plus_1,
-        eps=float(eps),
-        eps_prime=float(eps_prime),
+        eps=eps,
+        eps_prime=eps_prime,
         matrix=r1 @ basis,
         domain_basis=basis,
     )
@@ -143,13 +144,11 @@ def _schur_laplacian(complex_: FilteredComplex, k: int, eps: float, eps_prime: f
     d is the restricted-domain dimension, so p is the order of the Dirac
     operator's block on C_{k-1} (+) the restricted (k+1)-domain.
 
-    Raises ``ValueError`` unless 0 <= k < max_dim and eps <= eps', or before
-    allocating if U, the Laplacian or the down boundary would exceed
+    Raises ``ValueError`` unless 0 <= k < max_dim and 0 <= eps <= eps', or
+    before allocating if U, the Laplacian or the down boundary would exceed
     ``DENSE_LIMIT_BYTES``.
     """
-    k = _check_degree(complex_, k)
-    if not eps <= eps_prime:
-        raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
+    k, eps, eps_prime = _check_probe(complex_.max_dim, k, eps, eps_prime)
     n_k = complex_.count_at(k, eps)
     n_up = complex_.count_at(k, eps_prime)
     n_down = complex_.count_at(k - 1, eps)
@@ -190,9 +189,7 @@ def dirac_operator(complex_: FilteredComplex, k: int, eps: float, eps_prime: flo
     (k+1)-boundary; the xi term subtracts xi * diag(P_{k-1}, -P_k, P_{k+1})
     acting as identities on the three strata.
     """
-    if not eps <= eps_prime:
-        raise ValueError(f"eps ({eps}) must be <= eps_prime ({eps_prime})")
-    k = _check_degree(complex_, k)
+    k, eps, eps_prime = _check_probe(complex_.max_dim, k, eps, eps_prime)
     down = boundary_dense_at(complex_, k, eps)
     n1, n2 = down.shape
     up = restricted_boundary(complex_, k + 1, eps, eps_prime)
@@ -207,8 +204,8 @@ def dirac_operator(complex_: FilteredComplex, k: int, eps: float, eps_prime: flo
     mat[np.diag_indices(size)] += shift
     return DiracOperator(
         k=k,
-        eps=float(eps),
-        eps_prime=float(eps_prime),
+        eps=eps,
+        eps_prime=eps_prime,
         xi=float(xi),
         matrix=mat,
         block_dims=(n1, n2, d),
@@ -253,23 +250,13 @@ def spectrum(matrix) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def _kernel_count(complex_: FilteredComplex, k: int, eps: float, eps_prime: float, betti: int) -> int:
-    """Kernel dimension of L_k for the (eps, eps') pair, as ``dirac_spectrum`` counts it.
-
-    ``betti`` is the barcode's count for the same probe; when it is 0 the
-    count may come from a certificate instead of a spectrum (see
-    ``_certified_kernel_dim``).
-    """
-    return _certified_kernel_dim(_schur_laplacian(complex_, k, eps, eps_prime)[0], betti)
-
-
 def _certified_kernel_dim(lap: np.ndarray, betti: int) -> int:
-    """``_kernel_dim(eigvalsh(lap))``, skipping the spectrum when a certificate proves the kernel empty.
+    """``betti_from_laplacian(lap)``, skipping the spectrum when a certificate proves the kernel empty.
 
     The certificate is tried only when ``betti`` is 0.  Let c = ``RANK_TOL``
     * max(1, r) with r the largest absolute row sum of ``lap``: r bounds the
     top eigenvalue (Gershgorin), so c is at least the cutoff of
-    ``_kernel_dim``.  The kernel is empty, with every eigenvalue above
+    ``betti_from_laplacian``.  The kernel is empty, with every eigenvalue above
     ``CERTIFICATE_MARGIN`` * c, if the Gershgorin discs lie above that
     floor.  If they do not, the eigenvalues decide, so a kernel the barcode
     missed is still counted.
@@ -279,7 +266,7 @@ def _certified_kernel_dim(lap: np.ndarray, betti: int) -> int:
         floor = CERTIFICATE_MARGIN * RANK_TOL * max(1.0, float(row_sums.max()))
         if float((2.0 * lap.diagonal() - row_sums).min()) > floor:
             return 0
-    return _kernel_dim(np.linalg.eigvalsh(lap))
+    return betti_from_laplacian(lap)
 
 
 def _kernel_dim(evals: np.ndarray) -> int:

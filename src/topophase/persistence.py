@@ -6,7 +6,9 @@ exact bottleneck distance between diagrams.
 
 Degrees: as in Ripser (Bauer, 2021), ``reduce`` reports degrees 0 ..
 max_dim - 1, each read from the next dimension, and refuses ``max_dim`` < 1;
-diagram readers take whatever degrees a diagram holds.
+diagram readers take whatever degrees a diagram holds.  Both Betti detectors
+refuse scales outside 0 <= eps1 <= eps2, ``betti_oracle`` also a degree
+outside 0 <= k < max_dim (``simplicial._check_probe``).
 
 Reduction: for k = 0 .. max_dim - 1 the coboundary columns of the
 k-simplices are reduced last simplex first; a column's pivot is its earliest
@@ -98,7 +100,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplicial import FilteredComplex, _check_degree, _check_dense, _WindowUnion, boundary_matrix
+from .simplicial import FilteredComplex, _check_dense, _check_probe, _check_scales, _WindowUnion, boundary_matrix
 
 INF = math.inf
 
@@ -293,8 +295,7 @@ def reduce(complex_: FilteredComplex) -> PersistenceDiagram:
 
 def persistent_betti(diagram: PersistenceDiagram, k: int, eps1: float, eps2: float) -> int:
     """Bars of degree k spanning [eps1, eps2]: birth <= eps1 and death > eps2."""
-    if not eps1 <= eps2:
-        raise ValueError(f"eps1 ({eps1}) must be <= eps2 ({eps2})")
+    eps1, eps2 = _check_scales(eps1, eps2)
     births, deaths = diagram._in_dim(k)
     return int(np.count_nonzero((births <= eps1) & (deaths > eps2)))
 
@@ -350,11 +351,10 @@ def betti_oracle(complex_: FilteredComplex, k: int, eps1: float, eps2: float) ->
     With n1 the k-simplices born by eps1 and R2 the rows of the (k+1)-boundary
     at eps2 on the later k-simplices, beta = n1 - rank d_k(eps1)
     - rank d_{k+1}(eps2) + rank R2 (see the module docstring).  Raises
-    ``ValueError`` for k outside [0, max_dim) or rows above ``DENSE_LIMIT_BYTES``.
+    ``ValueError`` for k outside [0, max_dim), scales outside
+    0 <= eps1 <= eps2 or rows above ``DENSE_LIMIT_BYTES``.
     """
-    k = _check_degree(complex_, k)
-    if not eps1 <= eps2:
-        raise ValueError(f"eps1 ({eps1}) must be <= eps2 ({eps2})")
+    k, eps1, eps2 = _check_probe(complex_.max_dim, k, eps1, eps2)
     n1 = complex_.count_at(k, eps1)
     rows = _z2_rows(complex_, k + 1, eps2)
     pivots: dict = {}

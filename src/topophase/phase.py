@@ -13,9 +13,10 @@ complex however many lambdas it has.  Each union is reduced once
 (``persistence._bars``); every window's persistent Betti numbers for a probe
 are one ``bincount`` of the bars' windows, and a kept diagram is its
 window's share of the bars.  A global sweep is the union of one complex.
-Kernels are counted per window.  When spectra are not kept, a kernel the
-barcode says is empty is settled by a certificate (``dirac._kernel_count``)
-rather than an eigensolve; the reports are the same either way.
+Kernels are counted per window, from ``dirac.persistent_laplacian``.  When
+spectra are not kept, a kernel the barcode says is empty is settled by a
+certificate (``dirac._certified_kernel_dim``) rather than an eigensolve; the
+reports are the same either way.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import dirac as _dirac
 from . import persistence as _persistence
-from .simplicial import _check_dense, _window_unions, _WindowUnion, vr_filtration
+from .simplicial import _check_dense, _check_probe, _window_unions, _WindowUnion, vr_filtration
 from .statecloud import (
     DEFAULT_GAP_TOL,
     SSHChain,
@@ -52,7 +53,8 @@ def probe_key(k: int, eps1: float, eps2: float) -> str:
 class ScanConfig:
     """Sweep definition: model, lambda grid, windowing, and probe intervals.
 
-    A probe (k, eps1, eps2) needs an integer degree 0 <= k < ``max_dim``.
+    A probe (k, eps1, eps2) needs an integer degree 0 <= k < ``max_dim`` and
+    scales 0 <= eps1 <= eps2 (``simplicial._check_probe``).
     ``jobs`` is validated (>= 1) and kept for compatibility; sweeps run
     serially whatever its value.
     """
@@ -94,18 +96,13 @@ class ScanConfig:
             raise ValueError("window_halfwidth must be >= 0")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        intervals = tuple((k, float(e1), float(e2)) for k, e1, e2 in self.intervals)
+        try:
+            intervals = tuple(_check_probe(self.max_dim, k, e1, e2) for k, e1, e2 in self.intervals)
+        except ValueError as err:
+            raise ValueError(f"intervals: {err}") from None
         if not intervals:
             raise ValueError("at least one probe interval is required")
-        for k, e1, e2 in intervals:
-            if not (float(k).is_integer() and 0 <= k < self.max_dim):
-                raise ValueError(f"intervals: probe degree must be an integer 0 <= k < max_dim "
-                                 f"({self.max_dim}), got ({k}, {e1}, {e2})")
-            if not (e1 >= 0.0 and e2 >= 0.0):  # also refuses NaN
-                raise ValueError(f"intervals: probe scales must be >= 0, got ({k}, {e1}, {e2})")
-            if e1 > e2:
-                raise ValueError(f"probe interval has eps1 > eps2: ({k}, {e1}, {e2})")
-        object.__setattr__(self, "intervals", tuple((int(k), e1, e2) for k, e1, e2 in intervals))
+        object.__setattr__(self, "intervals", intervals)
 
     def _n_steps(self) -> int:
         span = self.lambda_max - self.lambda_min
@@ -166,7 +163,8 @@ def _probe_union(union, config: ScanConfig) -> list:
             key = probe_key(k, e1, e2)
             betti[key] = count[w]
             if spectra is None:
-                kernels[key] = _dirac._kernel_count(filtration, k, e1, e2, betti[key])
+                lap = _dirac.persistent_laplacian(filtration, k, e1, e2)
+                kernels[key] = _dirac._certified_kernel_dim(lap, betti[key])
             else:
                 evals, kernels[key] = _dirac.dirac_spectrum(filtration, k, e1, e2, xi=config.xi)
                 spectra[key] = [float(x) for x in evals]

@@ -8,10 +8,10 @@ Array-backed complex: a ``FilteredComplex`` stores, per dimension k, one
 (n_k, k+1) vertex array and one births array, each ordered by (birth,
 vertices).  ``vr_filtration`` fills them one dimension at a time: the
 (k+1)-simplices are the nonzero entries of the AND, over a k-simplex's
-vertices, of their upper-triangular adjacency to the vertices after its
-first one.  These arrays are the only form of the complex: reduction, the
-rank oracle and the spectral layer read them, and ``len(complex_)`` counts
-all dimensions together.
+vertices, of their rows of the strictly upper-triangular adjacency.  These
+arrays are the only form of the complex: reduction, the rank oracle and the
+spectral layer read them, and ``len(complex_)`` counts all dimensions
+together.
 
 Generation order: as in Ripser (Bauer, 2021), each dimension is generated in
 lexicographic order and never sorted by vertices.  The k-simplices are kept
@@ -35,8 +35,9 @@ Window sweeps: the complex of a window [lo, hi) of consecutive points at its
 default ``eps_max`` is the full simplex on those points, so every window is
 an induced subcomplex of one banded complex, the simplices whose vertex
 indices span at most the window width.  ``_window_unions`` builds that band
-once per block of windows with the same clique loop as ``vr_filtration``
-(its candidate array n_k x 2h instead of n_k x n) and cuts out the disjoint
+once per block of windows with the same clique loop as ``vr_filtration``,
+as the clique complex of the band graph (an edge between points at most
+the window width apart, whatever their distance), and cuts out the disjoint
 union of the block's windows: per dimension, one (windows, band rows) mask
 lists the union's rows window-major, shifts their vertices by each window's
 lo and renumbers their facets by one prefix sum of the lower dimension's
@@ -58,8 +59,11 @@ matrix).
 
 Degrees: a complex built to ``max_dim`` has no (max_dim + 1)-simplices, so
 no degree-``max_dim`` cycle ever bounds.  As in Ripser (Bauer, 2021), degree
-k is answered only for 0 <= k < ``max_dim``, from the (k+1)-skeleton;
-``_check_degree`` refuses any other k for every consumer of a complex.
+k is answered only for 0 <= k < ``max_dim``, from the (k+1)-skeleton.  A
+probe (k, eps1, eps2) also needs scales 0 <= eps1 <= eps2.  ``_check_probe``
+is that rule for every consumer of a complex and for ``ScanConfig``;
+``_check_scales``, its scale half, serves the diagram readers, which take
+whatever degrees a diagram holds.
 """
 
 from __future__ import annotations
@@ -69,7 +73,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 DENSE_LIMIT_BYTES = 2 ** 28  # largest dense array vr_filtration or the spectral layer will allocate
 _UNION_SHARE = 16  # a union of window complexes takes at most DENSE_LIMIT_BYTES // _UNION_SHARE
@@ -83,12 +86,25 @@ def _check_dense(n_rows: int, n_cols: int, what: str = "matrix", itemsize: int =
                          f"exceeds the {DENSE_LIMIT_BYTES // 2 ** 20} MB limit")
 
 
-def _check_degree(complex_: FilteredComplex, k: int) -> int:
-    """Degree k as an int; refuses all but an integer 0 <= k < ``complex_.max_dim``."""
-    if not (float(k).is_integer() and 0 <= k < complex_.max_dim):
-        raise ValueError(f"degree k = {k} needs 0 <= k < max_dim, and the complex has max_dim "
-                         f"{complex_.max_dim}: degree k is an integer and reads the (k+1)-simplices")
-    return int(k)
+def _check_scales(eps1: float, eps2: float) -> tuple:
+    """Probe scales as floats; refuses all but 0 <= eps1 <= eps2 (so NaN too)."""
+    eps1, eps2 = float(eps1), float(eps2)
+    if not 0.0 <= eps1 <= eps2:
+        raise ValueError(f"probe scales must satisfy 0 <= eps1 <= eps2, got ({eps1}, {eps2})")
+    return eps1, eps2
+
+
+def _check_probe(max_dim: int, k: int, eps1: float, eps2: float) -> tuple:
+    """A probe (k, eps1, eps2) on a complex built to ``max_dim``, as (int, float, float).
+
+    Refuses scales outside 0 <= eps1 <= eps2 (``_check_scales``) and all but
+    an integer degree 0 <= k < ``max_dim``: degree k reads the (k+1)-simplices.
+    """
+    eps1, eps2 = _check_scales(eps1, eps2)
+    if not (float(k).is_integer() and 0 <= k < max_dim):
+        raise ValueError(f"probe degree must be an integer 0 <= k < max_dim ({max_dim}), "
+                         f"got ({k}, {eps1}, {eps2}): degree k reads the (k+1)-simplices")
+    return int(k), eps1, eps2
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -174,36 +190,29 @@ def _distances(pts: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _cliques(dist: np.ndarray, adjacency: np.ndarray, max_dim: int, span: int) -> tuple:
+def _cliques(dist: np.ndarray, adjacency: np.ndarray, max_dim: int) -> tuple:
     """Vertex, births and facet arrays, per dimension, of the clique complex of ``adjacency``.
 
-    ``adjacency`` is the strictly upper-triangular edge mask.  Only simplices
-    whose vertex indices span at most ``span`` are built (all of them when
-    ``span`` >= n - 1): a k-simplex's candidates are the ``span`` vertices
-    after its first one, an (n_k, span) array, kept where adjacent to every
-    vertex of the simplex (so above its last one).  Each dimension is built
+    ``adjacency`` is the strictly upper-triangular edge mask.  A k-simplex's
+    candidates, an (n_k, n) array, are the vertices adjacent to every vertex
+    of the simplex, so above its last one.  Each dimension is built
     in lexicographic order and put in (birth, vertices) order by one stable
     sort of its birth levels, and its facet arrays come from the same loop
     (see the module docstring).  The dimensions above an empty one are empty
     too, and get the loop's empty arrays without a pass each.
     """
     n = len(dist)
-    padded = np.zeros((n, n + span), dtype=bool)
-    padded[:, :n] = adjacency
-    ahead = sliding_window_view(padded, span, axis=1)  # ahead[v, s] is padded[v, s:s + span]
     lex = [np.arange(n, dtype=np.intp)]  # vertex columns of the current dimension, lexicographic
     rank = lex[0]  # filtration index of each lexicographic row
     verts, births, facets = [lex[0][:, None]], [np.zeros(n)], [None]
     for k in range(max_dim):
-        _check_dense(len(lex[0]), span, f"array of {k + 1}-simplex candidates", itemsize=1)
-        start = lex[0] + 1
-        common = ahead[lex[0], start]
+        _check_dense(len(lex[0]), n, f"array of {k + 1}-simplex candidates", itemsize=1)
+        common = adjacency[lex[0]]
         for col in lex[1:]:
-            common &= ahead[col, start]
+            common &= adjacency[col]
         _check_dense(np.count_nonzero(common), k + 2, f"array of {k + 1}-simplex vertices")
-        rows, top = np.divmod(np.flatnonzero(common), span)  # by parent, then by top vertex
+        rows, top = np.divmod(np.flatnonzero(common), n)  # by parent, then by top vertex
         del common
-        top += np.take(start, rows)
         # lex_facets[i]: lexicographic index of the facet without vertex i, the last one the parent
         if k == 0:  # values: the distinct edge births; level: a birth as an index into values
             values, level = np.unique(dist[rows, top] / 2.0, return_inverse=True)
@@ -260,7 +269,7 @@ def vr_filtration(cloud, eps_max: float | None = None, max_dim: int = 2) -> Filt
     elif not eps_max >= 0:
         raise ValueError("eps_max must be >= 0")
     adjacency = np.triu(dist <= 2.0 * eps_max, k=1)
-    verts, births, facets = _cliques(dist, adjacency, max_dim, n)
+    verts, births, facets = _cliques(dist, adjacency, max_dim)
     return FilteredComplex(tuple(verts), tuple(births), n, dist, float(eps_max),
                            _facets=tuple(facets))
 
@@ -310,8 +319,8 @@ def _window_unions(cloud, halfwidth: int, max_dim: int):
         base, end = max(0, first - halfwidth), min(n, first + block + halfwidth)
         m = end - base
         dist = _distances(pts[base:end])
-        verts, births, facets = _cliques(dist, np.triu(np.ones((m, m), dtype=bool), k=1),
-                                         max_dim, min(2 * halfwidth, m - 1))
+        band = np.triu(np.tril(np.ones((m, m), dtype=bool), 2 * halfwidth), 1)
+        verts, births, facets = _cliques(dist, band, max_dim)
         centres = np.arange(first, min(n, first + block))
         lo = np.maximum(centres - halfwidth, 0) - base
         hi = np.minimum(centres + halfwidth + 1, n) - base

@@ -68,7 +68,7 @@ class QuantumState:
         if amp.ndim != 1 or amp.size == 0:
             raise ValueError("amplitudes must be a non-empty vector")
         norm_sq = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm_sq - 1.0) > 1e-12:
+        if not abs(norm_sq - 1.0) <= 1e-12:  # also refuses a NaN norm
             raise ValueError(f"state not normalized: sum |a_i|^2 = {norm_sq!r}")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)

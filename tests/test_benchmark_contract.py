@@ -4,10 +4,11 @@
 their module attributes, counts bars with ``len(d.bars)`` and builds its
 window sweep with ``ScanConfig(jobs=1)``.  The benchmark's files change only
 together with a new baseline, so the dense Dirac reference it still traces
-(``restricted_boundary``, ``dirac_operator``, ``spectrum``,
-``persistent_laplacian``, ``betti_from_laplacian``) and ``ScanConfig.jobs``
-stay in the library until then.  These tests fail when the library drops a
-name the benchmark needs; they do not run the benchmark.
+(``restricted_boundary``, ``dirac_operator``, ``spectrum``) and
+``ScanConfig.jobs`` stay in the library until then.  These tests fail when
+the library drops a name the benchmark needs, or when a window sweep stops
+calling ``persistent_laplacian`` and ``betti_from_laplacian``; they run one
+traced pass of one workload, not the benchmark.
 """
 
 import argparse
@@ -29,6 +30,13 @@ def workloads(monkeypatch):
     return importlib.import_module("workloads")
 
 
+@pytest.fixture
+def lib():
+    """The modules the benchmark hands its workloads."""
+    return argparse.Namespace(cli=cli, dirac=dirac, persistence=persistence, phase=phase,
+                              simplicial=simplicial, statecloud=statecloud)
+
+
 def test_trace_sites_resolve_to_callables(workloads):
     for module, attr in workloads.TRACE_SITES:
         target = getattr(importlib.import_module(f"topophase.{module}"), attr, None)
@@ -41,9 +49,22 @@ def test_bar_counter_counts_every_bar(workloads):
     assert workloads.COUNTERS["persistence.reduce"](diagram) == {"persistence.bars": len(diagram.dims)}
 
 
-def test_every_workload_sets_up(workloads, tmp_path):
+def test_every_workload_sets_up(workloads, lib, tmp_path):
     # WindowSweep constructs ScanConfig(..., jobs=1); SpectralCircle writes its cloud CSV
-    lib = argparse.Namespace(cli=cli, dirac=dirac, persistence=persistence, phase=phase,
-                             simplicial=simplicial, statecloud=statecloud)
     set_up = {name: workload(lib, np, 0, tmp_path) for name, workload in workloads.WORKLOADS.items()}
     assert set_up["window_sweep"].config.jobs == 1
+
+
+def test_window_sweep_traces_the_laplacian_sites(workloads, lib, tmp_path):
+    # each of the 96 windows counts both probes' kernels from persistent_laplacian;
+    # the certificate settles the k = 1 probe (bars 0), and the k = 0 probe
+    # (bars 1) falls back to betti_from_laplacian
+    sweep = workloads.WindowSweep(lib, np, 0, tmp_path)
+    tracer = workloads.Tracer(workloads.COUNTERS)
+    modules = vars(lib)
+    with tracer.traced_pass([(modules[m], attr) for m, attr in workloads.TRACE_SITES]):
+        sweep.run()
+    layers = tracer.layer_totals()[0]
+    assert layers["dirac.persistent_laplacian"]["calls"] == 192
+    assert layers["dirac.betti_from_laplacian"]["calls"] == 96
+    assert tracer.counts[0]["dirac.laplacian_order"] == 13632

@@ -341,11 +341,12 @@ class TestDirac:
         assert "kernel dimension: 1" in capsys.readouterr().out
 
     @pytest.mark.parametrize("eps, eps2", [(-0.1, 0.5), (0.1, float("nan"))])
-    def test_negative_or_nan_scale_exits_2(self, square_csv, tmp_path, eps, eps2):
+    def test_negative_or_nan_scale_exits_2(self, square_csv, tmp_path, capsys, eps, eps2):
         out = tmp_path / "s.json"
         rc = main(["dirac", "--cloud", square_csv, "--k", "1", "--eps", str(eps),
                    "--eps2", str(eps2), "--out", str(out)])
         assert rc == 2
+        assert f"0 <= eps1 <= eps2, got ({eps}, {eps2})" in capsys.readouterr().err
         assert not out.exists()
 
     def test_truncated_filtration_matches_full(self, tmp_path, capsys):
@@ -383,7 +384,7 @@ class TestDirac:
         rc = main(["dirac", "--cloud", square_csv, "--k", k, "--eps", "0.55", "--eps2", "0.75",
                    "--out", str(out)])
         assert rc == 2
-        assert f"--k must be >= 0, got {k}" in capsys.readouterr().err
+        assert f"0 <= k < max_dim ({int(k) + 1}), got ({k}, 0.55, 0.75)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_max_dim_flag_rejected(self, square_csv, tmp_path, capsys):

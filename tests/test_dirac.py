@@ -8,9 +8,7 @@ from topophase.dirac import (
     CERTIFICATE_MARGIN,
     RANK_TOL,
     _certified_kernel_dim,
-    _kernel_count,
     _kernel_dim,
-    _schur_laplacian,
 )
 from topophase.simplicial import DENSE_LIMIT_BYTES, boundary_dense_at
 
@@ -52,7 +50,7 @@ class TestRestrictedBoundary:
         for k_plus_1 in (2.0, np.int64(2)):
             assert np.array_equal(dirac.restricted_boundary(fc, k_plus_1, 0.6, 0.75).matrix,
                                   dirac.restricted_boundary(fc, 2, 0.6, 0.75).matrix)
-        with pytest.raises(ValueError, match="degree k = 0.5"):
+        with pytest.raises(ValueError, match=r"0 <= k < max_dim \(2\), got \(0.5, 0.6, 0.75\)"):
             dirac.restricted_boundary(fc, 1.5, 0.6, 0.75)
 
     def test_domain_basis_orthonormal(self):
@@ -205,7 +203,7 @@ class TestDiracOperator:
         for k in (1.0, np.int64(1)):
             op = dirac.dirac_operator(fc, k, 0.55, 0.75, xi=0.3)
             assert op.k == 1 and np.array_equal(op.matrix, expected)
-        with pytest.raises(ValueError, match="degree k = 1.5"):
+        with pytest.raises(ValueError, match=r"0 <= k < max_dim \(2\), got \(1.5, 0.55, 0.75\)"):
             dirac.dirac_operator(fc, 1.5, 0.55, 0.75)
 
 
@@ -236,20 +234,22 @@ class TestDiracSpectrum:
 
     def test_top_degree_refused_by_every_detector(self):
         # degree k reads the (k+1)-simplices: each detector that takes a
-        # complex refuses k = max_dim and k < 0, naming k and max_dim
+        # complex, and a sweep's probes, refuse k = max_dim and k < 0,
+        # naming k, max_dim and the probe
         fc = square_complex()
         detectors = {
             "betti_oracle": lambda k: tp.betti_oracle(fc, k, 0.8, 0.9),
             "dirac_spectrum": lambda k: tp.dirac_spectrum(fc, k, 0.8, 0.9),
             "persistent_laplacian": lambda k: dirac.persistent_laplacian(fc, k, 0.8, 0.9),
-            "_kernel_count": lambda k: _kernel_count(fc, k, 0.8, 0.9, 0),
+            "ScanConfig": lambda k: tp.ScanConfig(lambda_min=0.0, lambda_max=0.1, step=0.1,
+                                                  max_dim=fc.max_dim, intervals=((k, 0.8, 0.9),)),
             "dirac_operator": lambda k: dirac.dirac_operator(fc, k, 0.8, 0.9),
             "restricted_boundary": lambda k: dirac.restricted_boundary(fc, k + 1, 0.8, 0.9),
         }
         for name, detect in detectors.items():
             for k in (2, 3, -1):
-                with pytest.raises(ValueError, match=f"degree k = {k} needs 0 <= k < max_dim, "
-                                                     "and the complex has max_dim 2"):
+                with pytest.raises(ValueError, match=rf"probe degree must be an integer 0 <= k < max_dim "
+                                                     rf"\(2\), got \({k}, 0.8, 0.9\)"):
                     detect(k)
             detect(1)  # the degree below max_dim is answered
 
@@ -328,21 +328,21 @@ class TestKernelCertificate:
             diagram = tp.reduce(fc)
             e1, e2 = sorted(rng.uniform(0.0, 1.1 * fc.eps_max, size=2))
             for k in (0, 1, 2):
-                lap = _schur_laplacian(fc, k, e1, e2)[0]
+                lap = dirac.persistent_laplacian(fc, k, e1, e2)
                 before = lap.copy()
                 expected = _kernel_dim(np.linalg.eigvalsh(lap))
                 positive += expected > 0
                 for hint in (0, tp.persistent_betti(diagram, k, e1, e2)):
                     assert _certified_kernel_dim(lap, hint) == expected
                     assert lap.tobytes() == before.tobytes()
-                assert _kernel_count(fc, k, e1, e2, 0) == expected == tp.dirac_spectrum(fc, k, e1, e2)[1]
+                assert expected == tp.dirac_spectrum(fc, k, e1, e2)[1]
         assert positive > 20
 
     def test_diagonally_dominant_needs_no_spectrum(self, monkeypatch):
         eigensolves = self.spy(monkeypatch, "eigvalsh")
         # the 2-skeleton of a full simplex on m points has L_1 = m I
         fc = tp.vr_filtration(np.random.default_rng(3).random((9, 3)), max_dim=2)
-        assert _kernel_count(fc, 1, fc.eps_max, fc.eps_max, 0) == 0
+        assert _certified_kernel_dim(dirac.persistent_laplacian(fc, 1, fc.eps_max, fc.eps_max), 0) == 0
         assert eigensolves == []
 
     @pytest.mark.parametrize("rotated", [True, False], ids=["rotated", "diagonal"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import topophase as tp
-from topophase import simplicial
+from topophase import dirac, simplicial
 from topophase.persistence import PersistenceDiagram, _saturates
 from topophase.simplicial import boundary_dense_at
 from helpers import (below_max_dim, brute_force_bottleneck, column_rank_oracle, components_at_scale,
@@ -168,17 +168,24 @@ def test_betti_oracle_examples():
         tp.betti_oracle(fc, 1, 0.7, 0.6)
 
 
-@pytest.mark.parametrize("detector", ["bars", "oracle", "kernel"])
-@pytest.mark.parametrize("eps1, eps2", [(np.nan, np.nan), (np.nan, 0.5), (0.1, np.nan)])
+@pytest.mark.parametrize("detector", ["bars", "oracle", "kernel", "laplacian", "restricted_boundary",
+                                      "dirac_operator"])
+@pytest.mark.parametrize("eps1, eps2", [(np.nan, np.nan), (np.nan, 0.5), (0.1, np.nan), (-0.5, 0.3),
+                                        (-0.5, -0.1), (0.5, 0.3)])
 def test_nan_probe_scales_rejected_by_every_detector(detector, eps1, eps2):
-    # NaN compares false, so "eps1 > eps2" alone would let each detector answer
+    # a probe needs 0 <= eps1 <= eps2; NaN compares false, so "eps1 > eps2"
+    # alone would let each detector answer
     fc = tp.vr_filtration(random_cloud(np.random.default_rng(13), n_min=10, n_max=10), max_dim=2)
     detect = {
         "bars": lambda: tp.persistent_betti(tp.reduce(fc), 0, eps1, eps2),
         "oracle": lambda: tp.betti_oracle(fc, 0, eps1, eps2),
         "kernel": lambda: tp.dirac_spectrum(fc, 0, eps1, eps2),
+        "laplacian": lambda: dirac.persistent_laplacian(fc, 0, eps1, eps2),
+        "restricted_boundary": lambda: dirac.restricted_boundary(fc, 1, eps1, eps2),
+        "dirac_operator": lambda: dirac.dirac_operator(fc, 0, eps1, eps2),
     }[detector]
-    with pytest.raises(ValueError, match="must be <="):
+    with pytest.raises(ValueError, match=rf"probe scales must satisfy 0 <= eps1 <= eps2, "
+                                         rf"got \({eps1}, {eps2}\)"):
         detect()
 
 

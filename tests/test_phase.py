@@ -223,14 +223,14 @@ class TestDetectors:
 
     def test_injected_mismatch_refused(self, monkeypatch):
         # the third window's first probe gets a kernel one above its bars
-        real = dirac._kernel_count
+        real = dirac._certified_kernel_dim
         calls = []
 
-        def off_by_one(filtration, k, eps1, eps2, betti):
-            calls.append(k)
-            return betti + 1 if len(calls) == 1 + len(PROBES) * 2 else real(filtration, k, eps1, eps2, betti)
+        def off_by_one(lap, betti):
+            calls.append(betti)
+            return betti + 1 if len(calls) == 1 + len(PROBES) * 2 else real(lap, betti)
 
-        monkeypatch.setattr(dirac, "_kernel_count", off_by_one)
+        monkeypatch.setattr(dirac, "_certified_kernel_dim", off_by_one)
         with pytest.raises(tp.ConsistencyError, match=r"lambda=-0\.3, probe k1_0\.4_0\.8: persistent Betti 0 "
                                                       r"vs Laplacian kernel 1"):
             tp.sweep(clean_config(lambda_min=-0.5, lambda_max=0.5))

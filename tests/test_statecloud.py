@@ -257,6 +257,13 @@ class TestExpectation:
         with pytest.raises(ValueError):
             tp.expectation(state, np.eye(3))
 
+    @pytest.mark.parametrize("amplitudes", [[np.nan, 0.0], [np.nan, np.nan], [0.6, 0.7]],
+                             ids=["nan", "all_nan", "unnormalized"])
+    def test_state_without_unit_norm_refused(self, amplitudes):
+        # a NaN norm compares false with any tolerance, so it must fail "<=", not pass ">"
+        with pytest.raises(ValueError, match="state not normalized"):
+            tp.QuantumState(np.array(amplitudes), energy=0.0)
+
 
 class TestPhiMap:
     def test_identity_only(self):
