@@ -22,11 +22,12 @@ integer type that holds them, which numpy sorts by radix.  A column j is
 apparent when it is the latest facet of its earliest cofacet c (Bauer,
 "Ripser", 2021): no column after j has c in its coboundary, so c is free
 when j is reached and the pair (j, c) is found before the loop, with numpy,
-for all such columns at once.  The loop visits the other columns.  A column
-is held as an int bitset (bit e - 1 - r for cofacet row r, with e the end of
-its component's rows, below; so the pivot is ``e - bit_length()``), built
-from its slice of the cofacet array only when its first pivot is already
-taken or a later column needs it.
+for all such columns at once.  The loop visits the other columns and holds
+only the one it reduces, as boolean flags over its component's rows (below)
+from its first pivot on; the pivot is the first set flag.  Adding a column
+flips the flags of its rows: an apparent column, or one paired with no
+addition, is its slice of the cofacet array, and a column the loop reduced is
+the index array of rows it was reduced to, kept when it is paired.
 
 Disjoint unions: one core, ``_bars``, reduces a ``simplicial._WindowUnion``
 (the births and facet indices per dimension of a disjoint union of
@@ -40,9 +41,8 @@ matrix is block-diagonal: no column addition crosses components, the
 apparent-pair test and clearing act column by column, and the last-first
 order restricted to a component is that component's order.  So the union's
 pairing restricted to a component is the component's pairing, and a
-component's diagram is its share of the union's bars.  Bits are counted from
-the end of the column's component, so a bitset is no wider than one
-component.
+component's diagram is its share of the union's bars.  So a working column's
+flags end where its component's rows do.
 
 Diagram: a ``PersistenceDiagram`` stores its bars as three read-only arrays
 (``dims``, ``births``, ``deaths``) ordered by (dim, birth, death).  Persistent
@@ -182,43 +182,37 @@ def _reduce_coboundaries(starts, rows, latest, cleared, row_offsets):
     the module docstring).  Returns the paired columns, their pivot rows and
     the columns that reduce to zero.  An apparent column, the latest facet
     of its earliest cofacet, pairs with that cofacet before the loop; the
-    loop visits the other columns, and a column's bitset is built only when
-    it is reduced or a later column needs it.
+    loop visits the other columns, and keeps the rows of each column it
+    reduced as an index array.
     """
     nonempty = starts[1:] > starts[:-1]
     columns = np.flatnonzero(~cleared & nonempty)
     first = rows[starts[columns]]
     apparent = latest[first] == columns
     owner = dict(zip(first[apparent].tolist(), columns[apparent].tolist()))  # pivot row -> column
-    reduced: dict = {}  # column -> reduced bitset, for columns that have been built
+    reduced: dict = {}  # column -> its rows after reduction, for columns the loop reduced
     starts = starts.tolist()
-
-    def column(j, end):
-        """Column j as an int with bit end - 1 - r for cofacet row r, all rows below ``end``."""
-        cofacets = rows[starts[j]:starts[j + 1]]
-        n_bytes = -(-(end - int(cofacets[0])) // 8)
-        flags = np.zeros(n_bytes * 8, dtype=bool)
-        flags[cofacets - (end - n_bytes * 8)] = True
-        return int.from_bytes(np.packbits(flags, bitorder="big").tobytes(), "big")
-
     paired, pivots, zero = [], [], []
     rest = ~apparent
     ends = row_offsets[np.searchsorted(row_offsets, first[rest], side="right")]  # of each component
     for j, piv, end in zip(columns[rest][::-1].tolist(), first[rest][::-1].tolist(), ends[::-1].tolist()):
         if piv in owner:
-            col = column(j, end)
-            while col:
-                piv = end - col.bit_length()
-                other = owner.get(piv)
-                if other is None:
-                    break
-                if other not in reduced:
-                    reduced[other] = column(other, end)
-                col ^= reduced[other]
-            if not col:
+            low = piv  # flag i of the column is row low + i
+            col = np.zeros(end - low, dtype=bool)
+            col[rows[starts[j]:starts[j + 1]] - low] = True
+            while piv in owner:
+                other = owner[piv]
+                added = reduced.get(other)
+                if added is None:  # a column the loop did not reduce is its cofacet rows
+                    added = rows[starts[other]:starts[other + 1]]
+                col[added - low] ^= True
+                piv += int(col[piv - low:].argmax())
+                if not col[piv - low]:
+                    piv = None
+            if piv is None:
                 zero.append(j)
                 continue
-            reduced[j] = col
+            reduced[j] = np.flatnonzero(col) + low
         owner[piv] = j
         paired.append(j)
         pivots.append(piv)

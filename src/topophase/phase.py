@@ -22,6 +22,7 @@ reports are the same either way.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -40,6 +41,10 @@ from .statecloud import (
 WINDOW = "window"
 GLOBAL = "global"
 
+# accepted values per ScanConfig annotation, and their name in error messages; a bool is no number
+_FIELD_TYPES = {"float": (numbers.Real, "a number"), "int": (numbers.Integral, "an integer"),
+                "str": (str, "a string"), "bool": (bool, "true or false"), "tuple": ((list, tuple), "a list")}
+
 
 class ConsistencyError(RuntimeError):
     """Barcode and spectral detectors disagree; the report is defective."""
@@ -53,6 +58,8 @@ def probe_key(k: int, eps1: float, eps2: float) -> str:
 class ScanConfig:
     """Sweep definition: model, lambda grid, windowing, and probe intervals.
 
+    Each field must have its annotated type, and an integral field takes any
+    integral number, numpy's too, but not a bool (it is stored as an int).
     A probe (k, eps1, eps2) needs an integer degree 0 <= k < ``max_dim`` and
     scales 0 <= eps1 <= eps2 (``simplicial._check_probe``).
     ``jobs`` is validated (>= 1) and kept for compatibility; sweeps run
@@ -77,6 +84,17 @@ class ScanConfig:
     keep_spectra: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            accepted, wanted = _FIELD_TYPES[f.type]
+            if not isinstance(value, accepted) or (isinstance(value, bool) and f.type != "bool"):
+                raise ValueError(f"config field {f.name!r} must be {wanted}, got {value!r}")
+            if f.type == "int":
+                object.__setattr__(self, f.name, int(value))
+        if not all(isinstance(x, (list, tuple)) and len(x) == 3
+                   and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in x)
+                   for x in self.intervals):
+            raise ValueError("config field 'intervals' must be a list of [k, eps1, eps2] numbers")
         if self.model != "ssh":
             raise ValueError(f"unknown model {self.model!r}")
         for name in ("lambda_min", "lambda_max", "step", "v", "w", "xi"):
@@ -271,33 +289,16 @@ def unitary_conjugate_scan(config: ScanConfig, seed) -> PhaseScanReport:
 
 # -- report serialization ------------------------------------------------------
 
-# accepted JSON values per ScanConfig annotation, and their name in error messages
-_JSON_TYPES = {"float": ((int, float), "a number"), "int": (int, "an integer"), "str": (str, "a string"),
-               "bool": (bool, "true or false"), "tuple": ((list, tuple), "a list")}
-
-
 def config_from_dict(payload: dict) -> ScanConfig:
     """Build a ``ScanConfig`` from parsed JSON; a malformed payload raises ``ValueError`` naming the field."""
     if not isinstance(payload, dict):
         raise ValueError("config must be a JSON object")
-    types = {f.name: f.type for f in fields(ScanConfig)}
-    unknown = sorted(set(payload) - set(types))
+    unknown = sorted(set(payload) - {f.name for f in fields(ScanConfig)})
     if unknown:
         raise ValueError(f"unknown config field {unknown[0]!r}")
     for required in ("lambda_min", "lambda_max", "step"):
         if required not in payload:
             raise ValueError(f"missing config field {required!r}")
-    for name, value in payload.items():
-        accepted, wanted = _JSON_TYPES[types[name]]
-        if not isinstance(value, accepted) or (isinstance(value, bool) and accepted is not bool):
-            raise ValueError(f"config field {name!r} must be {wanted}, got {value!r}")
-    payload = dict(payload)
-    if "intervals" in payload:
-        if not all(isinstance(x, (list, tuple)) and len(x) == 3
-                   and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)
-                   for x in payload["intervals"]):
-            raise ValueError("config field 'intervals' must be a list of [k, eps1, eps2] numbers")
-        payload["intervals"] = tuple(tuple(x) for x in payload["intervals"])
     return ScanConfig(**payload)
 
 

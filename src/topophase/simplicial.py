@@ -257,11 +257,13 @@ def vr_filtration(cloud, eps_max: float | None = None, max_dim: int = 2) -> Filt
     diameter) is at most ``eps_max``; the default ``eps_max`` is half the
     cloud diameter, at which the complex is a full simplex up to ``max_dim``.
     Duplicate points are legal (zero distances allowed).  Raises
-    ``ValueError`` before allocating an array above ``DENSE_LIMIT_BYTES``.
+    ``ValueError`` for a ``max_dim`` that is not an integer >= 0 (an integral
+    float is taken) and before allocating an array above ``DENSE_LIMIT_BYTES``.
     """
     pts = _points(cloud)
-    if max_dim < 0:
-        raise ValueError("max_dim must be >= 0")
+    if not (float(max_dim).is_integer() and max_dim >= 0):
+        raise ValueError(f"max_dim must be an integer >= 0, got {max_dim!r}")
+    max_dim = int(max_dim)
     n = pts.shape[0]
     dist = _distances(pts)
     if eps_max is None:

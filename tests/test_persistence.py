@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,22 @@ def test_detectors_agree_on_benchmark_size_circles(points):
         for k in (0, 1):
             oracle = tp.betti_oracle(fc, k, eps1, eps2)
             assert oracle == tp.persistent_betti(dg, k, eps1, eps2) == column_rank_oracle(fc, k, eps1, eps2)
+
+
+def test_reduce_memory_on_a_150_point_circle():
+    # the reduction holds one working column and the rows of each column it
+    # reduced, not a column as wide as the complex (551,300 triangles here)
+    (points,) = noisy_circles(seed=17, n=150, count=1)
+    fc = tp.vr_filtration(points, max_dim=2)
+    tracemalloc.start()
+    try:
+        dg = tp.reduce(fc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20, f"reduce peaked at {peak / 2 ** 20:.1f} MB"
+    assert tp.persistent_betti(dg, 1, 0.4, 0.8) == tp.betti_oracle(fc, 1, 0.4, 0.8) == 0
+    assert tp.persistent_betti(dg, 1, 0.2, 0.3) == tp.betti_oracle(fc, 1, 0.2, 0.3) == 1
 
 
 def test_oracle_refuses_rows_above_dense_limit(monkeypatch):

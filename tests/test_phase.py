@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import topophase as tp
+from helpers import below_max_dim, homology_reduce
 from topophase import dirac, simplicial
 from topophase.phase import GLOBAL, PhaseScanReport, _detect, probe_key
 
@@ -70,6 +71,39 @@ class TestScanConfig:
         # degree k reads the (k+1)-simplices, so a probe needs an integer 0 <= k < max_dim
         with pytest.raises(ValueError, match="intervals: probe degree must be an integer " + named):
             tp.ScanConfig(**dict(CLEAN, max_dim=max_dim, intervals=intervals))
+
+    @pytest.mark.parametrize("field, value, wanted", [
+        ("window_halfwidth", 2.5, "an integer"),
+        ("max_dim", 2.0, "an integer"),
+        ("n_sites", 4.0, "an integer"),
+        ("window_halfwidth", True, "an integer"),
+        ("jobs", np.True_, "an integer"),
+        ("keep_diagrams", "yes", "true or false"),
+        ("keep_spectra", 1, "true or false"),
+        ("lambda_min", True, "a number"),
+        ("step", "0.1", "a number"),
+        ("model", 3, "a string"),
+        ("intervals", 5, "a list"),
+    ], ids=["fractional_halfwidth", "float_max_dim", "float_n_sites", "bool_halfwidth", "numpy_bool_jobs",
+            "str_keep_diagrams", "int_keep_spectra", "bool_lambda_min", "str_step", "int_model", "int_intervals"])
+    def test_field_of_wrong_type_named(self, field, value, wanted):
+        # the rule config_from_dict applies to JSON holds for Python configs too
+        with pytest.raises(ValueError, match=f"config field '{field}' must be {wanted}, got "):
+            tp.ScanConfig(**dict(CLEAN, **{field: value}))
+
+    @pytest.mark.parametrize("intervals", [((1, "0.4", 0.8),), ((1, 0.4, True),), ((1, 0.4),), (5,)],
+                             ids=["str_scale", "bool_scale", "two_entries", "not_a_triple"])
+    def test_probe_of_wrong_type_named(self, intervals):
+        with pytest.raises(ValueError, match=r"config field 'intervals' must be a list of \[k, eps1, eps2\]"):
+            clean_config(intervals=intervals)
+
+    def test_numpy_integral_fields_stored_as_int(self):
+        cfg = clean_config(n_sites=np.int64(4), window_halfwidth=np.int32(3), max_dim=np.uint8(2), jobs=np.int16(1))
+        for name in ("n_sites", "window_halfwidth", "max_dim", "jobs"):
+            assert type(getattr(cfg, name)) is int, name
+        assert cfg == clean_config()
+        assert tp.report_to_json(tp.sweep(clean_config(n_sites=np.int64(4), lambda_max=-0.7))) == \
+            tp.report_to_json(tp.sweep(clean_config(lambda_max=-0.7)))
 
     def test_integral_probe_degree_kept_as_int(self):
         assert clean_config(intervals=((1.0, 0.4, 0.8),)).intervals == ((1, 0.4, 0.8),)
@@ -173,6 +207,21 @@ class TestSweep:
         assert report.kernel_dims == report.betti
         with pytest.raises(ValueError, match="exceeds"):
             tp.vr_filtration(np.zeros((span + 1, n_obs)))
+
+    def test_window_sweep_diagrams_match_homology_reduction(self):
+        # a window_sweep-shaped sweep: each kept diagram, cut from a union of
+        # windows, equals the boundary-matrix reduction of its own window
+        halfwidth = 8
+        cfg = clean_config(lambda_min=-0.95, lambda_max=-0.95 + 95 * 0.02, step=0.02,
+                           window_halfwidth=halfwidth, max_dim=2, keep_diagrams=True)
+        lambdas = cfg.lambdas()
+        assert len(lambdas) == 96
+        report = tp.sweep(cfg)
+        cloud = tp.build_cloud(lambdas, tp.SSHChain(4), tp.ssh_observables(4))
+        for i, got in enumerate(report.diagrams):
+            window = cloud.points[max(0, i - halfwidth):i + halfwidth + 1]
+            want = below_max_dim(homology_reduce(tp.vr_filtration(window, max_dim=2)))
+            assert tp.diagram_to_json(got) == tp.diagram_to_json(want), i
 
     @pytest.mark.parametrize("max_dim", [1, 2, 3])
     def test_global_kept_diagram_is_the_cloud_reduction(self, max_dim):

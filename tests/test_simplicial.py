@@ -128,6 +128,20 @@ def test_negative_or_nan_eps_max_rejected(eps_max):
         tp.vr_filtration(SQUARE, eps_max=eps_max, max_dim=2)
 
 
+@pytest.mark.parametrize("max_dim", [1.5, -1, np.nan, np.inf])
+def test_non_integral_or_negative_max_dim_rejected(max_dim):
+    with pytest.raises(ValueError, match="max_dim must be an integer >= 0"):
+        tp.vr_filtration(SQUARE, max_dim=max_dim)
+
+
+def test_integral_max_dim_taken():
+    want = tp.vr_filtration(SQUARE, max_dim=2)
+    for max_dim in (2.0, np.int64(2)):
+        fc = tp.vr_filtration(SQUARE, max_dim=max_dim)
+        assert type(fc.max_dim) is int and fc.max_dim == 2
+        assert [b.tolist() for b in fc.births] == [b.tolist() for b in want.births]
+
+
 def test_oversized_filtration_refused():
     # the full 2-skeleton on 2,000 points: its 1,999,000 edges against 2,000
     # candidate vertices would need a 3.7 GB array before any triangle exists
