@@ -22,8 +22,9 @@ reports are the same either way.
 from __future__ import annotations
 
 import json
+import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -58,10 +59,11 @@ def probe_key(k: int, eps1: float, eps2: float) -> str:
 class ScanConfig:
     """Sweep definition: model, lambda grid, windowing, and probe intervals.
 
-    Each field must have its annotated type, and an integral field takes any
-    integral number, numpy's too, but not a bool (it is stored as an int).
-    A probe (k, eps1, eps2) needs an integer degree 0 <= k < ``max_dim`` and
-    scales 0 <= eps1 <= eps2 (``simplicial._check_probe``).
+    Each field must have its annotated type, and a numeric field takes any
+    number of its kind, numpy's too, but not a bool; it is stored as a Python
+    int or float, and a float field must be finite.  A probe (k, eps1, eps2)
+    needs an integer degree 0 <= k < ``max_dim`` and scales 0 <= eps1 <= eps2
+    (``simplicial._check_probe``), and no two probes may share a report key.
     ``jobs`` is validated (>= 1) and kept for compatibility; sweeps run
     serially whatever its value.
     """
@@ -90,16 +92,22 @@ class ScanConfig:
             if not isinstance(value, accepted) or (isinstance(value, bool) and f.type != "bool"):
                 raise ValueError(f"config field {f.name!r} must be {wanted}, got {value!r}")
             if f.type == "int":
-                object.__setattr__(self, f.name, int(value))
+                value = int(value)
+            elif f.type == "float":
+                try:
+                    value = float(value)
+                except OverflowError:  # an integer past the float range, refused as not finite below
+                    value = -math.inf if value < 0 else math.inf
+            object.__setattr__(self, f.name, value)
         if not all(isinstance(x, (list, tuple)) and len(x) == 3
                    and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in x)
                    for x in self.intervals):
             raise ValueError("config field 'intervals' must be a list of [k, eps1, eps2] numbers")
         if self.model != "ssh":
             raise ValueError(f"unknown model {self.model!r}")
-        for name in ("lambda_min", "lambda_max", "step", "v", "w", "xi"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for f in fields(self):
+            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if not self.lambda_min <= self.lambda_max:
             raise ValueError("lambda_min must not exceed lambda_max")
         if self.step <= 0:
@@ -120,6 +128,12 @@ class ScanConfig:
             raise ValueError(f"intervals: {err}") from None
         if not intervals:
             raise ValueError("at least one probe interval is required")
+        seen = {}
+        for probe in intervals:
+            key = probe_key(*probe)
+            if key in seen:
+                raise ValueError(f"intervals: probes {seen[key]} and {probe} share the report key {key!r}")
+            seen[key] = probe
         object.__setattr__(self, "intervals", intervals)
 
     def _n_steps(self) -> int:
@@ -296,7 +310,7 @@ def config_from_dict(payload: dict) -> ScanConfig:
     unknown = sorted(set(payload) - {f.name for f in fields(ScanConfig)})
     if unknown:
         raise ValueError(f"unknown config field {unknown[0]!r}")
-    for required in ("lambda_min", "lambda_max", "step"):
+    for required in (f.name for f in fields(ScanConfig) if f.default is MISSING):
         if required not in payload:
             raise ValueError(f"missing config field {required!r}")
     return ScanConfig(**payload)

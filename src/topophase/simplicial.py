@@ -43,10 +43,10 @@ lists the union's rows window-major, shifts their vertices by each window's
 lo and renumbers their facets by one prefix sum of the lower dimension's
 mask.  Each window is a contiguous segment of the union, in its own (birth,
 vertices) order, and its ``FilteredComplex`` is slices of the union's
-arrays, byte-identical to ``vr_filtration(points[lo:hi])``.  A block whose
-union would pass ``DENSE_LIMIT_BYTES // _UNION_SHARE`` is cut into groups of
-consecutive windows that fit, one window at least, so the budget never
-refuses a sweep.
+arrays, byte-identical to ``vr_filtration(points[lo:hi])``.  A block is cut
+into equal runs of consecutive windows, the last one shorter: a run is as
+many of the block's largest window as fit ``DENSE_LIMIT_BYTES //
+_UNION_SHARE``, one window at least, so the budget never refuses a sweep.
 
 Boundary core: a ``FilteredComplex`` holds one (n_k, k+1) integer facet
 array per dimension k >= 1, from the clique loop; entry [j, i] is the
@@ -308,11 +308,11 @@ def _window_unions(cloud, halfwidth: int, max_dim: int):
     span at most 2 * halfwidth.  Centres are taken in blocks of
     2 * halfwidth + 1; each block builds the band over its 4 * halfwidth + 1
     points once (distances, cliques, facet indices) and cuts its windows'
-    union out of it, in groups that fit a byte budget, so what is held at
-    once does not grow with the cloud's length.  Every window's arrays equal
-    the ones ``vr_filtration`` builds: renumbering by -lo keeps the (birth,
-    vertices) order, and a pair's distance does not depend on the other
-    points.
+    unions out of it, in equal runs priced by its largest window against a
+    byte budget read at call time, so what is held at once does not grow
+    with the cloud's length.  Every window's arrays equal the ones
+    ``vr_filtration`` builds: renumbering by -lo keeps the (birth, vertices)
+    order, and a pair's distance does not depend on the other points.
     """
     pts = _points(cloud)
     n = pts.shape[0]
@@ -326,30 +326,13 @@ def _window_unions(cloud, halfwidth: int, max_dim: int):
         centres = np.arange(first, min(n, first + block))
         lo = np.maximum(centres - halfwidth, 0) - base
         hi = np.minimum(centres + halfwidth + 1, n) - base
-        for group in _window_groups((hi - lo).tolist(), [len(b) for b in births]):
-            yield _band_union(verts, births, facets, dist, lo[group], hi[group])
-
-
-def _window_groups(sizes: list, band_counts: list):
-    """Runs of consecutive windows (slices) whose union fits the budget, one window at least.
-
-    The budget, ``DENSE_LIMIT_BYTES // _UNION_SHARE``, is read at call time.
-
-    A window of s points has comb(s, k + 1) k-simplices.  Each takes about
-    5 (k + 1) + 4 eight-byte entries in the union (vertices, births, both
-    facet numberings and the reduction's cofacet arrays), and each window
-    adds one mask byte and one prefix-sum entry per band simplex.
-    """
-    budget = DENSE_LIMIT_BYTES // _UNION_SHARE
-    start, total = 0, 0
-    for w, size in enumerate(sizes):
-        cost = sum(9 * n_band + 8 * (5 * (k + 1) + 4) * math.comb(size, k + 1)
-                   for k, n_band in enumerate(band_counts))
-        if w > start and total + cost > budget:
-            yield slice(start, w)
-            start, total = w, 0
-        total += cost
-    yield slice(start, len(sizes))
+        # a window of s points has comb(s, k + 1) k-simplices at 5 (k + 1) + 4 eight-byte entries
+        # each in the union, and adds a mask byte and a prefix-sum entry per band simplex
+        cost = sum(9 * len(b) + 8 * (5 * (k + 1) + 4) * math.comb(int((hi - lo).max()), k + 1)
+                   for k, b in enumerate(births))
+        run = max(1, DENSE_LIMIT_BYTES // _UNION_SHARE // cost)
+        for start in range(0, len(lo), run):
+            yield _band_union(verts, births, facets, dist, lo[start:start + run], hi[start:start + run])
 
 
 def _band_union(verts: list, births: list, facets: list, dist: np.ndarray,

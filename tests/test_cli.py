@@ -101,9 +101,11 @@ class TestScan:
         (["--lmin", "-1", "--n", "200"], "dense 119600x200 stack of observables"),
         (["--lmin", "-1", "--probe", "2:0.4:0.8"], "0 <= k < max_dim (2), got (2, 0.4, 0.8)"),
         (["--lmin", "-1", "--max-dim", "0"], "0 <= k < max_dim (0), got (1, 0.4, 0.8)"),
+        (["--lmin", "-1", "--probe", "1:0.4:0.8", "--probe", "1:0.40000001:0.8"],
+         "intervals: probes (1, 0.4, 0.8) and (1, 0.40000001, 0.8) share the report key 'k1_0.4_0.8'"),
     ], ids=["missing_lmin", "inf_lmin", "inf_lmax", "nan_step", "nan_xi", "nan_probe_scale",
             "negative_probe_scale", "nan_gap_tol", "negative_gap_tol", "nan_v", "inf_w", "n_200",
-            "top_degree_probe", "max_dim_0"])
+            "top_degree_probe", "max_dim_0", "probes_sharing_a_key"])
     def test_bad_flag_exits_2(self, tmp_path, capsys, flags, named):
         out = tmp_path / "r.json"
         rc = main(["scan", "--lmax", "-0.8", "--step", "0.1", *flags, "--out", str(out)])
@@ -137,13 +139,15 @@ class TestScan:
         ({"lambda_min": 0.0, "lambda_max": math.inf, "step": 0.1}, "lambda_max must be finite"),
         ({"lambda_min": 0.0, "lambda_max": 1.0, "step": math.inf}, "step must be finite"),
         ({"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1, "xi": -math.inf}, "xi must be finite"),
+        ({"lambda_min": -10 ** 400, "lambda_max": 1.0, "step": 0.1}, "lambda_min must be finite, got -inf"),
         ({"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1, "intervals": [[1, 0.4, math.nan]]}, "intervals:"),
         ({"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1, "intervals": [[0, -0.1, 0.2]]}, "intervals:"),
         ({"lambda_min": -1.0, "lambda_max": -0.8, "step": 0.1, "gap_tol": 0.0}, "gap_tol must be"),
         ({"lambda_min": 0.0, "lambda_max": 1.0, "step": 0.1, "intervals": [[1.5, 0.4, 0.8]]},
          "probe degree must be an integer 0 <= k < max_dim (2), got (1.5, 0.4, 0.8)"),
     ], ids=["list", "lambda_min", "intervals", "rank_tol", "nan_lambda_min", "inf_lambda_max", "inf_step",
-            "inf_xi", "nan_probe_scale", "negative_probe_scale", "zero_gap_tol", "fractional_probe_degree"])
+            "inf_xi", "huge_integer_lambda_min", "nan_probe_scale", "negative_probe_scale", "zero_gap_tol",
+            "fractional_probe_degree"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, payload, named):
         cfg = tmp_path / "scan.json"
         cfg.write_text(json.dumps(payload))

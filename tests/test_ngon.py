@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import topophase as tp
+from topophase import dirac
 
 
 def ngon(n):
@@ -61,25 +62,41 @@ def test_formula_types():
     assert ngon_type(20, 8) == (4, 3)  # 8/20 = 2/5: three 4-spheres
     assert ngon_type(9, 4)[1] == 0  # 4/9: a wedge of no spheres, a point
     assert ngon_type(10, 5) == (0, 0)  # 2k >= n: a point
+    # the degree-3 checks below are not all zeros: 13 scales hold a 3-sphere
+    assert sum(betti(n, k, 3) for n in range(9, 25) for k, _ in scales(n)) == 13
+
+
+def check_bars(fc):
+    """The bars of an n-gon's complex, in every degree it answers, at every scale."""
+    diagram = tp.reduce(fc)
+    for k, eps in scales(fc.n_points):
+        for d in range(fc.max_dim):
+            assert tp.persistent_betti(diagram, d, eps, eps) == betti(fc.n_points, k, d), (k, d)
 
 
 @pytest.mark.parametrize("n", range(9, 25))
 def test_degrees_0_and_1(n):
-    diagram = tp.reduce(tp.vr_filtration(ngon(n), max_dim=2))
-    for k, eps in scales(n):
-        for d in (0, 1):
-            assert tp.persistent_betti(diagram, d, eps, eps) == betti(n, k, d), (k, d)
+    check_bars(tp.vr_filtration(ngon(n), max_dim=2))
+
+
+@pytest.mark.parametrize("n", range(9, 25))
+def test_degrees_0_to_3(n):
+    check_bars(tp.vr_filtration(ngon(n), max_dim=4))
+
+
+@pytest.mark.parametrize("n, max_dim", [(30, 3), (45, 3), (60, 2), (90, 2)])
+def test_large_n(n, max_dim):
+    check_bars(tp.vr_filtration(ngon(n), max_dim=max_dim))
 
 
 @pytest.mark.parametrize("n", [12, 15, 18, 21])
 def test_degree_2_wedge(n):
+    # bars at every scale; at the wedge scale k/n = 1/3 also the rank oracle and the Laplacian kernel
     fc = tp.vr_filtration(ngon(n), max_dim=3)
-    diagram = tp.reduce(fc)
-    for k, eps in scales(n):
-        for d in (0, 1, 2):
-            assert tp.persistent_betti(diagram, d, eps, eps) == betti(n, k, d), (k, d)
+    check_bars(fc)
     k = n // 3
     eps = dict(scales(n))[k]
     assert betti(n, k, 2) == n // 3 - 1
     for d in (0, 1, 2):
         assert tp.betti_oracle(fc, d, eps, eps) == betti(n, k, d), d
+        assert dirac.betti_from_laplacian(dirac.persistent_laplacian(fc, d, eps, eps)) == betti(n, k, d), d

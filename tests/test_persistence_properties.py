@@ -106,7 +106,7 @@ def test_block_reduction_matches_window_reduction(pts, data):
 def test_block_reduction_one_window_per_union(pts, data):
     # a zero budget: each union holds the one window it may not refuse.  The
     # share is patched rather than DENSE_LIMIT_BYTES, whose cut would refuse
-    # the band before its windows were grouped.
+    # the band before its windows were cut into runs.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplicial, "_UNION_SHARE", simplicial.DENSE_LIMIT_BYTES + 1)
         unions = check_block_reduction(pts, data)

@@ -53,8 +53,9 @@ class TestScanConfig:
         ("intervals", ((0, -0.2, 0.1),)),
         ("v", math.nan),
         ("w", -math.inf),
+        ("gap_tol", math.inf),
     ], ids=["lambda_min", "lambda_max", "step", "xi", "nan_probe_scale", "negative_probe_scale",
-            "v", "w"])
+            "v", "w", "gap_tol"])
     def test_non_finite_or_negative_input_named(self, field, value):
         with pytest.raises(ValueError, match=field):
             tp.ScanConfig(**dict(CLEAN, **{field: value}))
@@ -104,6 +105,21 @@ class TestScanConfig:
         assert cfg == clean_config()
         assert tp.report_to_json(tp.sweep(clean_config(n_sites=np.int64(4), lambda_max=-0.7))) == \
             tp.report_to_json(tp.sweep(clean_config(lambda_max=-0.7)))
+
+    def test_numpy_float_fields_stored_as_float(self):
+        # json writes only Python floats, so a numpy float must be stored as one
+        cfg = clean_config(lambda_min=np.float32(-0.9), lambda_max=np.float64(-0.7), v=1, xi=np.float32(0.0),
+                           gap_tol=np.float64(1e-9))
+        for name in ("lambda_min", "lambda_max", "step", "v", "w", "xi", "gap_tol"):
+            assert type(getattr(cfg, name)) is float, name
+        assert '"v": 1.0' in tp.report_to_json(tp.sweep(cfg))
+
+    def test_probes_sharing_a_report_key_refused(self):
+        # probe_key formats scales with :g, so distinct probes can print alike
+        intervals = ((1, 0.4, 0.8), (1, 0.40000001, 0.8), (0, 0.02, 0.04))
+        named = r"intervals: probes \(1, 0.4, 0.8\) and \(1, 0.40000001, 0.8\) share the report key 'k1_0.4_0.8'"
+        with pytest.raises(ValueError, match=named):
+            clean_config(intervals=intervals)
 
     def test_integral_probe_degree_kept_as_int(self):
         assert clean_config(intervals=((1.0, 0.4, 0.8),)).intervals == ((1, 0.4, 0.8),)

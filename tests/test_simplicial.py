@@ -302,3 +302,21 @@ def test_window_unions_group_whole_blocks_until_the_budget():
         patch.setattr(simplicial, "DENSE_LIMIT_BYTES", 33 * 33 * 10 * 8)
         split = [len(u.windows) for u in simplicial._window_unions(pts, 8, 2)]
     assert split == [1] * 96
+    # a budget between: each block is cut into equal runs of consecutive
+    # windows, the last one shorter, priced by the block's largest window
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplicial, "_UNION_SHARE", 332)
+        unions = list(simplicial._window_unions(pts, 8, 2))
+    assert [len(u.windows) for u in unions] == [5, 5, 5, 2] * 5 + [6, 5]
+    runs = iter(unions)
+    for block in [17] * 5 + [11]:  # no union crosses a block
+        sizes = []
+        while sum(sizes) < block:
+            sizes.append(len(next(runs).windows))
+        assert sum(sizes) == block and set(sizes[:-1]) <= {sizes[0]} and sizes[-1] <= sizes[0]
+    dist = tp.vr_filtration(pts, max_dim=0).distance_matrix
+    windows = [fc for union in unions for fc in union.windows]
+    for c, fc in enumerate(windows):  # in order: window c is points [c - 8, c + 9), cut to the cloud
+        lo, hi = max(0, c - 8), min(96, c + 9)
+        assert np.array_equal(fc.distance_matrix, dist[lo:hi, lo:hi])
+    assert len(windows) == 96
