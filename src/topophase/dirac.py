@@ -36,15 +36,9 @@ matrices from ``boundary_dense_at``, which is defined for every k >= 0, so
 neither treats k = 0 apart; with ``spectrum`` they are the independent
 reference the tests check the Schur and closed-form paths against.
 
-A sweep that keeps no spectra needs only the kernel dimension of
-``persistent_laplacian``.  When the barcode says it is 0,
-``_certified_kernel_dim`` first tries to prove that without a spectrum.  Let
-c be ``RANK_TOL`` times the largest absolute row sum of L_k (or 1 if
-larger), a Gershgorin bound at or above the kernel cutoff.  Every eigenvalue
-exceeds ``CERTIFICATE_MARGIN`` * c if the Gershgorin discs of L_k all lie
-above that floor.  If they do not, ``betti_from_laplacian`` counts
-eigenvalues as ``dirac_spectrum`` does, so a disagreement with the barcode
-still shows.
+``betti_from_laplacian`` is the one kernel count of a Laplacian, for sweeps
+and tests alike: Gershgorin discs that prove the kernel empty spare it the
+eigensolve, and otherwise it counts eigenvalues as ``dirac_spectrum`` does.
 
 Tolerances are module constants: ``NULLSPACE_TOL`` is the relative cutoff
 for the rank of R2 (on its singular values in ``restricted_boundary``, on
@@ -250,25 +244,6 @@ def spectrum(matrix) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def _certified_kernel_dim(lap: np.ndarray, betti: int) -> int:
-    """``betti_from_laplacian(lap)``, skipping the spectrum when a certificate proves the kernel empty.
-
-    The certificate is tried only when ``betti`` is 0.  Let c = ``RANK_TOL``
-    * max(1, r) with r the largest absolute row sum of ``lap``: r bounds the
-    top eigenvalue (Gershgorin), so c is at least the cutoff of
-    ``betti_from_laplacian``.  The kernel is empty, with every eigenvalue above
-    ``CERTIFICATE_MARGIN`` * c, if the Gershgorin discs lie above that
-    floor.  If they do not, the eigenvalues decide, so a kernel the barcode
-    missed is still counted.
-    """
-    if betti == 0 and len(lap):
-        row_sums = np.abs(lap).sum(axis=1)
-        floor = CERTIFICATE_MARGIN * RANK_TOL * max(1.0, float(row_sums.max()))
-        if float((2.0 * lap.diagonal() - row_sums).min()) > floor:
-            return 0
-    return betti_from_laplacian(lap)
-
-
 def _kernel_dim(evals: np.ndarray) -> int:
     """Eigenvalues (ascending, of a PSD matrix) below ``RANK_TOL`` times the top one."""
     if evals.size == 0:
@@ -280,9 +255,24 @@ def _kernel_dim(evals: np.ndarray) -> int:
 
 
 def betti_from_laplacian(laplacian) -> int:
-    """Kernel dimension of a PSD matrix: eigenvalues below a relative cutoff."""
+    """Kernel dimension of a symmetric PSD matrix: eigenvalues below a relative cutoff.
+
+    The matrix must be square and symmetric; symmetry is not checked, as
+    ``eigvalsh``, which reads one triangle, does not check it either.  The
+    Gershgorin discs come first: r, the largest absolute row sum, bounds the
+    top eigenvalue, so c = ``RANK_TOL`` * max(1, r) is at least the cutoff.
+    If every disc lies above ``CERTIFICATE_MARGIN`` * c, so does every
+    eigenvalue, and the kernel is empty with no spectrum.  Otherwise the
+    eigenvalues decide.
+    """
     lap = np.asarray(laplacian, dtype=float)
     if lap.size == 0:
+        return 0
+    if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
+        raise ValueError("betti_from_laplacian requires a square matrix")
+    row_sums = np.abs(lap).sum(axis=1)
+    floor = CERTIFICATE_MARGIN * RANK_TOL * max(1.0, float(row_sums.max()))
+    if float((2.0 * lap.diagonal() - row_sums).min()) > floor:
         return 0
     return _kernel_dim(np.linalg.eigvalsh(lap))
 

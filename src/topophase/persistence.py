@@ -100,7 +100,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplicial import FilteredComplex, _check_dense, _check_probe, _check_scales, _WindowUnion, boundary_matrix
+from .simplicial import (FilteredComplex, _check_dense, _check_probe, _check_scales, _is_integer, _WindowUnion,
+                         boundary_matrix)
 
 INF = math.inf
 
@@ -111,8 +112,9 @@ class PersistenceDiagram:
 
     The arrays hold one entry per bar, ordered by (dim, birth, death); an
     essential bar has death ``inf``.  The arrays may be passed in any order.
-    A negative dim, a NaN value, a non-finite or negative birth, or a death
-    below its birth raises ``ValueError``.
+    Dims of a non-integer dtype (floats, bools), a negative dim, a NaN value,
+    a non-finite or negative birth, or a death below its birth raise
+    ``ValueError``.
     Zero-length pairs are dropped from the bars but tallied per dimension in
     ``dropped_zero_bars`` so creator/destroyer counts stay auditable.
     """
@@ -126,7 +128,10 @@ class PersistenceDiagram:
 
     def __init__(self, max_dim=0, n_points=0, dropped_zero_bars=None, *,
                  dims=(), births=(), deaths=()):
-        dims = np.asarray(dims, dtype=np.intp)
+        dims = np.asarray(dims)
+        if dims.size and dims.dtype.kind not in "iu":  # a cast would store 1.5 or True as dim 1
+            raise ValueError(f"bar dim must be an integer, got dims of dtype {dims.dtype}")
+        dims = dims.astype(np.intp, copy=False)
         births = np.asarray(births, dtype=float)
         deaths = np.asarray(deaths, dtype=float)
         if not dims.ndim == 1 or not dims.shape == births.shape == deaths.shape:
@@ -152,7 +157,7 @@ class PersistenceDiagram:
 
     def _in_dim(self, k: int):
         """Births and deaths of the degree-k bars (views, ordered by birth); k must be an integer >= 0."""
-        if not (float(k).is_integer() and k >= 0):  # a k between degrees would read the next one's bars
+        if not (_is_integer(k) and k >= 0):  # a k between degrees would read the next one's bars
             raise ValueError(f"k must be >= 0 and an integer, got {k}")
         lo, hi = np.searchsorted(self.dims, (k, k + 1))
         return self.births[lo:hi], self.deaths[lo:hi]
@@ -476,8 +481,9 @@ def diagram_to_json(diagram: PersistenceDiagram) -> str:
 def diagram_from_json(text: str) -> PersistenceDiagram:
     """Parse ``diagram_to_json`` output; malformed structure or invalid bar values raise ``ValueError``.
 
-    A bar dim that is not an integer is refused, and every diagram is over
-    Z2, so a ``"field"`` other than ``"Z2"`` is refused too.
+    A bar dim that is not an integer (``true`` is not one) is refused, a
+    number past its field's range is malformed, and every diagram is over Z2,
+    so a ``"field"`` other than ``"Z2"`` is refused too.
     """
     payload = json.loads(text)
     try:
@@ -486,14 +492,15 @@ def diagram_from_json(text: str) -> PersistenceDiagram:
         bars, meta = payload["bars"], payload.get("metadata", {})
         dims = [b["dim"] for b in bars]
         for dim in dims:
-            if not isinstance(dim, (int, float)) or not float(dim).is_integer():
+            if isinstance(dim, bool) or not isinstance(dim, (int, float)) or not float(dim).is_integer():
                 raise ValueError(f"bar dim must be an integer, got {dim!r}")
+        dims = [int(dim) for dim in dims]
         births = [float(b["birth"]) for b in bars]
         deaths = [INF if b["death"] is None else float(b["death"]) for b in bars]
         max_dim = int(meta.get("max_dim", max(dims, default=0)))
         n_points = int(meta.get("n_points", 0))
         dropped = {int(k): int(v) for k, v in meta.get("dropped_zero_bars", {}).items()}
-    except (KeyError, TypeError, AttributeError) as err:
+    except (KeyError, TypeError, AttributeError, OverflowError) as err:
         raise ValueError(f"malformed diagram ({type(err).__name__}: {err})") from None
     return PersistenceDiagram(max_dim=max_dim, n_points=n_points, dropped_zero_bars=dropped,
                               dims=dims, births=births, deaths=deaths)

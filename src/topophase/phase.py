@@ -13,10 +13,10 @@ complex however many lambdas it has.  Each union is reduced once
 (``persistence._bars``); every window's persistent Betti numbers for a probe
 are one ``bincount`` of the bars' windows, and a kept diagram is its
 window's share of the bars.  A global sweep is the union of one complex.
-Kernels are counted per window, from ``dirac.persistent_laplacian``.  When
-spectra are not kept, a kernel the barcode says is empty is settled by a
-certificate (``dirac._certified_kernel_dim``) rather than an eigensolve; the
-reports are the same either way.
+Kernels are counted per window, as ``dirac.betti_from_laplacian`` of
+``dirac.persistent_laplacian`` (or by ``dirac.dirac_spectrum`` when spectra
+are kept), without reading the bars, and a sweep stops at the first window
+and probe whose two counts differ.
 """
 
 from __future__ import annotations
@@ -176,18 +176,18 @@ class PhaseScanReport:
         return self.lambdas if self.config.cloud_mode == WINDOW else (None,)
 
 
-def _probe_union(union, config: ScanConfig) -> list:
+def _probe_union(union, config: ScanConfig, lambdas) -> list:
     """Barcode and per-probe detector values for every window of a ``_WindowUnion``.
 
     The union is reduced once and each probe's persistent Betti numbers are
-    counted for all its windows at once; kernels are counted per window.
-    Without kept spectra the kernel is counted alone, so a probe whose bars
-    say 0 may be settled by a certificate instead of a spectrum.
+    counted for all its windows at once; kernels are counted per window, and
+    the first one that differs from its window's bars raises
+    ``ConsistencyError`` naming the window's entry in ``lambdas``.
     """
     bars = _persistence._bars(union)
     counts = [_persistence._betti_counts(union, bars, *probe).tolist() for probe in config.intervals]
     results = []
-    for w, filtration in enumerate(union.windows):
+    for w, (filtration, lam) in enumerate(zip(union.windows, lambdas)):
         betti = {}
         kernels = {}
         spectra = {} if config.keep_spectra else None
@@ -195,11 +195,15 @@ def _probe_union(union, config: ScanConfig) -> list:
             key = probe_key(k, e1, e2)
             betti[key] = count[w]
             if spectra is None:
-                lap = _dirac.persistent_laplacian(filtration, k, e1, e2)
-                kernels[key] = _dirac._certified_kernel_dim(lap, betti[key])
+                kernels[key] = _dirac.betti_from_laplacian(_dirac.persistent_laplacian(filtration, k, e1, e2))
             else:
                 evals, kernels[key] = _dirac.dirac_spectrum(filtration, k, e1, e2, xi=config.xi)
                 spectra[key] = [float(x) for x in evals]
+            if kernels[key] != betti[key]:
+                raise ConsistencyError(
+                    f"barcode/spectral disagreement at lambda={lam!r}, probe {key}: "
+                    f"persistent Betti {betti[key]} vs Laplacian kernel {kernels[key]}"
+                )
         diagram = _persistence._diagram(union, bars, w) if config.keep_diagrams else None
         results.append((betti, kernels, diagram, spectra))
     return results
@@ -212,17 +216,6 @@ def _detect(lambdas, betti_dicts, keys):
         if changed:
             transitions.append((float(lambdas[i]), float(lambdas[i + 1]), changed))
     return tuple(transitions)
-
-
-def _check_agreement(lambdas, betti_dicts, kernel_dicts, keys) -> None:
-    """Raise ``ConsistencyError`` at the first barcode/kernel disagreement."""
-    for lam, b, kd in zip(lambdas, betti_dicts, kernel_dicts):
-        for key in keys:
-            if b[key] != kd[key]:
-                raise ConsistencyError(
-                    f"barcode/spectral disagreement at lambda={lam!r}, probe {key}: "
-                    f"persistent Betti {b[key]} vs Laplacian kernel {kd[key]}"
-                )
 
 
 def _sweep_cloud(config: ScanConfig, unitary=None):
@@ -239,7 +232,7 @@ def sweep(config: ScanConfig, unitary=None) -> PhaseScanReport:
 
     Windows at the sweep boundaries are truncated, not dropped, so endpoint
     lambdas keep comparable entries across runs.  Every probe is evaluated by
-    both detectors and any barcode/kernel disagreement raises
+    both detectors, and the first barcode/kernel disagreement raises
     ``ConsistencyError`` instead of entering the report.
     """
     cloud = _sweep_cloud(config, unitary)
@@ -254,12 +247,11 @@ def sweep(config: ScanConfig, unitary=None) -> PhaseScanReport:
 
     results = []
     for union in unions:
-        results += _probe_union(union, config)
+        results += _probe_union(union, config, entry_lambdas[len(results):])
         del union  # free it before the next union is built
 
     betti = tuple(r[0] for r in results)
     kernels = tuple(r[1] for r in results)
-    _check_agreement(entry_lambdas, betti, kernels, config.probe_keys())
     transitions = _detect(entry_lambdas, betti, config.probe_keys())
     return PhaseScanReport(
         config=config,

@@ -86,9 +86,21 @@ def _check_dense(n_rows: int, n_cols: int, what: str = "matrix", itemsize: int =
                          f"exceeds the {DENSE_LIMIT_BYTES // 2 ** 20} MB limit")
 
 
+def _is_integer(value) -> bool:
+    """True for a number equal to an integer in the float range; a fraction, NaN or inf is not."""
+    try:
+        return float(value).is_integer()
+    except OverflowError:  # an integer past the float range
+        return False
+
+
 def _check_scales(eps1: float, eps2: float) -> tuple:
-    """Probe scales as floats; refuses all but 0 <= eps1 <= eps2 (so NaN too)."""
-    eps1, eps2 = float(eps1), float(eps2)
+    """Probe scales as floats; refuses all but 0 <= eps1 <= eps2 (so NaN, and an integer past the float range)."""
+    try:
+        eps1, eps2 = float(eps1), float(eps2)
+    except OverflowError:
+        raise ValueError("probe scales must satisfy 0 <= eps1 <= eps2, "
+                         "got an integer past the float range") from None
     if not 0.0 <= eps1 <= eps2:
         raise ValueError(f"probe scales must satisfy 0 <= eps1 <= eps2, got ({eps1}, {eps2})")
     return eps1, eps2
@@ -101,7 +113,7 @@ def _check_probe(max_dim: int, k: int, eps1: float, eps2: float) -> tuple:
     an integer degree 0 <= k < ``max_dim``: degree k reads the (k+1)-simplices.
     """
     eps1, eps2 = _check_scales(eps1, eps2)
-    if not (float(k).is_integer() and 0 <= k < max_dim):
+    if not (_is_integer(k) and 0 <= k < max_dim):
         raise ValueError(f"probe degree must be an integer 0 <= k < max_dim ({max_dim}), "
                          f"got ({k}, {eps1}, {eps2}): degree k reads the (k+1)-simplices")
     return int(k), eps1, eps2
@@ -261,7 +273,7 @@ def vr_filtration(cloud, eps_max: float | None = None, max_dim: int = 2) -> Filt
     float is taken) and before allocating an array above ``DENSE_LIMIT_BYTES``.
     """
     pts = _points(cloud)
-    if not (float(max_dim).is_integer() and max_dim >= 0):
+    if not (_is_integer(max_dim) and max_dim >= 0):
         raise ValueError(f"max_dim must be an integer >= 0, got {max_dim!r}")
     max_dim = int(max_dim)
     n = pts.shape[0]

@@ -56,9 +56,9 @@ def test_every_workload_sets_up(workloads, lib, tmp_path):
 
 
 def test_window_sweep_traces_the_laplacian_sites(workloads, lib, tmp_path):
-    # each of the 96 windows counts both probes' kernels from persistent_laplacian;
-    # the certificate settles the k = 1 probe (bars 0), and the k = 0 probe
-    # (bars 1) falls back to betti_from_laplacian
+    # each of the 96 windows counts both probes' kernels as betti_from_laplacian
+    # of persistent_laplacian; its certificate settles the k = 1 probe (a full simplex, L_1 = m I),
+    # and the k = 0 probe (kernel 1) takes the eigenvalues
     sweep = workloads.WindowSweep(lib, np, 0, tmp_path)
     tracer = workloads.Tracer(workloads.COUNTERS)
     modules = vars(lib)
@@ -66,5 +66,5 @@ def test_window_sweep_traces_the_laplacian_sites(workloads, lib, tmp_path):
         sweep.run()
     layers = tracer.layer_totals()[0]
     assert layers["dirac.persistent_laplacian"]["calls"] == 192
-    assert layers["dirac.betti_from_laplacian"]["calls"] == 96
+    assert layers["dirac.betti_from_laplacian"]["calls"] == 192
     assert tracer.counts[0]["dirac.laplacian_order"] == 13632

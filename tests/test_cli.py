@@ -536,3 +536,47 @@ class TestBottleneck:
             captured = capsys.readouterr()
             assert "malformed diagram" in captured.err, name
             assert captured.out == "", name
+
+
+BIG = str(10 ** 400)  # an integer past the float range
+
+
+class TestNumericArguments:
+    """A number float() cannot take, or a bool for a degree, exits 2 with the wording of its site."""
+
+    @pytest.mark.parametrize("text, argv, named", [
+        ('{"lambda_min": 0, "lambda_max": 0.2, "step": 0.1, "intervals": [[1, 0.4, BIG]]}',
+         ["scan", "--config", "FILE", "--out", "OUT"], "probe scales must satisfy 0 <= eps1 <= eps2"),
+        ('{"lambda_min": 0, "lambda_max": 0.2, "step": 0.1, "intervals": [[BIG, 0.4, 0.8]]}',
+         ["scan", "--config", "FILE", "--out", "OUT"], "probe degree must be an integer"),
+        (None, ["dirac", "--cloud", "CSV", "--k", "BIG", "--eps", "0.5", "--eps2", "0.6", "--out", "OUT"],
+         "probe degree must be an integer"),
+        (None, ["barcode", "--cloud", "CSV", "--max-dim", "BIG", "--out", "OUT"], "max_dim must be an integer >= 0"),
+        (None, ["bottleneck", "GOOD", "GOOD", "--dim", "BIG"], "k must be >= 0 and an integer"),
+        ('{"bars": [{"dim": BIG, "birth": 0.0, "death": 1.0}]}', ["bottleneck", "FILE", "GOOD", "--dim", "1"],
+         "malformed diagram"),
+        ('{"bars": [{"dim": 0, "birth": BIG, "death": null}]}', ["bottleneck", "FILE", "GOOD", "--dim", "0"],
+         "malformed diagram"),
+        ('{"bars": [], "metadata": {"max_dim": 1e400}}', ["bottleneck", "FILE", "GOOD", "--dim", "0"],
+         "malformed diagram"),
+        ('{"bars": [], "metadata": {"n_points": 1e400}}', ["bottleneck", "FILE", "GOOD", "--dim", "0"],
+         "malformed diagram"),
+        ('{"bars": [{"dim": true, "birth": 0.0, "death": 1.0}]}', ["bottleneck", "FILE", "GOOD", "--dim", "1"],
+         "bar dim must be an integer, got True"),
+    ], ids=["scan_probe_scale", "scan_probe_degree", "dirac_k", "barcode_max_dim", "bottleneck_dim",
+            "bar_dim", "bar_birth", "max_dim_metadata", "n_points_metadata", "bool_bar_dim"])
+    def test_exits_2(self, square_csv, tmp_path, capsys, text, argv, named):
+        good = tmp_path / "good.json"
+        assert main(["barcode", "--cloud", square_csv, "--out", str(good)]) == 0
+        given = tmp_path / "given.json"
+        if text is not None:
+            given.write_text(text.replace("BIG", BIG))
+        out = tmp_path / "out.json"
+        names = {"BIG": BIG, "CSV": square_csv, "FILE": str(given), "GOOD": str(good), "OUT": str(out)}
+        capsys.readouterr()
+        rc = main([names.get(arg, arg) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert named in captured.err
+        assert captured.out == ""
+        assert not out.exists()

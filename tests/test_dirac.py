@@ -7,7 +7,6 @@ from topophase import dirac
 from topophase.dirac import (
     CERTIFICATE_MARGIN,
     RANK_TOL,
-    _certified_kernel_dim,
     _kernel_dim,
 )
 from topophase.simplicial import DENSE_LIMIT_BYTES, boundary_dense_at
@@ -318,31 +317,30 @@ class TestKernelCertificate:
         monkeypatch.setattr(np.linalg, name, counted)
         return calls
 
-    def test_kernel_count_matches_eigvalsh(self, monkeypatch):
-        # kernel counts as dirac_spectrum makes them, with the barcode's count
-        # and with a hint of 0, which sends every probe through the certificate
+    def test_kernel_count_matches_eigvalsh(self):
+        # one count per Laplacian, certified or solved, as dirac_spectrum makes it
         rng = np.random.default_rng(71)
         positive = 0
         for _ in range(70):
             fc = tp.vr_filtration(random_cloud(rng, n_max=12), max_dim=3)
-            diagram = tp.reduce(fc)
             e1, e2 = sorted(rng.uniform(0.0, 1.1 * fc.eps_max, size=2))
             for k in (0, 1, 2):
                 lap = dirac.persistent_laplacian(fc, k, e1, e2)
                 before = lap.copy()
                 expected = _kernel_dim(np.linalg.eigvalsh(lap))
                 positive += expected > 0
-                for hint in (0, tp.persistent_betti(diagram, k, e1, e2)):
-                    assert _certified_kernel_dim(lap, hint) == expected
-                    assert lap.tobytes() == before.tobytes()
+                assert dirac.betti_from_laplacian(lap) == expected
+                assert lap.tobytes() == before.tobytes()
                 assert expected == tp.dirac_spectrum(fc, k, e1, e2)[1]
         assert positive > 20
 
     def test_diagonally_dominant_needs_no_spectrum(self, monkeypatch):
-        eigensolves = self.spy(monkeypatch, "eigvalsh")
         # the 2-skeleton of a full simplex on m points has L_1 = m I
         fc = tp.vr_filtration(np.random.default_rng(3).random((9, 3)), max_dim=2)
-        assert _certified_kernel_dim(dirac.persistent_laplacian(fc, 1, fc.eps_max, fc.eps_max), 0) == 0
+        lap = dirac.persistent_laplacian(fc, 1, fc.eps_max, fc.eps_max)
+        assert np.array_equal(lap, 9 * np.eye(len(lap)))
+        eigensolves = self.spy(monkeypatch, "eigvalsh")
+        assert dirac.betti_from_laplacian(lap) == 0
         assert eigensolves == []
 
     @pytest.mark.parametrize("rotated", [True, False], ids=["rotated", "diagonal"])
@@ -357,13 +355,13 @@ class TestKernelCertificate:
         smallest = np.linalg.eigvalsh(lap)[0]
         assert c < smallest < CERTIFICATE_MARGIN * c
         eigensolves = self.spy(monkeypatch, "eigvalsh")
-        assert _certified_kernel_dim(lap.copy(), 0) == _kernel_dim(np.linalg.eigvalsh(lap)) == 0
+        assert dirac.betti_from_laplacian(lap.copy()) == _kernel_dim(np.linalg.eigvalsh(lap)) == 0
         assert eigensolves == [8, 8]  # the fallback's and the reference's
 
     def test_missed_kernel_still_counted(self):
-        # a path graph's Laplacian has a 1-dimensional kernel; a wrong hint of 0 must not hide it
+        # a path graph's Laplacian has a 1-dimensional kernel: its discs reach 0, so the eigenvalues count it
         lap = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-        assert _certified_kernel_dim(lap, 0) == 1
+        assert dirac.betti_from_laplacian(lap) == 1
 
 
 class TestSpectrum:
@@ -404,6 +402,12 @@ class TestBettiFromLaplacian:
     def test_not_psd_rejected(self):
         with pytest.raises(ValueError):
             dirac.betti_from_laplacian(np.diag([-1.0, 1.0]))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (4,)], ids=["row", "column", "vector"])
+    def test_non_square_rejected(self, shape):
+        # a (1, 3) row's one disc would certify it; a count needs a square matrix
+        with pytest.raises(ValueError, match="square"):
+            dirac.betti_from_laplacian(np.full(shape, 5.0))
 
 
 class TestQpeDistribution:

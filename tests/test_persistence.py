@@ -115,6 +115,40 @@ def test_non_integer_degree_refused(entry):
     assert call(1.0) == call(np.int64(1)) == call(1)
 
 
+@pytest.mark.parametrize("entry, named", [
+    ("persistent_betti", "k must be >= 0 and an integer"),
+    ("bottleneck", "k must be >= 0 and an integer"),
+    ("betti_oracle", "probe degree must be an integer"),
+    ("dirac_spectrum", "probe degree must be an integer"),
+    ("persistent_betti_scale", "probe scales must satisfy"),
+    ("betti_oracle_scale", "probe scales must satisfy"),
+    ("vr_filtration", "max_dim must be an integer >= 0"),
+])
+def test_integer_past_the_float_range_refused(entry, named):
+    # float() of 10 ** 400 overflows; each site refuses it as it refuses any other bad value
+    big = 10 ** 400
+    dg = PersistenceDiagram(dims=[1], births=[0.1], deaths=[0.4])
+    fc = tp.vr_filtration(SQUARE, max_dim=2)
+    call = {
+        "persistent_betti": lambda: tp.persistent_betti(dg, big, 0.3, 0.5),
+        "bottleneck": lambda: tp.bottleneck(dg, dg, big),
+        "betti_oracle": lambda: tp.betti_oracle(fc, big, 0.55, 0.65),
+        "dirac_spectrum": lambda: tp.dirac_spectrum(fc, big, 0.55, 0.65),
+        "persistent_betti_scale": lambda: tp.persistent_betti(dg, 1, 0.3, big),
+        "betti_oracle_scale": lambda: tp.betti_oracle(fc, 1, big, 0.65),
+        "vr_filtration": lambda: tp.vr_filtration(SQUARE, max_dim=big),
+    }[entry]
+    with pytest.raises(ValueError, match=named):
+        call()
+
+
+@pytest.mark.parametrize("dims", [[1.5], [True], [10 ** 30]], ids=["fraction", "bool", "past_intp"])
+def test_non_integer_dims_refused(dims):
+    # a cast to intp would store 1.5 and True as dim 1
+    with pytest.raises(ValueError, match="bar dim must be an integer"):
+        PersistenceDiagram(dims=dims, births=[0.0], deaths=[1.0])
+
+
 def test_empty_degrees_take_no_pass():
     # 10 points span no simplex above dimension 9.  A pass over an empty
     # dimension k still walks k + 2 empty facet columns, so passes over all

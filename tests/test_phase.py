@@ -288,17 +288,33 @@ class TestDetectors:
 
     def test_injected_mismatch_refused(self, monkeypatch):
         # the third window's first probe gets a kernel one above its bars
-        real = dirac._certified_kernel_dim
+        real = dirac.betti_from_laplacian
         calls = []
 
-        def off_by_one(lap, betti):
-            calls.append(betti)
-            return betti + 1 if len(calls) == 1 + len(PROBES) * 2 else real(lap, betti)
+        def off_by_one(lap):
+            calls.append(len(lap))
+            return real(lap) + (len(calls) == 1 + len(PROBES) * 2)
 
-        monkeypatch.setattr(dirac, "_certified_kernel_dim", off_by_one)
+        monkeypatch.setattr(dirac, "betti_from_laplacian", off_by_one)
         with pytest.raises(tp.ConsistencyError, match=r"lambda=-0\.3, probe k1_0\.4_0\.8: persistent Betti 0 "
                                                       r"vs Laplacian kernel 1"):
             tp.sweep(clean_config(lambda_min=-0.5, lambda_max=0.5))
+
+    def test_mismatch_stops_the_sweep(self, monkeypatch):
+        # the first window's first kernel is one above its bars: no second Laplacian is formed
+        real_kernel, real_lap = dirac.betti_from_laplacian, dirac.persistent_laplacian
+        laplacians = []
+
+        def counted(*args):
+            laplacians.append(args[1:])
+            return real_lap(*args)
+
+        monkeypatch.setattr(dirac, "betti_from_laplacian", lambda lap: real_kernel(lap) + 1)
+        monkeypatch.setattr(dirac, "persistent_laplacian", counted)
+        with pytest.raises(tp.ConsistencyError, match=r"lambda=-0\.5, probe k1_0\.4_0\.8: persistent Betti 0 "
+                                                      r"vs Laplacian kernel 1"):
+            tp.sweep(clean_config(lambda_min=-0.5, lambda_max=0.5))
+        assert laplacians == [PROBES[0]]
 
 
 class TestContinuity:
