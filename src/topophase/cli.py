@@ -79,8 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="probe interval k:eps1:eps2 (repeatable)")
     scan.add_argument("--max-dim", type=int)
     scan.add_argument("--xi", type=float)
-    scan.add_argument("--jobs", type=int,
-                      help="accepted for compatibility (must be >= 1); sweeps run serially")
     scan.add_argument("--out", required=True)
 
     cloud = sub.add_parser("cloud", parents=[grid], help="export an expectation cloud as CSV")

@@ -23,8 +23,8 @@ apparent when it is the latest facet of its earliest cofacet c (Bauer,
 "Ripser", 2021): no column after j has c in its coboundary, so c is free
 when j is reached and the pair (j, c) is found before the loop, with numpy,
 for all such columns at once.  The loop visits the other columns and holds
-only the one it reduces, as boolean flags over its component's rows (below)
-from its first pivot on; the pivot is the first set flag.  Adding a column
+only the one it reduces, as boolean flags over the rows from its first pivot
+to the dimension's last row; the pivot is the first set flag.  Adding a column
 flips the flags of its rows: an apparent column, or one paired with no
 addition, is its slice of the cofacet array, and a column the loop reduced is
 the index array of rows it was reduced to, kept when it is paired.
@@ -41,8 +41,9 @@ matrix is block-diagonal: no column addition crosses components, the
 apparent-pair test and clearing act column by column, and the last-first
 order restricted to a component is that component's order.  So the union's
 pairing restricted to a component is the component's pairing, and a
-component's diagram is its share of the union's bars.  So a working column's
-flags end where its component's rows do.
+component's diagram is its share of the union's bars.  The reduction needs
+no component boundaries: every column added to a working column lies in its
+component, so no flag past the component's last row is ever set.
 
 Diagram: a ``PersistenceDiagram`` stores its bars as three read-only arrays
 (``dims``, ``births``, ``deaths``) ordered by (dim, birth, death).  Persistent
@@ -100,8 +101,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplicial import (FilteredComplex, _check_dense, _check_probe, _check_scales, _is_integer, _WindowUnion,
-                         boundary_matrix)
+from .simplicial import (FilteredComplex, _check_dense, _check_probe, _check_scales, _is_integer, _is_number,
+                         _WindowUnion, boundary_matrix)
 
 INF = math.inf
 
@@ -179,16 +180,15 @@ def _cofacets(facets: np.ndarray, n_k: int):
     return starts, rows
 
 
-def _reduce_coboundaries(starts, rows, latest, cleared, row_offsets):
+def _reduce_coboundaries(starts, rows, latest, cleared):
     """Reduce one dimension's coboundary columns, last simplex first, skipping ``cleared``.
 
-    ``latest[c]`` is the latest facet of cofacet row c, and ``row_offsets``
-    are where the rows of each component of a disjoint union start (see
-    the module docstring).  Returns the paired columns, their pivot rows and
-    the columns that reduce to zero.  An apparent column, the latest facet
-    of its earliest cofacet, pairs with that cofacet before the loop; the
-    loop visits the other columns, and keeps the rows of each column it
-    reduced as an index array.
+    ``latest[c]`` is the latest facet of cofacet row c.  Returns the paired
+    columns, their pivot rows and the columns that reduce to zero.  An
+    apparent column, the latest facet of its earliest cofacet, pairs with
+    that cofacet before the loop; the loop visits the other columns, holds
+    the one it reduces as flags from its first pivot to the dimension's last
+    row, and keeps the rows of each column it reduced as an index array.
     """
     nonempty = starts[1:] > starts[:-1]
     columns = np.flatnonzero(~cleared & nonempty)
@@ -199,11 +199,10 @@ def _reduce_coboundaries(starts, rows, latest, cleared, row_offsets):
     starts = starts.tolist()
     paired, pivots, zero = [], [], []
     rest = ~apparent
-    ends = row_offsets[np.searchsorted(row_offsets, first[rest], side="right")]  # of each component
-    for j, piv, end in zip(columns[rest][::-1].tolist(), first[rest][::-1].tolist(), ends[::-1].tolist()):
+    for j, piv in zip(columns[rest][::-1].tolist(), first[rest][::-1].tolist()):
         if piv in owner:
             low = piv  # flag i of the column is row low + i
-            col = np.zeros(end - low, dtype=bool)
+            col = np.zeros(len(latest) - low, dtype=bool)
             col[rows[starts[j]:starts[j + 1]] - low] = True
             while piv in owner:
                 other = owner[piv]
@@ -244,8 +243,7 @@ def _bars(union: _WindowUnion) -> list:
         cleared = np.zeros(len(births[k]), dtype=bool)
         cleared[pivots] = True
         latest = functools.reduce(np.maximum, facets[k + 1].T)  # faster than max(axis=1) on k + 2 columns
-        paired, pivots, zero = _reduce_coboundaries(*_cofacets(facets[k + 1], len(births[k])),
-                                                    latest, cleared, union.offsets[k + 1])
+        paired, pivots, zero = _reduce_coboundaries(*_cofacets(facets[k + 1], len(births[k])), latest, cleared)
         death = np.full(len(births[k]), np.nan)
         death[paired] = births[k + 1][pivots]
         death[zero] = INF
@@ -271,7 +269,7 @@ def _diagram(union: _WindowUnion, bars: list, w: int) -> PersistenceDiagram:
         dims.append(np.full(len(birth), k))
     return PersistenceDiagram(
         max_dim=len(union.births) - 1,
-        n_points=union.windows[w].n_points,
+        n_points=int(union.offsets[0][w + 1] - union.offsets[0][w]),
         dropped_zero_bars=dropped,
         dims=np.concatenate(dims),
         births=np.concatenate(bar_births),
@@ -478,28 +476,33 @@ def diagram_to_json(diagram: PersistenceDiagram) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _read_number(value, what: str, integer: bool = False):
+    """A diagram file's number as a float, or as an int if ``integer``; ``TypeError`` for any other value."""
+    if not (_is_integer(value) if integer else _is_number(value)):
+        raise TypeError(f"{what} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def diagram_from_json(text: str) -> PersistenceDiagram:
     """Parse ``diagram_to_json`` output; malformed structure or invalid bar values raise ``ValueError``.
 
-    A bar dim that is not an integer (``true`` is not one) is refused, a
-    number past its field's range is malformed, and every diagram is over Z2,
-    so a ``"field"`` other than ``"Z2"`` is refused too.
+    Dims and metadata must be integers and bar values numbers (``true`` and
+    ``"0.5"`` are neither), a number past the float range is malformed, and
+    every diagram is over Z2, so a ``"field"`` other than ``"Z2"`` is refused
+    too.
     """
     payload = json.loads(text)
     try:
         if payload.get("field", "Z2") != "Z2":
             raise ValueError(f"diagram field must be 'Z2', got {payload['field']!r}")
         bars, meta = payload["bars"], payload.get("metadata", {})
-        dims = [b["dim"] for b in bars]
-        for dim in dims:
-            if isinstance(dim, bool) or not isinstance(dim, (int, float)) or not float(dim).is_integer():
-                raise ValueError(f"bar dim must be an integer, got {dim!r}")
-        dims = [int(dim) for dim in dims]
-        births = [float(b["birth"]) for b in bars]
-        deaths = [INF if b["death"] is None else float(b["death"]) for b in bars]
-        max_dim = int(meta.get("max_dim", max(dims, default=0)))
-        n_points = int(meta.get("n_points", 0))
-        dropped = {int(k): int(v) for k, v in meta.get("dropped_zero_bars", {}).items()}
+        dims = [_read_number(b["dim"], "bar dim", integer=True) for b in bars]
+        births = [_read_number(b["birth"], "bar birth") for b in bars]
+        deaths = [INF if b["death"] is None else _read_number(b["death"], "bar death") for b in bars]
+        max_dim = _read_number(meta.get("max_dim", max(dims, default=0)), "max_dim", integer=True)
+        n_points = _read_number(meta.get("n_points", 0), "n_points", integer=True)
+        dropped = {int(k): _read_number(v, "dropped zero-bar count", integer=True)
+                   for k, v in meta.get("dropped_zero_bars", {}).items()}
     except (KeyError, TypeError, AttributeError, OverflowError) as err:
         raise ValueError(f"malformed diagram ({type(err).__name__}: {err})") from None
     return PersistenceDiagram(max_dim=max_dim, n_points=n_points, dropped_zero_bars=dropped,

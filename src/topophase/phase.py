@@ -30,7 +30,8 @@ import numpy as np
 
 from . import dirac as _dirac
 from . import persistence as _persistence
-from .simplicial import _check_dense, _check_probe, _window_unions, _WindowUnion, vr_filtration
+from .simplicial import (_check_dense, _check_max_dim, _check_probe, _check_window_max_dim, _is_number,
+                         _window_unions, _WindowUnion, vr_filtration)
 from .statecloud import (
     DEFAULT_GAP_TOL,
     SSHChain,
@@ -64,8 +65,11 @@ class ScanConfig:
     int or float, and a float field must be finite.  A probe (k, eps1, eps2)
     needs an integer degree 0 <= k < ``max_dim`` and scales 0 <= eps1 <= eps2
     (``simplicial._check_probe``), and no two probes may share a report key.
-    ``jobs`` is validated (>= 1) and kept for compatibility; sweeps run
-    serially whatever its value.
+    ``max_dim`` is refused where the empty dimensions of the complexes a sweep
+    holds at once would pass ``DENSE_LIMIT_BYTES`` (``simplicial._check_max_dim``).
+    A ``window_halfwidth`` of n - 1 or more gives every one of the n lambdas the
+    whole cloud, and is swept as n - 1.  ``jobs`` is validated (>= 1) and kept
+    for compatibility; sweeps run serially whatever its value.
     """
 
     lambda_min: float
@@ -100,7 +104,7 @@ class ScanConfig:
                     value = -math.inf if value < 0 else math.inf
             object.__setattr__(self, f.name, value)
         if not all(isinstance(x, (list, tuple)) and len(x) == 3
-                   and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in x)
+                   and all(map(_is_number, x))
                    for x in self.intervals):
             raise ValueError("config field 'intervals' must be a list of [k, eps1, eps2] numbers")
         if self.model != "ssh":
@@ -135,6 +139,10 @@ class ScanConfig:
                 raise ValueError(f"intervals: probes {seen[key]} and {probe} share the report key {key!r}")
             seen[key] = probe
         object.__setattr__(self, "intervals", intervals)
+        if self.cloud_mode == GLOBAL:  # the charge of the sweep's vr_filtration or _window_unions
+            _check_max_dim(self.max_dim, self._n_steps() + 1)
+        else:
+            _check_window_max_dim(self.max_dim, self.window_halfwidth, self._n_steps() + 1)
 
     def _n_steps(self) -> int:
         span = self.lambda_max - self.lambda_min

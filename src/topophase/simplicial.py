@@ -63,19 +63,27 @@ k is answered only for 0 <= k < ``max_dim``, from the (k+1)-skeleton.  A
 probe (k, eps1, eps2) also needs scales 0 <= eps1 <= eps2.  ``_check_probe``
 is that rule for every consumer of a complex and for ``ScanConfig``;
 ``_check_scales``, its scale half, serves the diagram readers, which take
-whatever degrees a diagram holds.
+whatever degrees a diagram holds.  Every such check takes numbers only
+(``_is_number``): a bool, numpy's included, or a string is refused, not
+read as 1 or parsed.  A complex holds a slot for every dimension up to
+``max_dim``, empty or not, so ``_check_max_dim`` charges the dimensions a
+complex cannot fill against ``DENSE_LIMIT_BYTES`` before any is built.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 DENSE_LIMIT_BYTES = 2 ** 28  # largest dense array vr_filtration or the spectral layer will allocate
 _UNION_SHARE = 16  # a union of window complexes takes at most DENSE_LIMIT_BYTES // _UNION_SHARE
+# what one empty dimension of a complex holds, its reduction included (tracemalloc, numpy 2.4: 1,190-1,230
+# bytes per slot for vr_filtration and reduce, at most 1,140 per window and band in a sweep)
+_SLOT_BYTES = 1280
 
 
 def _check_dense(n_rows: int, n_cols: int, what: str = "matrix", itemsize: int = 8) -> None:
@@ -86,16 +94,26 @@ def _check_dense(n_rows: int, n_cols: int, what: str = "matrix", itemsize: int =
                          f"exceeds the {DENSE_LIMIT_BYTES // 2 ** 20} MB limit")
 
 
+def _is_number(value) -> bool:
+    """True for a real number, numpy's included; a bool (numpy's too), a string or None is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)  # np.bool_ is not Real
+
+
 def _is_integer(value) -> bool:
-    """True for a number equal to an integer in the float range; a fraction, NaN or inf is not."""
+    """True for a number equal to an integer in the float range; a fraction, NaN, inf or bool is not."""
     try:
-        return float(value).is_integer()
+        return _is_number(value) and float(value).is_integer()
     except OverflowError:  # an integer past the float range
         return False
 
 
 def _check_scales(eps1: float, eps2: float) -> tuple:
-    """Probe scales as floats; refuses all but 0 <= eps1 <= eps2 (so NaN, and an integer past the float range)."""
+    """Probe scales as floats; refuses all but numbers 0 <= eps1 <= eps2.
+
+    So NaN, a bool, a string and an integer past the float range are refused.
+    """
+    if not (_is_number(eps1) and _is_number(eps2)):
+        raise ValueError(f"probe scales must satisfy 0 <= eps1 <= eps2, got ({eps1!r}, {eps2!r})")
     try:
         eps1, eps2 = float(eps1), float(eps2)
     except OverflowError:
@@ -104,6 +122,30 @@ def _check_scales(eps1: float, eps2: float) -> tuple:
     if not 0.0 <= eps1 <= eps2:
         raise ValueError(f"probe scales must satisfy 0 <= eps1 <= eps2, got ({eps1}, {eps2})")
     return eps1, eps2
+
+
+def _check_max_dim(max_dim: int, points: int, complexes: int = 1) -> int:
+    """``max_dim`` as an int; refuses all but an integer >= 0 whose empty dimensions fit ``DENSE_LIMIT_BYTES``.
+
+    A complex on ``points`` points has no simplex above dimension points - 1
+    but holds a slot, at ``_SLOT_BYTES``, for every dimension up to
+    ``max_dim``; ``complexes`` such complexes are alive at once.
+    """
+    if not (_is_integer(max_dim) and max_dim >= 0):
+        raise ValueError(f"max_dim must be an integer >= 0, got {max_dim!r}")
+    _check_dense(max(0, int(max_dim) + 1 - points), complexes, "table of empty dimension slots per complex",
+                 itemsize=_SLOT_BYTES)
+    return int(max_dim)
+
+
+def _check_window_max_dim(max_dim: int, halfwidth: int, n: int) -> int:
+    """``_check_max_dim`` of a window sweep over n points (``_window_unions``).
+
+    A run holds at most a block of windows and their band, each at most as
+    empty as the smallest window, of halfwidth + 1 points.
+    """
+    halfwidth = min(halfwidth, n - 1)
+    return _check_max_dim(max_dim, halfwidth + 1, min(2 * halfwidth + 1, n) + 1)
 
 
 def _check_probe(max_dim: int, k: int, eps1: float, eps2: float) -> tuple:
@@ -270,18 +312,17 @@ def vr_filtration(cloud, eps_max: float | None = None, max_dim: int = 2) -> Filt
     cloud diameter, at which the complex is a full simplex up to ``max_dim``.
     Duplicate points are legal (zero distances allowed).  Raises
     ``ValueError`` for a ``max_dim`` that is not an integer >= 0 (an integral
-    float is taken) and before allocating an array above ``DENSE_LIMIT_BYTES``.
+    float is taken) or whose empty dimensions alone pass ``DENSE_LIMIT_BYTES``,
+    and before allocating an array above it.
     """
     pts = _points(cloud)
-    if not (_is_integer(max_dim) and max_dim >= 0):
-        raise ValueError(f"max_dim must be an integer >= 0, got {max_dim!r}")
-    max_dim = int(max_dim)
     n = pts.shape[0]
+    max_dim = _check_max_dim(max_dim, n)
     dist = _distances(pts)
     if eps_max is None:
         eps_max = float(dist.max()) / 2.0
-    elif not eps_max >= 0:
-        raise ValueError("eps_max must be >= 0")
+    elif not (_is_number(eps_max) and eps_max >= 0):
+        raise ValueError(f"eps_max must be >= 0, got {eps_max!r}")
     adjacency = np.triu(dist <= 2.0 * eps_max, k=1)
     verts, births, facets = _cliques(dist, adjacency, max_dim)
     return FilteredComplex(tuple(verts), tuple(births), n, dist, float(eps_max),
@@ -328,6 +369,8 @@ def _window_unions(cloud, halfwidth: int, max_dim: int):
     """
     pts = _points(cloud)
     n = pts.shape[0]
+    _check_window_max_dim(max_dim, halfwidth, n)
+    halfwidth = min(halfwidth, n - 1)  # from n - 1 on, every window is the whole cloud
     block = 2 * halfwidth + 1
     for first in range(0, n, block):
         base, end = max(0, first - halfwidth), min(n, first + block + halfwidth)

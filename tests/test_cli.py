@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,13 +28,43 @@ class TestScan:
         rc = main([
             "scan", "--model", "ssh", "--n", "4", "--lmin", "-0.9", "--lmax", "1",
             "--step", "0.1", "--window", "3", "--probe", "1:0.4:0.8",
-            "--probe", "0:0.02:0.04", "--jobs", "1", "--out", str(out),
+            "--probe", "0:0.02:0.04", "--out", str(out),
         ])
         assert rc == 0
         payload = json.loads(out.read_text())
         assert len(payload["entries"]) == 20
         stdout = capsys.readouterr().out
         assert "transition" in stdout
+
+    def test_max_dim_past_the_slot_budget_exits_2(self, tmp_path):
+        # in a child process capped at 1 GB of address space and 60 s, so a
+        # sweep that tried to build a billion empty dimensions would fail there
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+                  "from topophase.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        out = tmp_path / "r.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", script, "scan", "--lmin", "-0.9", "--lmax", "-0.8",
+                               "--step", "0.1", "--max-dim", "1000000000", "--out", str(out)],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert "table of empty dimension slots per complex" in proc.stderr
+        assert not out.exists()
+
+    def test_halfwidth_past_the_grid_exits_0(self, tmp_path):
+        # every halfwidth from n - 1 on gives each centre the whole cloud
+        reports = []
+        for halfwidth in (3, 10 ** 50):
+            cfg = tmp_path / "scan.json"
+            cfg.write_text(json.dumps({"lambda_min": -0.9, "lambda_max": -0.6, "step": 0.1,
+                                       "window_halfwidth": halfwidth}))
+            out = tmp_path / f"r{len(reports)}.json"
+            assert main(["scan", "--config", str(cfg), "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[1]["config"]["window_halfwidth"] == 10 ** 50
+        assert reports[1]["entries"] == reports[0]["entries"]
+        assert reports[1]["transitions"] == reports[0]["transitions"]
 
     def test_invalid_range_exits_2(self, tmp_path, capsys):
         rc = main(["scan", "--lmin", "1", "--lmax", "-1", "--step", "0.1",
@@ -103,9 +135,10 @@ class TestScan:
         (["--lmin", "-1", "--max-dim", "0"], "0 <= k < max_dim (0), got (1, 0.4, 0.8)"),
         (["--lmin", "-1", "--probe", "1:0.4:0.8", "--probe", "1:0.40000001:0.8"],
          "intervals: probes (1, 0.4, 0.8) and (1, 0.40000001, 0.8) share the report key 'k1_0.4_0.8'"),
+        (["--lmin", "-1", "--jobs", "1"], "unrecognized arguments: --jobs 1"),
     ], ids=["missing_lmin", "inf_lmin", "inf_lmax", "nan_step", "nan_xi", "nan_probe_scale",
             "negative_probe_scale", "nan_gap_tol", "negative_gap_tol", "nan_v", "inf_w", "n_200",
-            "top_degree_probe", "max_dim_0", "probes_sharing_a_key"])
+            "top_degree_probe", "max_dim_0", "probes_sharing_a_key", "jobs"])
     def test_bad_flag_exits_2(self, tmp_path, capsys, flags, named):
         out = tmp_path / "r.json"
         rc = main(["scan", "--lmax", "-0.8", "--step", "0.1", *flags, "--out", str(out)])
@@ -563,8 +596,20 @@ class TestNumericArguments:
          "malformed diagram"),
         ('{"bars": [{"dim": true, "birth": 0.0, "death": 1.0}]}', ["bottleneck", "FILE", "GOOD", "--dim", "1"],
          "bar dim must be an integer, got True"),
+        ('{"bars": [{"dim": 0, "birth": "0.5", "death": 1.0}]}', ["bottleneck", "FILE", "GOOD", "--dim", "0"],
+         "bar birth must be a number, got '0.5'"),
+        ('{"bars": [{"dim": 0, "birth": 0.5, "death": true}]}', ["bottleneck", "FILE", "GOOD", "--dim", "0"],
+         "bar death must be a number, got True"),
+        ('{"bars": [], "metadata": {"max_dim": 1.5}}', ["bottleneck", "FILE", "GOOD", "--dim", "0"],
+         "max_dim must be an integer, got 1.5"),
+        ('{"bars": [], "metadata": {"n_points": 2.7}}', ["bottleneck", "FILE", "GOOD", "--dim", "0"],
+         "n_points must be an integer, got 2.7"),
+        ('{"bars": [], "metadata": {"dropped_zero_bars": {"0": 1.9}}}', ["bottleneck", "FILE", "GOOD", "--dim", "0"],
+         "dropped zero-bar count must be an integer, got 1.9"),
     ], ids=["scan_probe_scale", "scan_probe_degree", "dirac_k", "barcode_max_dim", "bottleneck_dim",
-            "bar_dim", "bar_birth", "max_dim_metadata", "n_points_metadata", "bool_bar_dim"])
+            "bar_dim", "bar_birth", "max_dim_metadata", "n_points_metadata", "bool_bar_dim",
+            "string_bar_birth", "bool_bar_death", "fractional_max_dim_metadata", "fractional_n_points_metadata",
+            "fractional_dropped_count"])
     def test_exits_2(self, square_csv, tmp_path, capsys, text, argv, named):
         good = tmp_path / "good.json"
         assert main(["barcode", "--cloud", square_csv, "--out", str(good)]) == 0

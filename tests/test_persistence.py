@@ -142,6 +142,34 @@ def test_integer_past_the_float_range_refused(entry, named):
         call()
 
 
+@pytest.mark.parametrize("entry, named", [
+    ("persistent_betti_bool_degree", "k must be >= 0 and an integer, got True"),
+    ("betti_oracle_bool_degree", r"probe degree must be an integer 0 <= k < max_dim \(2\), got \(True"),
+    ("dirac_spectrum_bool_degree", r"probe degree must be an integer 0 <= k < max_dim \(2\), got \(True"),
+    ("bottleneck_numpy_bool_degree", "k must be >= 0 and an integer, got True"),
+    ("vr_filtration_bool_max_dim", "max_dim must be an integer >= 0, got True"),
+    ("betti_oracle_string_scales", r"probe scales must satisfy 0 <= eps1 <= eps2, got \('0.1', '0.2'\)"),
+    ("persistent_betti_string_scales", r"probe scales must satisfy 0 <= eps1 <= eps2, got \('0.1', '0.2'\)"),
+    ("vr_filtration_bool_eps_max", "eps_max must be >= 0, got True"),
+])
+def test_bool_or_string_refused(entry, named):
+    # float() takes True as 1.0 and "0.1" as 0.1; no site may answer as if it had been given a number
+    dg = PersistenceDiagram(dims=[1], births=[0.1], deaths=[0.4])
+    fc = tp.vr_filtration(SQUARE, max_dim=2)
+    call = {
+        "persistent_betti_bool_degree": lambda: tp.persistent_betti(dg, True, 0.1, 0.2),
+        "betti_oracle_bool_degree": lambda: tp.betti_oracle(fc, True, 0.1, 0.2),
+        "dirac_spectrum_bool_degree": lambda: tp.dirac_spectrum(fc, True, 0.1, 0.2),
+        "bottleneck_numpy_bool_degree": lambda: tp.bottleneck(dg, dg, np.True_),
+        "vr_filtration_bool_max_dim": lambda: tp.vr_filtration(SQUARE, max_dim=True),
+        "betti_oracle_string_scales": lambda: tp.betti_oracle(fc, 1, "0.1", "0.2"),
+        "persistent_betti_string_scales": lambda: tp.persistent_betti(dg, 1, "0.1", "0.2"),
+        "vr_filtration_bool_eps_max": lambda: tp.vr_filtration(SQUARE, eps_max=True),
+    }[entry]
+    with pytest.raises(ValueError, match=named):
+        call()
+
+
 @pytest.mark.parametrize("dims", [[1.5], [True], [10 ** 30]], ids=["fraction", "bool", "past_intp"])
 def test_non_integer_dims_refused(dims):
     # a cast to intp would store 1.5 and True as dim 1
@@ -515,6 +543,19 @@ class TestSerialization:
     def test_non_integer_dim_rejected(self, dim):
         text = f'{{"field": "Z2", "bars": [{{"dim": {dim}, "birth": 0.0, "death": 1.0}}]}}'
         with pytest.raises(ValueError, match="bar dim must be an integer"):
+            tp.diagram_from_json(text)
+
+    @pytest.mark.parametrize("bar, metadata, named", [
+        ('{"dim": 0, "birth": "0.5", "death": 1.0}', "{}", "bar birth must be a number, got '0.5'"),
+        ('{"dim": 0, "birth": 0.5, "death": true}', "{}", "bar death must be a number, got True"),
+        ("", '{"max_dim": 1.5}', "max_dim must be an integer, got 1.5"),
+        ("", '{"n_points": 2.7}', "n_points must be an integer, got 2.7"),
+        ("", '{"dropped_zero_bars": {"0": 1.9}}', "dropped zero-bar count must be an integer, got 1.9"),
+    ], ids=["string_birth", "bool_death", "fractional_max_dim", "fractional_n_points", "fractional_dropped"])
+    def test_non_number_value_malformed(self, bar, metadata, named):
+        # int() and float() would read these as 0.5, 1.0, 1, 2 and 1
+        text = f'{{"field": "Z2", "bars": [{bar}], "metadata": {metadata}}}'
+        with pytest.raises(ValueError, match=rf"malformed diagram \(TypeError: {named}\)"):
             tp.diagram_from_json(text)
 
     def test_integral_dim_read_as_int(self):

@@ -130,6 +130,21 @@ class TestScanConfig:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("mode", [GLOBAL, "window"])
+    def test_max_dim_past_the_slot_budget_refused(self, mode):
+        # refused by the config, before any cloud or complex is built
+        with pytest.raises(ValueError, match="table of empty dimension slots per complex"):
+            clean_config(cloud_mode=mode, max_dim=10 ** 9)
+
+    def test_halfwidth_past_the_grid_is_the_whole_cloud(self):
+        # from n - 1 on every window is the whole cloud, so any larger halfwidth sweeps as n - 1
+        n = len(clean_config(lambda_max=0.2).lambdas())
+        want = tp.sweep(clean_config(lambda_max=0.2, window_halfwidth=n - 1, keep_diagrams=True))
+        got = tp.sweep(clean_config(lambda_max=0.2, window_halfwidth=10 ** 50, keep_diagrams=True))
+        assert got.config.window_halfwidth == 10 ** 50
+        assert (got.betti, got.kernel_dims, got.transitions) == (want.betti, want.kernel_dims, want.transitions)
+        assert [tp.diagram_to_json(d) for d in got.diagrams] == [tp.diagram_to_json(d) for d in want.diagrams]
+
     def test_entry_count_and_alignment(self):
         report = tp.sweep(clean_config())
         assert len(report.lambdas) == 20

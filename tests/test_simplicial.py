@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 from bisect import bisect_right
 
@@ -132,6 +135,25 @@ def test_negative_or_nan_eps_max_rejected(eps_max):
 def test_non_integral_or_negative_max_dim_rejected(max_dim):
     with pytest.raises(ValueError, match="max_dim must be an integer >= 0"):
         tp.vr_filtration(SQUARE, max_dim=max_dim)
+
+
+def test_max_dim_past_the_slot_budget_refused():
+    # every dimension up to max_dim holds a slot even when it is empty, so
+    # 10 points at max_dim 10 ** 9 would need about a terabyte of empty
+    # slots; the call runs in a child process capped at 1 GB and 60 s
+    script = ("import resource\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+              "import numpy as np, topophase as tp\n"
+              "try:\n"
+              "    tp.vr_filtration(np.random.default_rng(5).random((10, 2)), max_dim=10 ** 9)\n"
+              "except ValueError as err:\n"
+              "    print(err)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "table of empty dimension slots per complex" in proc.stdout
+    # the dimensions that can hold simplices are not charged: a 10-point full simplex fits any budget
+    assert simplicial._check_max_dim(9, 10) == 9
 
 
 def test_integral_max_dim_taken():
