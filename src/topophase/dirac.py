@@ -149,8 +149,9 @@ def _schur_laplacian(complex_: FilteredComplex, k: int, eps: float, eps_prime: f
     _check_dense(n_up, n_up)
     _check_dense(n_down, n_k)
     facets = boundary_matrix(complex_, k + 1)[:complex_.count_at(k + 1, eps_prime)]
-    signs = (-1.0) ** np.add.outer(np.arange(k + 2), np.arange(k + 2))
-    pairs = facets[:, :, None] * n_up + facets[:, None, :]
+    width = facets.shape[1] if len(facets) else 0  # no (k+1)-simplex scatters nothing, whatever k is
+    signs = (-1.0) ** np.add.outer(np.arange(width), np.arange(width))
+    pairs = facets[:, :width, None] * n_up + facets[:, None, :width]
     gram = np.bincount(pairs.ravel(), weights=np.tile(signs.ravel(), len(facets)),
                        minlength=n_up * n_up).reshape(n_up, n_up)
     gram = gram.astype(float, copy=False)  # bincount gives int64 when there are no facets

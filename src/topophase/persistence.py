@@ -226,19 +226,19 @@ def _reduce_coboundaries(starts, rows, latest, cleared):
 
 
 def _bars(union: _WindowUnion) -> list:
-    """Creator index and death of every bar, zero-length ones included, per degree k < max_dim.
+    """Creator index and death of every bar, zero-length ones included, per degree it reads.
 
     Entry k is (creators, deaths): the union's k-simplices that create a
     bar, ascending, and where each bar dies, ``inf`` for an essential one.
-    A dimension with no simplices has none above it either, so from there
-    on every degree is empty without a pass.
+    Degree k reads dimension k + 1, so the entries run over the union's
+    dimensions but its last, and stop at its first empty dimension: no
+    degree past it has a bar.
     """
     births, facets = union.births, union.facets
     bars = []
     pivots = np.empty(0, dtype=np.intp)
     for k in range(len(births) - 1):
         if not len(births[k]):
-            bars += [(np.empty(0, dtype=np.intp), np.empty(0))] * (len(births) - 1 - k)
             break
         cleared = np.zeros(len(births[k]), dtype=bool)
         cleared[pivots] = True
@@ -253,7 +253,7 @@ def _bars(union: _WindowUnion) -> list:
 
 
 def _diagram(union: _WindowUnion, bars: list, w: int) -> PersistenceDiagram:
-    """Diagram of window w of the union, its share of the union's ``_bars``."""
+    """Diagram of window w of the union, its share of the union's ``_bars``, to the window's ``max_dim``."""
     dims, bar_births, bar_deaths = [], [], []
     dropped: dict = {}
     for k, (creators, deaths) in enumerate(bars):
@@ -267,9 +267,10 @@ def _diagram(union: _WindowUnion, bars: list, w: int) -> PersistenceDiagram:
         bar_births.append(birth)
         bar_deaths.append(death)
         dims.append(np.full(len(birth), k))
+    window = union.windows[w]
     return PersistenceDiagram(
-        max_dim=len(union.births) - 1,
-        n_points=int(union.offsets[0][w + 1] - union.offsets[0][w]),
+        max_dim=window.max_dim,
+        n_points=window.n_points,
         dropped_zero_bars=dropped,
         dims=np.concatenate(dims),
         births=np.concatenate(bar_births),
@@ -298,7 +299,9 @@ def persistent_betti(diagram: PersistenceDiagram, k: int, eps1: float, eps2: flo
 
 
 def _betti_counts(union: _WindowUnion, bars: list, k: int, eps1: float, eps2: float) -> np.ndarray:
-    """``persistent_betti`` of every window of the union, from its ``_bars``."""
+    """``persistent_betti`` of every window of the union, from its ``_bars``; 0 past them."""
+    if k >= len(bars):
+        return np.zeros(len(union.windows), dtype=np.intp)
     creators, deaths = bars[k]
     spanning = creators[(union.births[k][creators] <= eps1) & (deaths > eps2)]
     offsets = union.offsets[k]

@@ -30,8 +30,8 @@ import numpy as np
 
 from . import dirac as _dirac
 from . import persistence as _persistence
-from .simplicial import (_check_dense, _check_max_dim, _check_probe, _check_window_max_dim, _is_number,
-                         _window_unions, _WindowUnion, vr_filtration)
+from .simplicial import (_check_dense, _check_max_dim, _check_probe, _is_number, _window_unions, _WindowUnion,
+                         vr_filtration)
 from .statecloud import (
     DEFAULT_GAP_TOL,
     SSHChain,
@@ -65,8 +65,9 @@ class ScanConfig:
     int or float, and a float field must be finite.  A probe (k, eps1, eps2)
     needs an integer degree 0 <= k < ``max_dim`` and scales 0 <= eps1 <= eps2
     (``simplicial._check_probe``), and no two probes may share a report key.
-    ``max_dim`` is refused where the empty dimensions of the complexes a sweep
-    holds at once would pass ``DENSE_LIMIT_BYTES`` (``simplicial._check_max_dim``).
+    ``max_dim`` must be an integer >= 0.  A complex stores no dimension past
+    its first empty one, so any ``max_dim`` past the number of lambdas gives
+    the probe values of that number, in its time.
     A ``window_halfwidth`` of n - 1 or more gives every one of the n lambdas the
     whole cloud, and is swept as n - 1.  ``jobs`` is validated (>= 1) and kept
     for compatibility; sweeps run serially whatever its value.
@@ -139,10 +140,7 @@ class ScanConfig:
                 raise ValueError(f"intervals: probes {seen[key]} and {probe} share the report key {key!r}")
             seen[key] = probe
         object.__setattr__(self, "intervals", intervals)
-        if self.cloud_mode == GLOBAL:  # the charge of the sweep's vr_filtration or _window_unions
-            _check_max_dim(self.max_dim, self._n_steps() + 1)
-        else:
-            _check_window_max_dim(self.max_dim, self.window_halfwidth, self._n_steps() + 1)
+        _check_max_dim(self.max_dim)
 
     def _n_steps(self) -> int:
         span = self.lambda_max - self.lambda_min

@@ -65,9 +65,10 @@ is that rule for every consumer of a complex and for ``ScanConfig``;
 ``_check_scales``, its scale half, serves the diagram readers, which take
 whatever degrees a diagram holds.  Every such check takes numbers only
 (``_is_number``): a bool, numpy's included, or a string is refused, not
-read as 1 or parsed.  A complex holds a slot for every dimension up to
-``max_dim``, empty or not, so ``_check_max_dim`` charges the dimensions a
-complex cannot fill against ``DENSE_LIMIT_BYTES`` before any is built.
+read as 1 or parsed.  ``max_dim`` is a field: the clique loop stops after
+the first empty dimension (by dimension n on n points), and past the stored
+dimensions ``count_dim`` and ``count_at`` read 0 and ``boundary_matrix`` is
+empty, so every detector reads 0 there and a large ``max_dim`` costs nothing.
 """
 
 from __future__ import annotations
@@ -81,9 +82,6 @@ import numpy as np
 
 DENSE_LIMIT_BYTES = 2 ** 28  # largest dense array vr_filtration or the spectral layer will allocate
 _UNION_SHARE = 16  # a union of window complexes takes at most DENSE_LIMIT_BYTES // _UNION_SHARE
-# what one empty dimension of a complex holds, its reduction included (tracemalloc, numpy 2.4: 1,190-1,230
-# bytes per slot for vr_filtration and reduce, at most 1,140 per window and band in a sweep)
-_SLOT_BYTES = 1280
 
 
 def _check_dense(n_rows: int, n_cols: int, what: str = "matrix", itemsize: int = 8) -> None:
@@ -124,28 +122,11 @@ def _check_scales(eps1: float, eps2: float) -> tuple:
     return eps1, eps2
 
 
-def _check_max_dim(max_dim: int, points: int, complexes: int = 1) -> int:
-    """``max_dim`` as an int; refuses all but an integer >= 0 whose empty dimensions fit ``DENSE_LIMIT_BYTES``.
-
-    A complex on ``points`` points has no simplex above dimension points - 1
-    but holds a slot, at ``_SLOT_BYTES``, for every dimension up to
-    ``max_dim``; ``complexes`` such complexes are alive at once.
-    """
+def _check_max_dim(max_dim: int) -> int:
+    """``max_dim`` as an int; refuses all but an integer >= 0."""
     if not (_is_integer(max_dim) and max_dim >= 0):
         raise ValueError(f"max_dim must be an integer >= 0, got {max_dim!r}")
-    _check_dense(max(0, int(max_dim) + 1 - points), complexes, "table of empty dimension slots per complex",
-                 itemsize=_SLOT_BYTES)
     return int(max_dim)
-
-
-def _check_window_max_dim(max_dim: int, halfwidth: int, n: int) -> int:
-    """``_check_max_dim`` of a window sweep over n points (``_window_unions``).
-
-    A run holds at most a block of windows and their band, each at most as
-    empty as the smallest window, of halfwidth + 1 points.
-    """
-    halfwidth = min(halfwidth, n - 1)
-    return _check_max_dim(max_dim, halfwidth + 1, min(2 * halfwidth + 1, n) + 1)
 
 
 def _check_probe(max_dim: int, k: int, eps1: float, eps2: float) -> tuple:
@@ -173,9 +154,10 @@ class FilteredComplex:
 
     ``vertices[k]`` is an (n_k, k+1) integer array of strictly increasing
     vertex rows and ``births[k]`` their births, both ordered by (birth,
-    vertices); ``max_dim`` is ``len(vertices) - 1``.  Instances come from
-    ``vr_filtration`` or a window sweep, whose clique loop also gives the
-    facet arrays (see the module docstring).
+    vertices), for the dimensions the clique loop built: to ``max_dim`` or to
+    the first empty one.  Instances come from ``vr_filtration`` or a window
+    sweep, whose clique loop also gives the facet arrays (see the module
+    docstring).
     """
 
     vertices: tuple
@@ -183,11 +165,12 @@ class FilteredComplex:
     n_points: int
     distance_matrix: np.ndarray
     eps_max: float
+    max_dim: int
     _facets: tuple = field(repr=False)
 
     def __post_init__(self):
-        if len(self.vertices) != len(self.births) or not self.vertices:
-            raise ValueError("need one vertex array and one births array per dimension, from 0")
+        if len(self.vertices) != len(self.births) or not 0 < len(self.vertices) <= self.max_dim + 1:
+            raise ValueError("need a vertex array and a births array per dimension, from 0 to max_dim at most")
         verts = tuple(_read_only(np.asarray(v, dtype=np.intp).reshape(len(v), k + 1))
                       for k, v in enumerate(self.vertices))
         births = tuple(_read_only(np.asarray(b, dtype=float)) for b in self.births)
@@ -197,20 +180,16 @@ class FilteredComplex:
         object.__setattr__(self, "births", births)
         object.__setattr__(self, "_facets", tuple(self._facets))
 
-    @property
-    def max_dim(self) -> int:
-        return len(self.vertices) - 1
-
     def __len__(self) -> int:
         return sum(len(b) for b in self.births)
 
     def count_dim(self, k: int) -> int:
         """Number of k-simplices in the whole filtration."""
-        return len(self.births[k]) if 0 <= k <= self.max_dim else 0
+        return len(self.births[k]) if 0 <= k < len(self.births) else 0
 
     def count_at(self, k: int, eps: float) -> int:
         """Number of k-simplices with birth <= eps (a prefix in dimension k)."""
-        if not 0 <= k <= self.max_dim:
+        if not 0 <= k < len(self.births):
             return 0
         return int(np.searchsorted(self.births[k], eps, side="right"))
 
@@ -252,8 +231,8 @@ def _cliques(dist: np.ndarray, adjacency: np.ndarray, max_dim: int) -> tuple:
     of the simplex, so above its last one.  Each dimension is built
     in lexicographic order and put in (birth, vertices) order by one stable
     sort of its birth levels, and its facet arrays come from the same loop
-    (see the module docstring).  The dimensions above an empty one are empty
-    too, and get the loop's empty arrays without a pass each.
+    (see the module docstring).  The loop stops after the first empty
+    dimension: every dimension above it is empty too, and is not built.
     """
     n = len(dist)
     lex = [np.arange(n, dtype=np.intp)]  # vertex columns of the current dimension, lexicographic
@@ -290,11 +269,7 @@ def _cliques(dist: np.ndarray, adjacency: np.ndarray, max_dim: int) -> tuple:
             facet[:, i] = np.take(rank, np.take(f, order))
         facet.flags.writeable = False
         facets.append(facet)
-        if not len(order):  # so is every higher dimension: fill them as this loop would
-            empty = [np.empty((0, j + 1), dtype=np.intp) for j in range(k + 2, max_dim + 1)]
-            verts += empty
-            births += [np.empty(0) for _ in empty]
-            facets += [_read_only(e) for e in empty]
+        if not len(order):  # so is every higher dimension
             break
         if k + 1 < max_dim:  # what the next dimension reads
             keys = rows * n + top  # increasing; below n_k * n, far inside int64
@@ -310,23 +285,28 @@ def vr_filtration(cloud, eps_max: float | None = None, max_dim: int = 2) -> Filt
     Contains every simplex of dimension <= ``max_dim`` whose birth (half its
     diameter) is at most ``eps_max``; the default ``eps_max`` is half the
     cloud diameter, at which the complex is a full simplex up to ``max_dim``.
-    Duplicate points are legal (zero distances allowed).  Raises
-    ``ValueError`` for a ``max_dim`` that is not an integer >= 0 (an integral
-    float is taken) or whose empty dimensions alone pass ``DENSE_LIMIT_BYTES``,
-    and before allocating an array above it.
+    Duplicate points are legal (zero distances allowed).  n points span no
+    simplex above dimension n - 1, so any ``max_dim`` past n stores what n
+    stores.  Raises ``ValueError`` for a ``max_dim`` that is not an integer
+    >= 0 (an integral float is taken), an ``eps_max`` that is not a number
+    >= 0 in the float range, and before allocating an array above
+    ``DENSE_LIMIT_BYTES``.
     """
     pts = _points(cloud)
     n = pts.shape[0]
-    max_dim = _check_max_dim(max_dim, n)
+    max_dim = _check_max_dim(max_dim)
     dist = _distances(pts)
     if eps_max is None:
         eps_max = float(dist.max()) / 2.0
     elif not (_is_number(eps_max) and eps_max >= 0):
         raise ValueError(f"eps_max must be >= 0, got {eps_max!r}")
+    try:
+        eps_max = float(eps_max)
+    except OverflowError:
+        raise ValueError("eps_max must be >= 0, got an integer past the float range") from None
     adjacency = np.triu(dist <= 2.0 * eps_max, k=1)
     verts, births, facets = _cliques(dist, adjacency, max_dim)
-    return FilteredComplex(tuple(verts), tuple(births), n, dist, float(eps_max),
-                           _facets=tuple(facets))
+    return FilteredComplex(tuple(verts), tuple(births), n, dist, eps_max, max_dim, _facets=tuple(facets))
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,7 +349,7 @@ def _window_unions(cloud, halfwidth: int, max_dim: int):
     """
     pts = _points(cloud)
     n = pts.shape[0]
-    _check_window_max_dim(max_dim, halfwidth, n)
+    max_dim = _check_max_dim(max_dim)
     halfwidth = min(halfwidth, n - 1)  # from n - 1 on, every window is the whole cloud
     block = 2 * halfwidth + 1
     for first in range(0, n, block):
@@ -387,11 +367,12 @@ def _window_unions(cloud, halfwidth: int, max_dim: int):
                    for k, b in enumerate(births))
         run = max(1, DENSE_LIMIT_BYTES // _UNION_SHARE // cost)
         for start in range(0, len(lo), run):
-            yield _band_union(verts, births, facets, dist, lo[start:start + run], hi[start:start + run])
+            yield _band_union(verts, births, facets, dist, lo[start:start + run], hi[start:start + run],
+                              max_dim)
 
 
 def _band_union(verts: list, births: list, facets: list, dist: np.ndarray,
-                lo: np.ndarray, hi: np.ndarray) -> _WindowUnion:
+                lo: np.ndarray, hi: np.ndarray, max_dim: int) -> _WindowUnion:
     """The disjoint union of the full-simplex complexes on points [lo[w], hi[w]) of a band.
 
     Per dimension, a (windows, band rows) mask selects each window's
@@ -399,7 +380,8 @@ def _band_union(verts: list, births: list, facets: list, dist: np.ndarray,
     each window's rows are contiguous and in band order.  A facet's union
     index is the number of selected entries before it in the lower
     dimension's flattened mask: one prefix sum renumbers every window's
-    facets at once.
+    facets at once.  Window w keeps the union's dimensions 0 .. hi[w] -
+    lo[w], as ``vr_filtration`` of its points to ``max_dim`` stores them.
     """
     u_births, u_facets, offsets, local_verts, local_facets = [], [None], [], [], [None]
     index = None
@@ -426,19 +408,24 @@ def _band_union(verts: list, births: list, facets: list, dist: np.ndarray,
     windows = []
     bounds = [o.tolist() for o in offsets]
     for w, (a, z) in enumerate(zip(lo.tolist(), hi.tolist())):
-        rows = [slice(o[w], o[w + 1]) for o in bounds]
+        rows = [slice(o[w], o[w + 1]) for o in bounds[:z - a + 1]]
         sub = dist[a:z, a:z]
         windows.append(FilteredComplex(
             tuple(v[r] for v, r in zip(local_verts, rows)), tuple(b[r] for b, r in zip(u_births, rows)),
-            z - a, sub, float(sub.max()) / 2.0,
+            z - a, sub, float(sub.max()) / 2.0, max_dim,
             _facets=(None,) + tuple(f[r] for f, r in zip(local_facets[1:], rows[1:]))))
     return _WindowUnion(tuple(u_births), tuple(u_facets), tuple(offsets), tuple(windows))
 
 
 def boundary_matrix(complex_: FilteredComplex, k: int) -> np.ndarray:
-    """Boundary operator from k-chains to (k-1)-chains: the complex's read-only facet array."""
+    """Boundary operator from k-chains to (k-1)-chains: the complex's read-only facet array.
+
+    Past the stored dimensions it is an empty read-only (0, k+1) array.
+    """
     if not 1 <= k <= complex_.max_dim:
         raise ValueError(f"k must satisfy 1 <= k <= max_dim ({complex_.max_dim}), got {k}")
+    if k >= len(complex_._facets):
+        return _read_only(np.empty((0, k + 1), dtype=np.intp))
     return complex_._facets[k]
 
 

@@ -36,21 +36,27 @@ class TestScan:
         stdout = capsys.readouterr().out
         assert "transition" in stdout
 
-    def test_max_dim_past_the_slot_budget_exits_2(self, tmp_path):
+    def test_max_dim_past_the_point_count_exits_0(self, tmp_path):
         # in a child process capped at 1 GB of address space and 60 s, so a
-        # sweep that tried to build a billion empty dimensions would fail there
+        # sweep that tried to build a billion empty dimensions would fail
+        # there; two lambdas span no simplex past dimension 1, so the report
+        # is the one at --max-dim 2
         script = ("import resource, sys\n"
                   "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
                   "from topophase.cli import main\n"
                   "sys.exit(main(sys.argv[1:]))\n")
         out = tmp_path / "r.json"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        proc = subprocess.run([sys.executable, "-c", script, "scan", "--lmin", "-0.9", "--lmax", "-0.8",
-                               "--step", "0.1", "--max-dim", "1000000000", "--out", str(out)],
+        argv = ["scan", "--lmin", "-0.9", "--lmax", "-0.8", "--step", "0.1", "--out"]
+        proc = subprocess.run([sys.executable, "-c", script, *argv, str(out), "--max-dim", "1000000000"],
                               capture_output=True, text=True, timeout=60, env=env)
-        assert proc.returncode == 2, proc.stderr
-        assert "table of empty dimension slots per complex" in proc.stderr
-        assert not out.exists()
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(out.read_text())
+        assert report["config"]["max_dim"] == 10 ** 9
+        assert main([*argv, str(tmp_path / "want.json"), "--max-dim", "2"]) == 0
+        want = json.loads((tmp_path / "want.json").read_text())
+        assert len(report["entries"]) == 2
+        assert (report["entries"], report["transitions"]) == (want["entries"], want["transitions"])
 
     def test_halfwidth_past_the_grid_exits_0(self, tmp_path):
         # every halfwidth from n - 1 on gives each centre the whole cloud

@@ -14,12 +14,12 @@ from hypothesis.extra.numpy import arrays
 import topophase as tp
 from helpers import below_max_dim, column_rank_oracle, homology_reduce
 from test_simplicial_properties import sweep_clouds
-from topophase import persistence, simplicial
+from topophase import dirac, persistence, simplicial
 
 
 @st.composite
-def clouds(draw):
-    n = draw(st.integers(1, 25), label="n")
+def clouds(draw, max_n=25):
+    n = draw(st.integers(1, max_n), label="n")
     dim = draw(st.integers(1, 3), label="dim")
     if draw(st.booleans(), label="lattice"):
         # small integer coordinates: many exact distance ties and repeated points
@@ -128,3 +128,31 @@ def test_one_more_dimension_changes_no_reported_bar(pts, data):
             got, want = getattr(low, name), getattr(high, name)[kept]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (k, name)
         assert low.dropped_zero_bars == {d: n for d, n in high.dropped_zero_bars.items() if d <= k}
+
+
+@settings(max_examples=60, deadline=None)
+@given(pts=clouds(max_n=8), data=st.data())
+def test_max_dim_past_the_point_count_changes_only_metadata(pts, data):
+    # m points span no simplex above dimension m - 1, so from max_dim m - 1 on
+    # the bars stay those at max_dim m, and every degree from m on reads 0
+    m = len(pts)
+    dist = tp.vr_filtration(pts, max_dim=0).distance_matrix
+    half_distances = sorted({float(d) / 2.0 for d in dist[np.triu_indices(m, 1)]})
+    eps_max = data.draw(st.one_of(st.none(), st.sampled_from(half_distances or [0.0])), label="eps_max")
+    full = tp.vr_filtration(pts, eps_max=eps_max, max_dim=m)
+    want = tp.reduce(full)
+    births = np.unique(np.concatenate(full.births)).tolist()
+    eps1, eps2 = sorted(data.draw(st.lists(st.sampled_from(births), min_size=2, max_size=2), label="probe"))
+    for max_dim in (m - 1, m, m + 3, 10 ** 9):
+        if max_dim < 1:  # reduce reads no degree at max_dim 0
+            continue
+        fc = tp.vr_filtration(pts, eps_max=eps_max, max_dim=max_dim)
+        got = tp.reduce(fc)
+        assert (got.max_dim, got.n_points) == (max_dim, want.n_points)
+        for name in ("dims", "births", "deaths"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (max_dim, name)
+        assert got.dropped_zero_bars == want.dropped_zero_bars
+        for k in sorted(k for k in {m, m + 1, m + 2, max_dim - 1} if m <= k < max_dim):
+            assert tp.betti_oracle(fc, k, eps1, eps2) == 0, (max_dim, k)
+            assert dirac.betti_from_laplacian(dirac.persistent_laplacian(fc, k, eps1, eps2)) == 0, (max_dim, k)
+            assert tp.dirac_spectrum(fc, k, eps1, eps2)[1] == 0, (max_dim, k)

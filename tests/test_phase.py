@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -131,10 +134,24 @@ class TestScanConfig:
 
 class TestSweep:
     @pytest.mark.parametrize("mode", [GLOBAL, "window"])
-    def test_max_dim_past_the_slot_budget_refused(self, mode):
-        # refused by the config, before any cloud or complex is built
-        with pytest.raises(ValueError, match="table of empty dimension slots per complex"):
-            clean_config(cloud_mode=mode, max_dim=10 ** 9)
+    def test_max_dim_past_the_point_count_answers_promptly(self, mode):
+        # five lambdas give complexes on at most five points, which store no
+        # dimension past 5, so max_dim 10 ** 9 sweeps as max_dim 5; in a child
+        # process capped at 1 GB and 60 s, so a sweep that held every
+        # dimension up to max_dim fails there
+        params = dict(lambda_min=-0.9, lambda_max=-0.5, step=0.1, intervals=PROBES, cloud_mode=mode)
+        script = ("import json, resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+                  "import topophase as tp\n"
+                  "report = tp.sweep(tp.ScanConfig(**json.loads(sys.argv[1]), max_dim=10 ** 9))\n"
+                  "print(json.dumps([report.config.max_dim, report.betti, report.kernel_dims]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(params)],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        want = tp.sweep(tp.ScanConfig(**params, max_dim=5))
+        assert len(want.lambdas) == 5
+        assert json.loads(proc.stdout) == [10 ** 9, list(want.betti), list(want.kernel_dims)]
 
     def test_halfwidth_past_the_grid_is_the_whole_cloud(self):
         # from n - 1 on every window is the whole cloud, so any larger halfwidth sweeps as n - 1

@@ -131,29 +131,32 @@ def test_negative_or_nan_eps_max_rejected(eps_max):
         tp.vr_filtration(SQUARE, eps_max=eps_max, max_dim=2)
 
 
+def test_eps_max_past_the_float_range_rejected():
+    # a ValueError like any other bad eps_max, not an OverflowError from 2.0 * eps_max
+    with pytest.raises(ValueError, match="eps_max must be >= 0, got an integer past the float range"):
+        tp.vr_filtration(SQUARE, eps_max=10 ** 400, max_dim=2)
+
+
 @pytest.mark.parametrize("max_dim", [1.5, -1, np.nan, np.inf])
 def test_non_integral_or_negative_max_dim_rejected(max_dim):
     with pytest.raises(ValueError, match="max_dim must be an integer >= 0"):
         tp.vr_filtration(SQUARE, max_dim=max_dim)
 
 
-def test_max_dim_past_the_slot_budget_refused():
-    # every dimension up to max_dim holds a slot even when it is empty, so
-    # 10 points at max_dim 10 ** 9 would need about a terabyte of empty
-    # slots; the call runs in a child process capped at 1 GB and 60 s
+def test_max_dim_past_the_point_count_answers_promptly():
+    # 10 points span no simplex above dimension 9, so max_dim 10 ** 9 builds
+    # what max_dim 10 builds; the call runs in a child process capped at 1 GB
+    # and 60 s, so a complex that held every dimension up to max_dim fails there
     script = ("import resource\n"
               "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
               "import numpy as np, topophase as tp\n"
-              "try:\n"
-              "    tp.vr_filtration(np.random.default_rng(5).random((10, 2)), max_dim=10 ** 9)\n"
-              "except ValueError as err:\n"
-              "    print(err)\n")
+              "fc = tp.vr_filtration(np.random.default_rng(5).random((10, 2)), max_dim=10 ** 9)\n"
+              "print(fc.max_dim, len(fc))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert "table of empty dimension slots per complex" in proc.stdout
-    # the dimensions that can hold simplices are not charged: a 10-point full simplex fits any budget
-    assert simplicial._check_max_dim(9, 10) == 9
+    want = tp.vr_filtration(np.random.default_rng(5).random((10, 2)), max_dim=10)
+    assert proc.stdout.split() == [str(10 ** 9), str(len(want))]
 
 
 def test_integral_max_dim_taken():
@@ -201,26 +204,34 @@ def test_boundary_dense_at_shape_outside_boundary_dimensions():
 
 def test_dimensions_past_the_last_simplex_match_the_loop():
     # 10 points span at most a 9-simplex.  At max_dim 10 the clique loop
-    # builds dimension 10, empty; above it the dimensions are filled without
-    # a pass each, with arrays of the loop's shapes, dtypes and flags
+    # builds dimension 10, empty, and stops there at any deeper max_dim too:
+    # the stored dimensions are the same arrays, and past them the complex
+    # counts no simplex and its boundary is an empty read-only array
     pts = np.random.default_rng(5).random((10, 2))
     loop = tp.vr_filtration(pts, max_dim=10)
-    fc = tp.vr_filtration(pts, max_dim=14)
-    for k in range(11):
-        assert fc.vertices[k].tobytes() == loop.vertices[k].tobytes()
-        assert fc.births[k].tobytes() == loop.births[k].tobytes()
-        if k:
-            got, want = simplicial.boundary_matrix(fc, k), simplicial.boundary_matrix(loop, k)
-            assert got.tobytes() == want.tobytes()
-    empty = (loop.vertices[10], loop.births[10], simplicial.boundary_matrix(loop, 10))
-    for k in range(10, 15):
-        for got, want in zip((fc.vertices[k], fc.births[k], simplicial.boundary_matrix(fc, k)), empty):
-            assert got.shape == want.shape[:1] + (k + 1,) * (want.ndim - 1)
-            assert got.dtype == want.dtype and got.flags.writeable == want.flags.writeable
-    start = time.perf_counter()
-    deep = tp.vr_filtration(pts, max_dim=2000)
-    assert time.perf_counter() - start < 2.0
-    assert deep.max_dim == 2000 and len(deep) == len(loop)
+    assert len(loop.vertices) == len(loop.births) == 11
+    assert all(loop.count_dim(k) for k in range(10)) and loop.count_dim(10) == 0
+    for max_dim in (11, 14, 2000):
+        start = time.perf_counter()
+        fc = tp.vr_filtration(pts, max_dim=max_dim)
+        assert time.perf_counter() - start < 2.0
+        assert fc.max_dim == max_dim and len(fc) == len(loop)
+        assert len(fc.vertices) == len(fc.births) == 11  # stopped at the first empty dimension
+        for k in range(11):
+            for got, want in ((fc.vertices[k], loop.vertices[k]), (fc.births[k], loop.births[k])):
+                assert got.tobytes() == want.tobytes()
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.flags.writeable == want.flags.writeable
+            if k:
+                got, want = simplicial.boundary_matrix(fc, k), simplicial.boundary_matrix(loop, k)
+                assert got.tobytes() == want.tobytes() and got.shape == want.shape
+                assert got.dtype == want.dtype and not got.flags.writeable
+        for k in {11, max_dim - 1, max_dim}:
+            assert fc.count_dim(k) == 0 and fc.count_at(k, np.inf) == 0
+            facets = simplicial.boundary_matrix(fc, k)
+            assert facets.shape == (0, k + 1) and facets.dtype == np.intp and not facets.flags.writeable
+        with pytest.raises(ValueError, match="1 <= k <= max_dim"):
+            simplicial.boundary_matrix(fc, max_dim + 1)
 
 
 def test_boundary_triangle_signs():

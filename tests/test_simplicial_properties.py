@@ -84,10 +84,16 @@ def test_vr_matches_brute_force(pts, data):
                                   st.sampled_from(half_distances or [0.0])), label="eps_max")
     fc = tp.vr_filtration(pts, eps_max=eps_max, max_dim=max_dim)
     reference = brute_force_complex(fc, max_dim)
-    assert fc.max_dim == max_dim
+    stored = len(fc.vertices)
+    assert fc.max_dim == max_dim and len(fc.births) == stored <= max_dim + 1
+    # the clique loop stops after its first empty dimension
+    assert all(map(len, fc.births[:-1])) and (stored == max_dim + 1 or not len(fc.births[-1]))
     for k, (verts, births) in enumerate(reference):
-        assert np.array_equal(fc.vertices[k], verts)
-        assert np.array_equal(fc.births[k], births)
+        if k < stored:
+            assert np.array_equal(fc.vertices[k], verts)
+            assert np.array_equal(fc.births[k], births)
+        else:
+            assert not len(births) and fc.count_dim(k) == 0
     assert len(fc) == sum(len(births) for _, births in reference)
 
 
@@ -129,11 +135,14 @@ def test_band_windows_are_window_filtrations(pts, data):
         assert fc.n_points == ref.n_points and fc.max_dim == ref.max_dim
         assert fc.eps_max == ref.eps_max
         assert fc.distance_matrix.tobytes() == ref.distance_matrix.tobytes()
-        for k in range(max_dim + 1):
+        assert len(fc.vertices) == len(fc.births) == len(ref.vertices)
+        for k in range(len(ref.vertices)):
             assert fc.vertices[k].dtype == ref.vertices[k].dtype
             assert fc.vertices[k].shape == ref.vertices[k].shape
             assert fc.vertices[k].tobytes() == ref.vertices[k].tobytes()
             assert fc.births[k].tobytes() == ref.births[k].tobytes()
+        for k in range(len(ref.vertices), max_dim + 1):
+            assert fc.count_dim(k) == 0
         for k in range(1, max_dim + 1):
             facets = tp.boundary_matrix(fc, k)
             assert facets.dtype == tp.boundary_matrix(ref, k).dtype

@@ -17,7 +17,11 @@ their texts, in order.  The outputs are
 - ``diagram_to_json(reduce(...))`` of three seeded 60-point noisy circles;
 - ``spectrum_to_json`` of ``dirac_spectrum`` on a seeded 40-point circle;
 - 600 kernel counts ``betti_from_laplacian(persistent_laplacian(...))`` on
-  seeded random clouds.
+  seeded random clouds;
+- window sweeps past the windows' point counts: the grid above at seeds
+  0-9, halfwidths 0 and 1 and ``max_dim`` 12, plain and kept, with every
+  probe of ``PROBES``;
+- ``diagram_to_json(reduce(...))`` of five seeded points at ``max_dim`` 12.
 
 A sweep that raises contributes its exception's type and message instead.
 It uses numpy and the standard library only and takes about two minutes on
@@ -84,6 +88,13 @@ def outputs():
         for k in (0, 1, 2):
             e1, e2 = sorted(rng.uniform(0.0, 1.1 * fc.eps_max, size=2))
             yield str(dirac.betti_from_laplacian(dirac.persistent_laplacian(fc, k, e1, e2)))
+    for seed in range(10):
+        for halfwidth in (0, 1):
+            for kept in (False, True):
+                yield sweep_texts(N_LAMBDAS, seed, window_halfwidth=halfwidth, max_dim=12, intervals=PROBES,
+                                  keep_diagrams=kept, keep_spectra=kept, xi=0.3 if kept else 0.0)
+    yield persistence.diagram_to_json(tp.reduce(tp.vr_filtration(np.random.default_rng(5).random((5, 2)),
+                                                                 max_dim=12)))
 
 
 def main() -> None:
