@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage/config error, 3 degenerate ground state.
 Output files are written atomically (write to a temp file, then rename), so
-an error exit never leaves a truncated artifact behind.
+an error exit never leaves a truncated artifact behind; they get the mode a
+plain ``open()`` would give them, 0666 less the umask.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ def _atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode open() gives; mkstemp makes the file 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

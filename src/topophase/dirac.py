@@ -40,6 +40,27 @@ reference the tests check the Schur and closed-form paths against.
 and tests alike: Gershgorin discs that prove the kernel empty spare it the
 eigensolve, and otherwise it counts eigenvalues as ``dirac_spectrum`` does.
 
+Degree discs.  ``persistent_kernel_dim`` is the kernel count of a probe,
+for sweeps.  When k >= 1 and no k-simplex is born in (eps, eps'], R2 is
+empty and L_k is the integral Hodge Laplacian d_k^T d_k + B B^T at eps'
+(Goldberg, "Combinatorial Laplacians of simplicial complexes", 2002).  With
+u_i the (k+1)-cofaces of k-simplex i born by eps' and c_f the k-simplices
+born by eps that contain the (k-1)-face f, one ``bincount`` of each facet
+array gives its Gershgorin discs exactly:
+
+- L_ii = (k+1) + u_i;
+- |L_ij| = 1 exactly when i and j share a (k-1)-face but no (k+1)-coface,
+  as the down and up terms cancel on a shared coface (dd = 0), so the
+  absolute row sum is L_ii + sum_{f in i} (c_f - 1) - (k+1) u_i =
+  sum_{f in i} c_f - k u_i;
+- the lower edge of disc i is 2(k+1) + (k+2) u_i - sum_{f in i} c_f.
+
+The dense L_k of that case is exact in floats, so these integers are the
+numbers ``betti_from_laplacian`` would test: if they clear its certificate
+(``_discs_clear``) the count is 0 with no matrix formed.  Otherwise, and
+always for k = 0 or a nonempty R2, ``persistent_kernel_dim`` counts
+``betti_from_laplacian(persistent_laplacian(...))``.
+
 Tolerances are module constants: ``NULLSPACE_TOL`` is the relative cutoff
 for the rank of R2 (on its singular values in ``restricted_boundary``, on
 the eigenvalues of U_RR in the Schur path), ``RANK_TOL`` the relative
@@ -260,22 +281,59 @@ def betti_from_laplacian(laplacian) -> int:
 
     The matrix must be square and symmetric; symmetry is not checked, as
     ``eigvalsh``, which reads one triangle, does not check it either.  The
-    Gershgorin discs come first: r, the largest absolute row sum, bounds the
-    top eigenvalue, so c = ``RANK_TOL`` * max(1, r) is at least the cutoff.
-    If every disc lies above ``CERTIFICATE_MARGIN`` * c, so does every
-    eigenvalue, and the kernel is empty with no spectrum.  Otherwise the
-    eigenvalues decide.
+    Gershgorin discs come first (``_discs_clear``): if they prove the kernel
+    empty there is no spectrum; otherwise the eigenvalues decide.
     """
     lap = np.asarray(laplacian, dtype=float)
     if lap.size == 0:
         return 0
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ValueError("betti_from_laplacian requires a square matrix")
-    row_sums = np.abs(lap).sum(axis=1)
-    floor = CERTIFICATE_MARGIN * RANK_TOL * max(1.0, float(row_sums.max()))
-    if float((2.0 * lap.diagonal() - row_sums).min()) > floor:
+    if _discs_clear(lap.diagonal(), np.abs(lap).sum(axis=1)):
         return 0
     return _kernel_dim(np.linalg.eigvalsh(lap))
+
+
+def _discs_clear(diagonal: np.ndarray, row_sums: np.ndarray) -> bool:
+    """The Gershgorin certificate of an empty kernel, from the diagonal and absolute row sums.
+
+    r, the largest row sum, bounds the top eigenvalue, so c = ``RANK_TOL`` *
+    max(1, r) is at least the kernel cutoff; the kernel is empty when every
+    disc lies above ``CERTIFICATE_MARGIN`` * c, which holds vacuously for no rows.
+    """
+    floor = CERTIFICATE_MARGIN * RANK_TOL * max(1.0, float(row_sums.max(initial=0.0)))
+    return float((2.0 * diagonal - row_sums).min(initial=np.inf)) > floor
+
+
+def persistent_kernel_dim(complex_: FilteredComplex, k: int, eps: float, eps_prime: float) -> int:
+    """Persistent Betti number as a Laplacian kernel: ``betti_from_laplacian(persistent_laplacian(...))``.
+
+    When k >= 1 and no k-simplex is born in (eps, eps'], R2 is empty and L_k
+    is the integral Hodge Laplacian d_k^T d_k + B B^T at eps', whose
+    Gershgorin discs follow from simplex degrees (see the module docstring);
+    if they clear ``betti_from_laplacian``'s certificate the count is 0 and
+    no matrix is formed.  Every other probe counts the dense Laplacian.
+    Needs 0 <= k < max_dim and 0 <= eps <= eps'.
+    """
+    k, eps, eps_prime = _check_probe(complex_.max_dim, k, eps, eps_prime)
+    if (k >= 1 and complex_.count_at(k, eps) == complex_.count_at(k, eps_prime)
+            and _discs_clear(*_degree_discs(complex_, k, eps, eps_prime))):
+        return 0
+    return betti_from_laplacian(persistent_laplacian(complex_, k, eps, eps_prime))
+
+
+def _degree_discs(complex_: FilteredComplex, k: int, eps: float, eps_prime: float) -> tuple:
+    """Integer diagonal and absolute row sums of L_k, from simplex degrees alone.
+
+    Valid for a checked probe with k >= 1 and R2 empty (every k-simplex born
+    by eps' is born by eps); see the module docstring.
+    """
+    n_k = complex_.count_at(k, eps)
+    faces = boundary_matrix(complex_, k)[:n_k]
+    cofaces = boundary_matrix(complex_, k + 1)[:complex_.count_at(k + 1, eps_prime)]
+    up = np.bincount(cofaces.ravel(), minlength=n_k)  # u_i: (k+1)-cofaces born by eps'
+    face_degrees = np.bincount(faces.ravel())[faces].sum(axis=1)  # sum of c_f over the faces f of i
+    return k + 1 + up, face_degrees - k * up
 
 
 def qpe_distribution(eigenvalues, l: int, m_register: int, p: int) -> float:

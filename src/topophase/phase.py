@@ -13,10 +13,13 @@ complex however many lambdas it has.  Each union is reduced once
 (``persistence._bars``); every window's persistent Betti numbers for a probe
 are one ``bincount`` of the bars' windows, and a kept diagram is its
 window's share of the bars.  A global sweep is the union of one complex.
-Kernels are counted per window, as ``dirac.betti_from_laplacian`` of
-``dirac.persistent_laplacian`` (or by ``dirac.dirac_spectrum`` when spectra
-are kept), without reading the bars, and a sweep stops at the first window
-and probe whose two counts differ.
+Kernels are counted per window by ``dirac.persistent_kernel_dim`` (or by
+``dirac.dirac_spectrum`` when spectra are kept), without reading the bars:
+a probe of degree k >= 1 with no k-simplex born between its scales is
+certified empty from simplex degrees when the Gershgorin discs allow, and
+any other probe counts ``dirac.betti_from_laplacian`` of
+``dirac.persistent_laplacian``.  A sweep stops at the first window and
+probe whose two counts differ.
 """
 
 from __future__ import annotations
@@ -201,7 +204,7 @@ def _probe_union(union, config: ScanConfig, lambdas) -> list:
             key = probe_key(k, e1, e2)
             betti[key] = count[w]
             if spectra is None:
-                kernels[key] = _dirac.betti_from_laplacian(_dirac.persistent_laplacian(filtration, k, e1, e2))
+                kernels[key] = _dirac.persistent_kernel_dim(filtration, k, e1, e2)
             else:
                 evals, kernels[key] = _dirac.dirac_spectrum(filtration, k, e1, e2, xi=config.xi)
                 spectra[key] = [float(x) for x in evals]

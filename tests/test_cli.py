@@ -338,6 +338,19 @@ class TestBarcode:
         leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
         assert leftovers == []
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_outputs_get_the_mode_open_gives(self, square_csv, tmp_path, umask):
+        out, svg = tmp_path / "d.json", tmp_path / "d.svg"
+        old = os.umask(umask)
+        try:
+            main(["barcode", "--cloud", square_csv, "--out", str(out), "--svg", str(svg)])
+            with open(tmp_path / "plain", "w"):
+                pass
+        finally:
+            os.umask(old)
+        want = 0o666 & ~umask
+        assert [p.stat().st_mode & 0o777 for p in (out, svg, tmp_path / "plain")] == [want] * 3
+
 
 class TestDirac:
     def test_square_kernel_dim(self, square_csv, tmp_path, capsys):

@@ -364,6 +364,44 @@ class TestKernelCertificate:
         assert dirac.betti_from_laplacian(lap) == 1
 
 
+class TestPersistentKernelDim:
+    @staticmethod
+    def laplacians(monkeypatch):
+        """Record the probe of every ``persistent_laplacian`` formed while the test runs."""
+        calls = []
+        real = dirac.persistent_laplacian
+
+        def counted(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(dirac, "persistent_laplacian", counted)
+        return calls
+
+    def test_square_loop_falls_back(self, monkeypatch):
+        # R2 is empty at (0.55, 0.55), but the loop's kernel reaches the discs: the Laplacian counts it
+        fc = square_complex()
+        formed = self.laplacians(monkeypatch)
+        assert dirac.persistent_kernel_dim(fc, 1, 0.55, 0.55) == 1
+        assert formed == [(1, 0.55, 0.55)]
+
+    def test_nonempty_r2_counts_the_laplacian(self, monkeypatch):
+        # the diagonals are born in (0.55, 0.75]: the dense Laplacian is counted, as before
+        fc = square_complex()
+        want = dirac.betti_from_laplacian(dirac.persistent_laplacian(fc, 1, 0.55, 0.75))
+        formed = self.laplacians(monkeypatch)
+        assert dirac.persistent_kernel_dim(fc, 1, 0.55, 0.75) == want == tp.betti_oracle(fc, 1, 0.55, 0.75)
+        assert formed == [(1, 0.55, 0.75)]
+
+    def test_full_simplex_forms_no_laplacian(self, monkeypatch):
+        # L_1 = 9 I on the 2-skeleton of a full simplex: its degree discs certify it
+        fc = tp.vr_filtration(np.random.default_rng(3).random((9, 3)), max_dim=2)
+        formed = self.laplacians(monkeypatch)
+        eigensolves = TestKernelCertificate.spy(monkeypatch, "eigvalsh")
+        assert dirac.persistent_kernel_dim(fc, 1, fc.eps_max, fc.eps_max) == 0
+        assert formed == eigensolves == []
+
+
 class TestSpectrum:
     def test_identity(self):
         assert np.allclose(dirac.spectrum(np.eye(3)), [1.0, 1.0, 1.0])

@@ -1,5 +1,6 @@
 """Property tests on random clouds: the Schur Laplacian and closed-form Dirac
-spectrum against the dense reference, and the three Betti detectors."""
+spectrum against the dense reference, the degree discs against the Laplacian,
+and the three Betti detectors."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 import topophase as tp
 from helpers import assert_matches_dense
+from topophase import dirac
 
 
 @settings(max_examples=100, deadline=None)
@@ -30,6 +32,31 @@ def test_random_clouds_match_dense_reference(data):
     eps, eps_prime = sorted(data.draw(st.tuples(scale, scale), label="scales"))
     k = data.draw(st.integers(0, max_dim - 1), label="k")
     assert_matches_dense(fc, k, eps, eps_prime)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_degree_discs_match_the_laplacian(data):
+    # points on {0..2}^dim with copies, at max_dim 3: exact ties, duplicates and empty dimensions
+    dim = data.draw(st.integers(1, 3), label="dim")
+    n = data.draw(st.integers(1, 9), label="n")
+    pts = data.draw(arrays(np.int64, (n, dim), elements=st.integers(0, 2)), label="points")
+    copies = data.draw(st.lists(st.integers(0, n - 1), max_size=2), label="duplicated")
+    fc = tp.vr_filtration(np.vstack([pts, pts[copies]]).astype(float), max_dim=3)
+    k = data.draw(st.integers(1, 2), label="k")
+    births = sorted(set(np.concatenate(fc.births).tolist()) | {1.1 * fc.eps_max})
+    eps = data.draw(st.sampled_from(births), label="eps")
+    # R2 is empty up to the next k-simplex born after eps
+    n_k = fc.count_at(k, eps)
+    next_birth = fc.births[k][n_k] if n_k < fc.count_dim(k) else np.inf
+    eps_prime = data.draw(st.sampled_from([b for b in births if eps <= b < next_birth]), label="eps_prime")
+    assert fc.count_at(k, eps_prime) == n_k
+    lap = dirac.persistent_laplacian(fc, k, eps, eps_prime)
+    diagonal, row_sums = dirac._degree_discs(fc, k, eps, eps_prime)
+    assert np.array_equal(lap.diagonal(), diagonal)
+    assert np.array_equal(np.abs(lap).sum(axis=1), row_sums)
+    kernel = dirac.persistent_kernel_dim(fc, k, eps, eps_prime)
+    assert kernel == dirac.betti_from_laplacian(lap) == tp.betti_oracle(fc, k, eps, eps_prime)
 
 
 @settings(max_examples=40, deadline=None)

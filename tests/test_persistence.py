@@ -231,8 +231,8 @@ def test_betti_oracle_examples():
         tp.betti_oracle(fc, 1, 0.7, 0.6)
 
 
-@pytest.mark.parametrize("detector", ["bars", "oracle", "kernel", "laplacian", "restricted_boundary",
-                                      "dirac_operator"])
+@pytest.mark.parametrize("detector", ["bars", "oracle", "kernel", "laplacian", "kernel_count",
+                                      "restricted_boundary", "dirac_operator"])
 @pytest.mark.parametrize("eps1, eps2", [(np.nan, np.nan), (np.nan, 0.5), (0.1, np.nan), (-0.5, 0.3),
                                         (-0.5, -0.1), (0.5, 0.3)])
 def test_nan_probe_scales_rejected_by_every_detector(detector, eps1, eps2):
@@ -244,6 +244,7 @@ def test_nan_probe_scales_rejected_by_every_detector(detector, eps1, eps2):
         "oracle": lambda: tp.betti_oracle(fc, 0, eps1, eps2),
         "kernel": lambda: tp.dirac_spectrum(fc, 0, eps1, eps2),
         "laplacian": lambda: dirac.persistent_laplacian(fc, 0, eps1, eps2),
+        "kernel_count": lambda: dirac.persistent_kernel_dim(fc, 1, eps1, eps2),
         "restricted_boundary": lambda: dirac.restricted_boundary(fc, 1, eps1, eps2),
         "dirac_operator": lambda: dirac.dirac_operator(fc, 0, eps1, eps2),
     }[detector]

@@ -319,34 +319,34 @@ class TestDetectors:
         assert self.detect(report, report.kernel_dims) == self.detect(report, report.betti)
 
     def test_injected_mismatch_refused(self, monkeypatch):
-        # the third window's first probe gets a kernel one above its bars
-        real = dirac.betti_from_laplacian
+        # the third window's first probe gets a kernel one above its bars: no count follows it
+        real = dirac.persistent_kernel_dim
         calls = []
 
-        def off_by_one(lap):
-            calls.append(len(lap))
-            return real(lap) + (len(calls) == 1 + len(PROBES) * 2)
+        def off_by_one(*args):
+            calls.append(args[1:])
+            return real(*args) + (len(calls) == 1 + len(PROBES) * 2)
 
-        monkeypatch.setattr(dirac, "betti_from_laplacian", off_by_one)
+        monkeypatch.setattr(dirac, "persistent_kernel_dim", off_by_one)
         with pytest.raises(tp.ConsistencyError, match=r"lambda=-0\.3, probe k1_0\.4_0\.8: persistent Betti 0 "
                                                       r"vs Laplacian kernel 1"):
             tp.sweep(clean_config(lambda_min=-0.5, lambda_max=0.5))
+        assert calls == list(PROBES) * 2 + [PROBES[0]]
 
     def test_mismatch_stops_the_sweep(self, monkeypatch):
-        # the first window's first kernel is one above its bars: no second Laplacian is formed
-        real_kernel, real_lap = dirac.betti_from_laplacian, dirac.persistent_laplacian
-        laplacians = []
+        # the first window's first kernel is one above its bars: no second kernel is counted
+        real = dirac.persistent_kernel_dim
+        calls = []
 
-        def counted(*args):
-            laplacians.append(args[1:])
-            return real_lap(*args)
+        def off_by_one(*args):
+            calls.append(args[1:])
+            return real(*args) + 1
 
-        monkeypatch.setattr(dirac, "betti_from_laplacian", lambda lap: real_kernel(lap) + 1)
-        monkeypatch.setattr(dirac, "persistent_laplacian", counted)
+        monkeypatch.setattr(dirac, "persistent_kernel_dim", off_by_one)
         with pytest.raises(tp.ConsistencyError, match=r"lambda=-0\.5, probe k1_0\.4_0\.8: persistent Betti 0 "
                                                       r"vs Laplacian kernel 1"):
             tp.sweep(clean_config(lambda_min=-0.5, lambda_max=0.5))
-        assert laplacians == [PROBES[0]]
+        assert calls == [PROBES[0]]
 
 
 class TestContinuity:
