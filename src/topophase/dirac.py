@@ -40,8 +40,13 @@ reference the tests check the Schur and closed-form paths against.
 and tests alike: Gershgorin discs that prove the kernel empty spare it the
 eigensolve, and otherwise it counts eigenvalues as ``dirac_spectrum`` does.
 
-Degree discs.  ``persistent_kernel_dim`` is the kernel count of a probe,
-for sweeps.  When k >= 1 and no k-simplex is born in (eps, eps'], R2 is
+Components.  ``persistent_kernel_dim`` is the kernel count of a probe, for
+sweeps.  Every vertex of a Vietoris-Rips complex is born at 0, so at k = 0
+R2 is empty and L_0 is the graph Laplacian of the eps' 1-skeleton, whose
+kernel is its number of connected components (Chung, "Spectral Graph
+Theory", 1997): ``_component_counts`` counts them, with no matrix formed.
+
+Degree discs.  When k >= 1 and no k-simplex is born in (eps, eps'], R2 is
 empty and L_k is the integral Hodge Laplacian d_k^T d_k + B B^T at eps'
 (Goldberg, "Combinatorial Laplacians of simplicial complexes", 2002).  With
 u_i the (k+1)-cofaces of k-simplex i born by eps' and c_f the k-simplices
@@ -57,9 +62,9 @@ array gives its Gershgorin discs exactly:
 
 The dense L_k of that case is exact in floats, so these integers are the
 numbers ``betti_from_laplacian`` would test: if they clear its certificate
-(``_discs_clear``) the count is 0 with no matrix formed.  Otherwise, and
-always for k = 0 or a nonempty R2, ``persistent_kernel_dim`` counts
-``betti_from_laplacian(persistent_laplacian(...))``.
+(``_discs_clear``) the count is 0 with no matrix formed.  Only a probe of
+degree k >= 1 whose R2 is nonempty or whose discs do not clear makes
+``persistent_kernel_dim`` count ``betti_from_laplacian(persistent_laplacian(...))``.
 
 Tolerances are module constants: ``NULLSPACE_TOL`` is the relative cutoff
 for the rank of R2 (on its singular values in ``restricted_boundary``, on
@@ -76,7 +81,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplicial import FilteredComplex, _check_dense, _check_probe, boundary_dense_at, boundary_matrix
+from .simplicial import (FilteredComplex, _check_dense, _check_probe, _WindowUnion, boundary_dense_at,
+                         boundary_matrix)
 
 NULLSPACE_TOL = 1e-10
 RANK_TOL = 1e-9
@@ -308,6 +314,7 @@ def _discs_clear(diagonal: np.ndarray, row_sums: np.ndarray) -> bool:
 def persistent_kernel_dim(complex_: FilteredComplex, k: int, eps: float, eps_prime: float) -> int:
     """Persistent Betti number as a Laplacian kernel: ``betti_from_laplacian(persistent_laplacian(...))``.
 
+    At k = 0 it counts connected components (``_component_counts``).
     When k >= 1 and no k-simplex is born in (eps, eps'], R2 is empty and L_k
     is the integral Hodge Laplacian d_k^T d_k + B B^T at eps', whose
     Gershgorin discs follow from simplex degrees (see the module docstring);
@@ -316,10 +323,43 @@ def persistent_kernel_dim(complex_: FilteredComplex, k: int, eps: float, eps_pri
     Needs 0 <= k < max_dim and 0 <= eps <= eps'.
     """
     k, eps, eps_prime = _check_probe(complex_.max_dim, k, eps, eps_prime)
-    if (k >= 1 and complex_.count_at(k, eps) == complex_.count_at(k, eps_prime)
+    if k == 0:
+        return int(_component_counts(_WindowUnion.of(complex_), eps, eps_prime)[0])
+    if (complex_.count_at(k, eps) == complex_.count_at(k, eps_prime)
             and _discs_clear(*_degree_discs(complex_, k, eps, eps_prime))):
         return 0
     return betti_from_laplacian(persistent_laplacian(complex_, k, eps, eps_prime))
+
+
+def _component_counts(union: _WindowUnion, eps: float, eps_prime: float) -> np.ndarray:
+    """The k = 0 persistent kernel of every window of a union: its connected components at eps'.
+
+    One pass over the union's edges born by eps': the larger root of each
+    edge whose ends lie in two trees hooks to the smaller, and pointer
+    jumping flattens the trees, until every edge lies in one tree.  A window
+    with a vertex born in (eps, eps'] (never one of a Vietoris-Rips complex)
+    counts ``betti_from_laplacian(persistent_laplacian(...))`` instead.
+    """
+    births = union.births[0]
+    window = np.repeat(np.arange(len(union.windows)), np.diff(union.offsets[0]))
+    edges = (np.compress(union.births[1] <= eps_prime, union.facets[1], axis=0) if len(union.births) > 1
+             else np.empty((0, 2), dtype=np.intp))  # a complex may store no edge dimension
+    a, b = edges.T
+    parent = np.arange(len(births))
+    while True:
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            break
+        ra, rb = ra[split], rb[split]
+        parent[np.maximum(ra, rb)] = np.minimum(ra, rb)  # parent[i] <= i, so no cycle forms
+        while not np.array_equal(parent[parent], parent):
+            parent = parent[parent]
+    counts = np.bincount(window[(births <= eps_prime) & (parent == np.arange(len(births)))],
+                         minlength=len(union.windows))
+    for w in set(window[(births > eps) & (births <= eps_prime)].tolist()):
+        counts[w] = betti_from_laplacian(persistent_laplacian(union.windows[w], 0, eps, eps_prime))
+    return counts
 
 
 def _degree_discs(complex_: FilteredComplex, k: int, eps: float, eps_prime: float) -> tuple:

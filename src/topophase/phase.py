@@ -13,12 +13,12 @@ complex however many lambdas it has.  Each union is reduced once
 (``persistence._bars``); every window's persistent Betti numbers for a probe
 are one ``bincount`` of the bars' windows, and a kept diagram is its
 window's share of the bars.  A global sweep is the union of one complex.
-Kernels are counted per window by ``dirac.persistent_kernel_dim`` (or by
-``dirac.dirac_spectrum`` when spectra are kept), without reading the bars:
-a probe of degree k >= 1 with no k-simplex born between its scales is
-certified empty from simplex degrees when the Gershgorin discs allow, and
-any other probe counts ``dirac.betti_from_laplacian`` of
-``dirac.persistent_laplacian``.  A sweep stops at the first window and
+Kernels are counted without reading the bars (by ``dirac.dirac_spectrum``
+when spectra are kept).  A k = 0 probe counts the connected components of
+every window's eps2 graph in one pass (``dirac._component_counts``); a
+probe of degree k >= 1 is counted per window by
+``dirac.persistent_kernel_dim``, which forms a Laplacian only when simplex
+degrees do not certify it empty.  A sweep stops at the first window and
 probe whose two counts differ.
 """
 
@@ -188,23 +188,27 @@ class PhaseScanReport:
 def _probe_union(union, config: ScanConfig, lambdas) -> list:
     """Barcode and per-probe detector values for every window of a ``_WindowUnion``.
 
-    The union is reduced once and each probe's persistent Betti numbers are
-    counted for all its windows at once; kernels are counted per window, and
-    the first one that differs from its window's bars raises
-    ``ConsistencyError`` naming the window's entry in ``lambdas``.
+    The union is reduced once and each probe's persistent Betti numbers and
+    kernels (kept spectra: per window) are counted for all its windows; the
+    first window and probe whose two counts differ raise ``ConsistencyError``
+    naming the window's entry in ``lambdas``.
     """
     bars = _persistence._bars(union)
     counts = [_persistence._betti_counts(union, bars, *probe).tolist() for probe in config.intervals]
+    window_kernels = [None] * len(counts) if config.keep_spectra else [
+        _dirac._component_counts(union, e1, e2).tolist() if k == 0
+        else [_dirac.persistent_kernel_dim(filtration, k, e1, e2) for filtration in union.windows]
+        for k, e1, e2 in config.intervals]
     results = []
     for w, (filtration, lam) in enumerate(zip(union.windows, lambdas)):
         betti = {}
         kernels = {}
         spectra = {} if config.keep_spectra else None
-        for (k, e1, e2), count in zip(config.intervals, counts):
+        for (k, e1, e2), count, kernel in zip(config.intervals, counts, window_kernels):
             key = probe_key(k, e1, e2)
             betti[key] = count[w]
             if spectra is None:
-                kernels[key] = _dirac.persistent_kernel_dim(filtration, k, e1, e2)
+                kernels[key] = kernel[w]
             else:
                 evals, kernels[key] = _dirac.dirac_spectrum(filtration, k, e1, e2, xi=config.xi)
                 spectra[key] = [float(x) for x in evals]

@@ -35,10 +35,8 @@ def random_cloud(rng, n_min=4, n_max=8, dim_min=1, dim_max=3, scale=1.0):
     return rng.uniform(0.0, scale, size=(n, dim))
 
 
-def components_at_scale(points, eps):
-    """Union-find count of connected components of the 2*eps neighbor graph."""
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
+def union_find_components(n, edges):
+    """Union-find count of connected components of the graph on vertices 0..n-1 with these edges."""
     parent = list(range(n))
 
     def find(a):
@@ -47,13 +45,19 @@ def components_at_scale(points, eps):
             a = parent[a]
         return a
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(pts[i] - pts[j]) <= 2.0 * eps:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    for i, j in edges:
+        ri, rj = find(int(i)), find(int(j))
+        if ri != rj:
+            parent[ri] = rj
     return len({find(i) for i in range(n)})
+
+
+def components_at_scale(points, eps):
+    """Union-find count of connected components of the 2*eps neighbor graph."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    return union_find_components(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                     if np.linalg.norm(pts[i] - pts[j]) <= 2.0 * eps])
 
 
 def ssh4_bonds(lam, v=1.0, w=1.0):

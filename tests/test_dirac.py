@@ -2,20 +2,39 @@ import numpy as np
 import pytest
 
 import topophase as tp
-from helpers import assert_matches_dense, components_at_scale, random_cloud
+from helpers import assert_matches_dense, components_at_scale, random_cloud, union_find_components
 from topophase import dirac
 from topophase.dirac import (
     CERTIFICATE_MARGIN,
     RANK_TOL,
     _kernel_dim,
 )
-from topophase.simplicial import DENSE_LIMIT_BYTES, boundary_dense_at
+from topophase.simplicial import DENSE_LIMIT_BYTES, _WindowUnion, boundary_dense_at
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
 def square_complex():
     return tp.vr_filtration(SQUARE, eps_max=1.0, max_dim=2)
+
+
+def graph_complex(n, edges, edge_births=None, vertex_births=None):
+    """The complex of a graph: n vertices (births ascending, default 0) and its edges, ordered by birth."""
+    edges = np.sort(np.asarray(edges, dtype=np.intp).reshape(-1, 2), axis=1)
+    edge_births = np.zeros(len(edges)) if edge_births is None else np.asarray(edge_births, dtype=float)
+    order = np.lexsort((edges[:, 1], edges[:, 0], edge_births))
+    edges, edge_births = edges[order], edge_births[order]
+    vertex_births = np.zeros(n) if vertex_births is None else np.asarray(vertex_births, dtype=float)
+    return tp.FilteredComplex((np.arange(n)[:, None], edges), (vertex_births, edge_births), n,
+                              np.empty((0, 0)), float(edge_births.max(initial=0.0)), 1, _facets=(None, edges))
+
+
+def graph_union(windows):
+    """The disjoint union of complexes of graphs, window-major, as a sweep cuts it."""
+    offsets = tuple(np.cumsum([0] + [w.count_dim(k) for w in windows]) for k in (0, 1))
+    births = tuple(np.concatenate([w.births[k] for w in windows]) for k in (0, 1))
+    facets = np.concatenate([w._facets[1] + first for w, first in zip(windows, offsets[0])])
+    return _WindowUnion(births, (None, facets.reshape(-1, 2)), offsets, tuple(windows))
 
 
 class TestRestrictedBoundary:
@@ -400,6 +419,67 @@ class TestPersistentKernelDim:
         eigensolves = TestKernelCertificate.spy(monkeypatch, "eigvalsh")
         assert dirac.persistent_kernel_dim(fc, 1, fc.eps_max, fc.eps_max) == 0
         assert formed == eigensolves == []
+
+
+class TestComponentCounts:
+    def test_shuffled_long_path_is_one_component(self):
+        n = 3000
+        rng = np.random.default_rng(5)
+        labels = rng.permutation(n)
+        path = np.column_stack([labels[:-1], labels[1:]])[rng.permutation(n - 1)]
+        union = _WindowUnion.of(graph_complex(n, path))
+        assert dirac._component_counts(union, 0.0, 0.0).tolist() == [1] == [union_find_components(n, path)]
+
+    def test_isolated_vertices_and_no_edges(self):
+        windows = [graph_complex(5, []), graph_complex(1, []), graph_complex(4, [(0, 3)])]
+        union = graph_union(windows)
+        assert dirac._component_counts(union, 0.0, 0.0).tolist() == [5, 1, 3]
+        for w in windows:
+            assert dirac.persistent_kernel_dim(w, 0, 0.0, 0.0) == union_find_components(
+                w.n_points, w.vertices[1])
+        # a complex may store its vertices alone
+        vertices = tp.FilteredComplex((np.arange(3)[:, None],), (np.zeros(3),), 3, np.empty((0, 0)), 0.0, 1,
+                                      _facets=(None,))
+        assert dirac.persistent_kernel_dim(vertices, 0, 0.0, 1.0) == 3 == tp.betti_oracle(vertices, 0, 0.0, 1.0)
+
+    def test_random_graphs_match_union_find(self):
+        # edges born after eps2 are left out; eps1 does not matter while every vertex is born at 0
+        rng = np.random.default_rng(17)
+        windows, graphs = [], []
+        for _ in range(12):
+            n = int(rng.integers(1, 40))
+            pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2))
+            pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+            births = rng.choice([0.1, 0.2, 0.3], size=len(pairs))
+            windows.append(graph_complex(n, pairs, births))
+            graphs.append((n, pairs, births))
+        union = graph_union(windows)
+        for eps1, eps2 in [(0.0, 0.0), (0.0, 0.1), (0.1, 0.2), (0.25, 0.3)]:
+            want = [union_find_components(n, pairs[births <= eps2]) for n, pairs, births in graphs]
+            assert dirac._component_counts(union, eps1, eps2).tolist() == want
+            assert want == [tp.betti_oracle(w, 0, eps1, eps2) for w in windows]
+
+    def test_vertex_born_between_the_scales_counts_the_laplacian(self, monkeypatch):
+        # vertex 2 is born at 0.5, alone: at (0.2, 0.6) three components, but only two persist
+        late = graph_complex(3, [], vertex_births=[0.0, 0.0, 0.5])
+        union = graph_union([graph_complex(2, [(0, 1)]), late])
+        formed = TestPersistentKernelDim.laplacians(monkeypatch)
+        assert dirac._component_counts(union, 0.2, 0.6).tolist() == [1, 2]
+        assert tp.betti_oracle(late, 0, 0.2, 0.6) == 2
+        # no vertex is born between these scales: vertex 2 is counted at (0.5, 0.6), not yet born at 0.3
+        assert dirac._component_counts(union, 0.5, 0.6).tolist() == [1, 3]
+        assert dirac._component_counts(union, 0.2, 0.3).tolist() == [1, 2]
+        assert formed == [(0, 0.2, 0.6)]
+
+    def test_vr_complex_forms_no_laplacian(self, monkeypatch):
+        pts = np.random.default_rng(8).random((12, 2))
+        fc = tp.vr_filtration(pts, max_dim=2)
+        formed = TestPersistentKernelDim.laplacians(monkeypatch)
+        eigensolves = TestKernelCertificate.spy(monkeypatch, "eigvalsh")
+        counts = [dirac.persistent_kernel_dim(fc, 0, eps / 2, eps) for eps in np.linspace(0.0, fc.eps_max, 7)]
+        assert formed == eigensolves == []
+        assert counts == [components_at_scale(pts, eps) for eps in np.linspace(0.0, fc.eps_max, 7)]
+        assert counts[0] == 12 and counts[-1] == 1
 
 
 class TestSpectrum:

@@ -1,6 +1,6 @@
 """Property tests on random clouds: the Schur Laplacian and closed-form Dirac
-spectrum against the dense reference, the degree discs against the Laplacian,
-and the three Betti detectors."""
+spectrum against the dense reference, the degree discs and the component
+counts against the Laplacian, and the three Betti detectors."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 import topophase as tp
 from helpers import assert_matches_dense
 from topophase import dirac
+from topophase.simplicial import _window_unions
 
 
 @settings(max_examples=100, deadline=None)
@@ -57,6 +58,30 @@ def test_degree_discs_match_the_laplacian(data):
     assert np.array_equal(np.abs(lap).sum(axis=1), row_sums)
     kernel = dirac.persistent_kernel_dim(fc, k, eps, eps_prime)
     assert kernel == dirac.betti_from_laplacian(lap) == tp.betti_oracle(fc, k, eps, eps_prime)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_component_counts_match_the_laplacian(data):
+    # sweep windows of points on {0..3}^dim with copies; eps2 = 0 or an edge birth (an exact tie) or between
+    dim = data.draw(st.integers(1, 3), label="dim")
+    n = data.draw(st.integers(1, 12), label="n")
+    pts = data.draw(arrays(np.int64, (n, dim), elements=st.integers(0, 3)), label="points")
+    copies = data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="duplicated")
+    pts = np.vstack([pts, pts[copies]]).astype(float)
+    halfwidth = data.draw(st.integers(0, 5), label="halfwidth")
+    max_dim = data.draw(st.integers(1, 3), label="max_dim")
+    unions = list(_window_unions(pts, halfwidth, max_dim))
+    births = sorted(set(np.concatenate([u.births[1] for u in unions]).tolist()) | {0.0})
+    eps2 = data.draw(st.one_of(st.sampled_from(births), st.floats(0.0, 2.0 * births[-1] + 1.0)), label="eps2")
+    eps1 = data.draw(st.one_of(st.sampled_from([0.0, eps2]), st.floats(0.0, eps2)), label="eps1")
+    for union in unions:
+        counts = dirac._component_counts(union, eps1, eps2).tolist()
+        assert len(counts) == len(union.windows)
+        for window, count in zip(union.windows, counts):
+            lap = dirac.persistent_laplacian(window, 0, eps1, eps2)
+            assert count == dirac.betti_from_laplacian(lap) == tp.betti_oracle(window, 0, eps1, eps2)
+            assert count == dirac.persistent_kernel_dim(window, 0, eps1, eps2)
 
 
 @settings(max_examples=40, deadline=None)

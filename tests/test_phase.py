@@ -318,35 +318,48 @@ class TestDetectors:
         report = self.synthetic_report([0, 1, 1, 0, 0])
         assert self.detect(report, report.kernel_dims) == self.detect(report, report.betti)
 
-    def test_injected_mismatch_refused(self, monkeypatch):
-        # the third window's first probe gets a kernel one above its bars: no count follows it
-        real = dirac.persistent_kernel_dim
+    @staticmethod
+    def recorded(monkeypatch, name, off_by_one):
+        """Wrap ``dirac.<name>``: record each call's arguments after the first, and add ``off_by_one(result)``."""
+        real = getattr(dirac, name)
         calls = []
 
-        def off_by_one(*args):
+        def wrapped(*args):
             calls.append(args[1:])
-            return real(*args) + (len(calls) == 1 + len(PROBES) * 2)
+            result = real(*args)
+            return result + off_by_one(result)
 
-        monkeypatch.setattr(dirac, "persistent_kernel_dim", off_by_one)
+        monkeypatch.setattr(dirac, name, wrapped)
+        return calls
+
+    def test_injected_mismatch_refused(self, monkeypatch):
+        # the third window's first probe gets a kernel one above its bars; the first union's seven windows
+        # are all counted, and no window of the second union is
+        kernels = self.recorded(monkeypatch, "persistent_kernel_dim", lambda _: len(kernels) == 3)
         with pytest.raises(tp.ConsistencyError, match=r"lambda=-0\.3, probe k1_0\.4_0\.8: persistent Betti 0 "
                                                       r"vs Laplacian kernel 1"):
             tp.sweep(clean_config(lambda_min=-0.5, lambda_max=0.5))
-        assert calls == list(PROBES) * 2 + [PROBES[0]]
+        assert kernels == [PROBES[0]] * 7
 
     def test_mismatch_stops_the_sweep(self, monkeypatch):
-        # the first window's first kernel is one above its bars: no second kernel is counted
-        real = dirac.persistent_kernel_dim
-        calls = []
-
-        def off_by_one(*args):
-            calls.append(args[1:])
-            return real(*args) + 1
-
-        monkeypatch.setattr(dirac, "persistent_kernel_dim", off_by_one)
+        # every first-probe kernel is one above its bars: the first window is named, and the second
+        # union's kernels are never counted
+        kernels = self.recorded(monkeypatch, "persistent_kernel_dim", lambda _: 1)
+        components = self.recorded(monkeypatch, "_component_counts", lambda _: 0)
         with pytest.raises(tp.ConsistencyError, match=r"lambda=-0\.5, probe k1_0\.4_0\.8: persistent Betti 0 "
                                                       r"vs Laplacian kernel 1"):
             tp.sweep(clean_config(lambda_min=-0.5, lambda_max=0.5))
-        assert calls == [PROBES[0]]
+        assert kernels == [PROBES[0]] * 7
+        assert components == [PROBES[1][1:]]
+
+    def test_injected_component_mismatch_refused(self, monkeypatch):
+        # the k = 0 count of the second union's second window (lambda 0.3) is one above its bars
+        components = self.recorded(monkeypatch, "_component_counts",
+                                   lambda counts: (len(components) == 2) * (np.arange(len(counts)) == 1))
+        with pytest.raises(tp.ConsistencyError, match=r"lambda=0\.3, probe k0_0\.02_0\.04: persistent Betti 3 "
+                                                      r"vs Laplacian kernel 4"):
+            tp.sweep(clean_config(lambda_min=-0.5, lambda_max=0.5))
+        assert components == [PROBES[1][1:]] * 2
 
 
 class TestContinuity:

@@ -1,12 +1,12 @@
-"""One digest over the outputs of sweeps, diagrams, spectra and kernel counts.
+"""Two digests over the outputs of sweeps, diagrams, spectra and kernel counts.
 
 Run it once per checkout and compare the lines; equal lines mean the outputs
 below are byte-identical between the two source trees:
 
     PYTHONPATH=<checkout>/src python3 tools/output_digest.py
 
-It prints ``<count> <sha256>``: the number of outputs and the SHA-256 of
-their texts, in order.  The outputs are
+It prints two lines ``<count> <sha256>``: the number of outputs and the
+SHA-256 of their texts, in order.  The first line's outputs are
 
 - ``report_to_json`` of window sweeps over the benchmark's grid (96 lambdas,
   step 0.02, from -0.95 + 0.01 * ``default_rng(seed).random()``) at seeds
@@ -23,6 +23,11 @@ their texts, in order.  The outputs are
   probe of ``PROBES``;
 - ``diagram_to_json(reduce(...))`` of five seeded points at ``max_dim`` 12.
 
+The second line's outputs are window sweeps whose k = 0 probes read many
+components (1-17 per window; every k = 0 probe above reads 1): the grid
+above at seeds 0-9, halfwidths 0, 3 and 8 and ``max_dim`` 1, plain and kept,
+with the probes of ``COMPONENT_PROBES``.
+
 A sweep that raises contributes its exception's type and message instead.
 It uses numpy and the standard library only and takes about two minutes on
 a 2-vCPU machine.
@@ -38,6 +43,7 @@ import topophase as tp
 from topophase import dirac, persistence, phase
 
 PROBES = ((1, 0.4, 0.8), (0, 0.02, 0.04), (0, 0.001, 0.01), (1, 0.01, 0.02), (2, 0.01, 0.03))
+COMPONENT_PROBES = ((0, 0.0, 0.005), (0, 0.002, 0.006))
 N_LAMBDAS = 96
 STEP = 0.02
 
@@ -97,15 +103,31 @@ def outputs():
                                                                  max_dim=12)))
 
 
-def main() -> None:
+def component_outputs():
+    """Window sweeps whose k = 0 probes see several components per window."""
+    for seed in range(10):
+        for halfwidth in (0, 3, 8):
+            for kept in (False, True):
+                yield sweep_texts(N_LAMBDAS, seed, window_halfwidth=halfwidth, max_dim=1,
+                                  intervals=COMPONENT_PROBES, keep_diagrams=kept, keep_spectra=kept,
+                                  xi=0.3 if kept else 0.0)
+
+
+def digest_line(outputs) -> str:
+    """``<count> <sha256>`` over the outputs' texts, each followed by a NUL byte."""
     digest = hashlib.sha256()
     count = 0
-    for output in outputs():
+    for output in outputs:
         for text in [output] if isinstance(output, str) else output:
             digest.update(text.encode())
             digest.update(b"\0")
         count += 1
-    print(count, digest.hexdigest())
+    return f"{count} {digest.hexdigest()}"
+
+
+def main() -> None:
+    print(digest_line(outputs()))
+    print(digest_line(component_outputs()))
 
 
 if __name__ == "__main__":
