@@ -332,13 +332,14 @@ def persistent_kernel_dim(complex_: FilteredComplex, k: int, eps: float, eps_pri
 
 
 def _component_counts(union: _WindowUnion, eps: float, eps_prime: float) -> np.ndarray:
-    """The k = 0 persistent kernel of every window of a union: its connected components at eps'.
+    """The k = 0 persistent kernel of every window of a union: its components at eps' born by eps.
 
-    One pass over the union's edges born by eps': the larger root of each
-    edge whose ends lie in two trees hooks to the smaller, and pointer
-    jumping flattens the trees, until every edge lies in one tree.  A window
-    with a vertex born in (eps, eps'] (never one of a Vietoris-Rips complex)
-    counts ``betti_from_laplacian(persistent_laplacian(...))`` instead.
+    One pass over the union's edges born by eps': every root that shares an
+    edge with a smaller root hooks to the smallest such root, and pointer
+    jumping flattens the trees, until every edge lies in one tree.  As
+    parent[i] <= i, each root is its component's first vertex, which has its
+    earliest birth (vertex births ascend within a window), so the roots born
+    by eps are the components at eps' that persist from eps.
     """
     births = union.births[0]
     window = np.repeat(np.arange(len(union.windows)), np.diff(union.offsets[0]))
@@ -352,14 +353,10 @@ def _component_counts(union: _WindowUnion, eps: float, eps_prime: float) -> np.n
         if not split.any():
             break
         ra, rb = ra[split], rb[split]
-        parent[np.maximum(ra, rb)] = np.minimum(ra, rb)  # parent[i] <= i, so no cycle forms
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))  # parent[i] <= i, so no cycle forms
         while not np.array_equal(parent[parent], parent):
             parent = parent[parent]
-    counts = np.bincount(window[(births <= eps_prime) & (parent == np.arange(len(births)))],
-                         minlength=len(union.windows))
-    for w in set(window[(births > eps) & (births <= eps_prime)].tolist()):
-        counts[w] = betti_from_laplacian(persistent_laplacian(union.windows[w], 0, eps, eps_prime))
-    return counts
+    return np.bincount(window[(births <= eps) & (parent == np.arange(len(births)))], minlength=len(union.windows))
 
 
 def _degree_discs(complex_: FilteredComplex, k: int, eps: float, eps_prime: float) -> tuple:

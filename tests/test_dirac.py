@@ -430,6 +430,14 @@ class TestComponentCounts:
         union = _WindowUnion.of(graph_complex(n, path))
         assert dirac._component_counts(union, 0.0, 0.0).tolist() == [1] == [union_find_components(n, path)]
 
+    def test_star_with_its_hub_last(self):
+        # every leaf's edge meets the hub, the largest index: the hub hooks to leaf 0, then every leaf to it
+        n = 3000
+        star = np.column_stack([np.arange(n - 1), np.full(n - 1, n - 1)])
+        union = graph_union([graph_complex(n, star), graph_complex(3, [(0, 2), (1, 2)])])
+        assert dirac._component_counts(union, 0.0, 0.0).tolist() == [1, 1]
+        assert union_find_components(n, star) == 1
+
     def test_isolated_vertices_and_no_edges(self):
         windows = [graph_complex(5, []), graph_complex(1, []), graph_complex(4, [(0, 3)])]
         union = graph_union(windows)
@@ -459,17 +467,22 @@ class TestComponentCounts:
             assert dirac._component_counts(union, eps1, eps2).tolist() == want
             assert want == [tp.betti_oracle(w, 0, eps1, eps2) for w in windows]
 
-    def test_vertex_born_between_the_scales_counts_the_laplacian(self, monkeypatch):
+    def test_vertex_born_between_the_scales_forms_no_laplacian(self, monkeypatch):
         # vertex 2 is born at 0.5, alone: at (0.2, 0.6) three components, but only two persist
         late = graph_complex(3, [], vertex_births=[0.0, 0.0, 0.5])
-        union = graph_union([graph_complex(2, [(0, 1)]), late])
+        # vertices 2 and 3 are born at 0.5 and joined at 0.55; vertex 4, born at 0.5, joins vertex 0 at 0.55
+        joined = graph_complex(5, [(2, 3), (0, 4)], edge_births=[0.55, 0.55],
+                               vertex_births=[0.0, 0.0, 0.5, 0.5, 0.5])
+        windows = [graph_complex(2, [(0, 1)]), late, joined]
+        union = graph_union(windows)
         formed = TestPersistentKernelDim.laplacians(monkeypatch)
-        assert dirac._component_counts(union, 0.2, 0.6).tolist() == [1, 2]
-        assert tp.betti_oracle(late, 0, 0.2, 0.6) == 2
-        # no vertex is born between these scales: vertex 2 is counted at (0.5, 0.6), not yet born at 0.3
-        assert dirac._component_counts(union, 0.5, 0.6).tolist() == [1, 3]
-        assert dirac._component_counts(union, 0.2, 0.3).tolist() == [1, 2]
-        assert formed == [(0, 0.2, 0.6)]
+        eigensolves = TestKernelCertificate.spy(monkeypatch, "eigvalsh")
+        for eps1, eps2, want in [(0.2, 0.6, [1, 2, 2]), (0.5, 0.6, [1, 3, 3]), (0.2, 0.3, [1, 2, 2]),
+                                 (0.2, 0.5, [1, 2, 2]), (0.5, 0.5, [1, 3, 5])]:
+            assert dirac._component_counts(union, eps1, eps2).tolist() == want
+            assert [dirac.persistent_kernel_dim(w, 0, eps1, eps2) for w in windows] == want
+            assert formed == eigensolves == []
+            assert want == [tp.betti_oracle(w, 0, eps1, eps2) for w in windows]
 
     def test_vr_complex_forms_no_laplacian(self, monkeypatch):
         pts = np.random.default_rng(8).random((12, 2))

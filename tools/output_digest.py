@@ -29,8 +29,8 @@ above at seeds 0-9, halfwidths 0, 3 and 8 and ``max_dim`` 1, plain and kept,
 with the probes of ``COMPONENT_PROBES``.
 
 A sweep that raises contributes its exception's type and message instead.
-It uses numpy and the standard library only and takes about two minutes on
-a 2-vCPU machine.
+It uses numpy and the standard library only and takes about 40 s (38 s
+measured) on a 2-vCPU machine.
 """
 
 from __future__ import annotations
